@@ -24,8 +24,8 @@ HERE = Path(__file__).resolve().parent
 ROOT = Path.cwd()
 # One BLAS thread: an idle OpenBLAS worker spins on the second core, so the
 # "single process" would otherwise use both cores and time its neighbours.
-CHILD_ENV = {**os.environ, **{k: os.environ.get(k, "1") for k in (
-    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}}
+CHILD_ENV = {**os.environ, **dict.fromkeys(
+    ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")}
 DEADLINE_S = 175.0
 WORKLOAD_RATES = ("augment_audio_s_per_s", "verify_audio_s_per_s", "mel_audio_s_per_s") + tuple(
     f"{rate}.{shape}" for shape in ("batching", "augemb")

@@ -214,10 +214,13 @@ def record(args) -> None:
             sys.exit(f"seed {seed}: {problems}")
         if digest is None:
             reference["inputs"] = wl.inputs_digest()
-            fingerprint = {"final_loss": job.outputs["final_loss"]}
+            fingerprint = {"final_loss": job.outputs["final_loss"],
+                           "steady_loss": job.outputs["steady_loss"],
+                           "infer": job.outputs["infer_fingerprint"]}
         else:
             fingerprint = {"inputs": digest, "augment_tree": job.outputs["augment_tree"],
-                           "mel_sum": job.outputs["mel_sum"]}
+                           "mel": job.outputs["mel"],
+                           "max_deviation_db": job.outputs["max_deviation_db"]}
         seeds = reference.setdefault("seeds", {})
         seeds[str(seed)] = fingerprint
         reference["seeds"] = dict(sorted(seeds.items(), key=lambda kv: int(kv[0])))
