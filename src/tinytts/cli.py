@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -64,6 +65,15 @@ def _prepare_out_dir(path: str | Path, force: bool) -> Path:
         )
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _jobs(args, cfg: RunConfig) -> int:
+    """--jobs, else the config's jobs key; at most one worker process per core."""
+    jobs = args.jobs if args.jobs is not None else cfg.get("jobs")
+    cores = os.cpu_count() or 1
+    if not 1 <= jobs <= cores:
+        raise TinyTtsError(f"jobs {jobs} outside [1, {cores}] (the CPU count)")
+    return jobs
 
 
 def _emit(args, human: str, payload: dict) -> None:
@@ -163,7 +173,7 @@ def cmd_augment(args) -> int:
     master_seed = (
         args.master_seed if args.master_seed is not None else cfg.get("master_seed")
     )
-    jobs = args.jobs if args.jobs is not None else cfg.get("jobs")
+    jobs = _jobs(args, cfg)
     out = _prepare_out_dir(args.out_dir, args.force)
     subset = curation.read_subset_manifest(args.manifest)
     manifest = build_augmented_dataset(subset, specs, out, master_seed, jobs=jobs)
@@ -183,9 +193,10 @@ def cmd_augment(args) -> int:
 
 
 def cmd_verify_aug(args) -> int:
+    jobs = _jobs(args, _load_cfg(args))
     manifest = read_aug_manifest(args.manifest)
     report = verify_augmented_dataset(
-        manifest, tolerance_db=args.tolerance_db, jobs=args.jobs or 1
+        manifest, tolerance_db=args.tolerance_db, jobs=jobs
     )
     _emit(
         args,
@@ -385,8 +396,13 @@ def cmd_toy_train(args) -> int:
 
 
 def cmd_toy_infer(args) -> int:
+    try:
+        tokens = [int(t) for t in args.tokens.split(",") if t.strip()]
+    except ValueError as exc:
+        raise TinyTtsError(
+            f"--tokens {args.tokens!r}: expected comma-separated integers"
+        ) from exc
     model = load_model(args.model)
-    tokens = [int(t) for t in args.tokens.split(",") if t.strip()]
     frames, gates, attn = infer(model, tokens, args.aug_id)
     if args.out_frames:
         audio_mod.write_melb(frames, args.out_frames)
@@ -404,7 +420,7 @@ def cmd_toy_infer(args) -> int:
 
 def cmd_study(args) -> int:
     cfg = _load_cfg(args)
-    jobs = args.jobs if args.jobs is not None else cfg.get("jobs")
+    jobs = _jobs(args, cfg)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     out = _prepare_out_dir(args.out_dir, args.force)
     summary = run_study(args.study, seeds, out, jobs=jobs)

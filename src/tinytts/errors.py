@@ -125,8 +125,8 @@ class AugIdOutOfRange(TinyTtsError):
     """Augmentation id not below the configured table size."""
 
 
-class GraphConsistency(TinyTtsError):
-    """Backward invoked on a tape that does not match the forward graph."""
+class MalformedCorpus(TinyTtsError):
+    """Toy corpus JSON-lines file does not parse; message carries the line number."""
 
 
 class MalformedCheckpoint(TinyTtsError):

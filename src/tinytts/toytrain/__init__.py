@@ -11,6 +11,7 @@ from .model import (
     Batch,
     ToyConfig,
     ToyModel,
+    backward,
     forward,
     infer,
     load_model,
@@ -29,6 +30,7 @@ __all__ = [
     "ToyExample",
     "ToyModel",
     "TrainReport",
+    "backward",
     "forward",
     "gen_synthetic_corpus",
     "grad_check",

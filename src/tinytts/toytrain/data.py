@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import BadRange
+from ..errors import BadRange, MalformedCorpus
 
 MIN_EMIT = 2
 MAX_EMIT = 4
@@ -112,26 +112,33 @@ def save_corpus(corpus: SyntheticCorpus, path: str | Path) -> None:
             )
 
 
+def _example_from(row: dict) -> ToyExample:
+    tokens = row["tokens"]
+    if not isinstance(tokens, list) or not all(isinstance(t, int) for t in tokens):
+        raise ValueError("tokens must be a list of integers")
+    frames = np.asarray(row["frames"], dtype=np.float64)
+    gates = np.asarray(row["gates"], dtype=bool)
+    if frames.ndim != 2 or gates.shape != frames.shape[:1]:
+        raise ValueError("frames must be T x M with one gate per frame")
+    return ToyExample(tokens, int(row["aug_id"]), frames, gates)
+
+
 def load_corpus(path: str | Path) -> SyntheticCorpus:
+    """Read a save_corpus file; MalformedCorpus names the line that does not parse."""
+    line_no = 1
     with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        corpus = SyntheticCorpus(
-            [],
-            np.asarray(header["templates"]),
-            np.asarray(header["emission_counts"]),
-            [tuple(p) for p in header["aug_profiles"]],
-            header["seed"],
-        )
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            corpus.examples.append(
-                ToyExample(
-                    row["tokens"],
-                    row["aug_id"],
-                    np.asarray(row["frames"]),
-                    np.asarray(row["gates"], dtype=bool),
-                )
+        try:
+            header = json.loads(fh.readline())
+            corpus = SyntheticCorpus(
+                [],
+                np.asarray(header["templates"]),
+                np.asarray(header["emission_counts"]),
+                [tuple(p) for p in header["aug_profiles"]],
+                header["seed"],
             )
+            for line_no, line in enumerate(fh, start=2):
+                if line.strip():
+                    corpus.examples.append(_example_from(json.loads(line)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedCorpus(f"{path}:{line_no}: {exc!r}") from exc
     return corpus

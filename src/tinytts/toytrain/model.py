@@ -5,6 +5,11 @@ augmentation embedding is concatenated to every encoder output, and attention
 plus the decoder consume that concatenated memory. Additive (content-based)
 attention; single tanh-RNN decoder with teacher forcing; linear output and
 gate heads over (state, context).
+
+Parameters are plain numpy arrays. One batched decoder step serves both the
+teacher-forced forward pass and autoregressive inference; backward() is
+hand-written backpropagation through time over the activations the forward
+pass keeps.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +26,6 @@ from ..errors import (
     MalformedCheckpoint,
     ShapeMismatch,
 )
-from . import autodiff as ad
-from .autodiff import Tensor
 
 TOYM_MAGIC = b"TOYM"
 TOYM_VERSION = 1
@@ -97,7 +101,7 @@ class ToyModel:
         self.config = config
         seed = config.seed if init_seed is None else init_seed
         gen = np.random.Generator(np.random.Philox(key=seed))
-        self.params: dict[str, Tensor] = {}
+        self.params: dict[str, np.ndarray] = {}
         for name, shape in _param_shapes(config):
             if name.endswith("_b"):
                 data = np.zeros(shape)
@@ -108,14 +112,10 @@ class ToyModel:
             else:
                 bound = 1.0 / np.sqrt(shape[0])
                 data = gen.uniform(-bound, bound, size=shape)
-            self.params[name] = Tensor(data)
+            self.params[name] = data
 
     def parameter_count(self) -> int:
-        return sum(p.data.size for p in self.params.values())
-
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.grad = None
+        return sum(p.size for p in self.params.values())
 
 
 @dataclass
@@ -128,14 +128,33 @@ class Batch:
     gate_targets: np.ndarray  # (B, T) float 0/1
 
 
+class Step(NamedTuple):
+    """Activations of one decoder step."""
+
+    dec_in: np.ndarray  # (B, M + mem) previous frame and previous context
+    state: np.ndarray  # (B, d_dec)
+    scores: np.ndarray  # (B, N, d_att) tanh of the attention pre-activation
+    alpha: np.ndarray  # (B, N) attention weights
+    context: np.ndarray  # (B, mem)
+    head_in: np.ndarray  # (B, d_dec + mem) state and context
+    frame: np.ndarray  # (B, M)
+    gate: np.ndarray  # (B,) logits
+
+
 @dataclass
 class ForwardResult:
-    predicted: Tensor  # (B, T, M)
-    gate_logits: Tensor  # (B, T)
-    attention: Tensor  # (B, T, N) rows stochastic over valid tokens
-    loss: Tensor  # scalar
-    mse: Tensor
-    bce: Tensor
+    predicted: np.ndarray  # (B, T, M)
+    gate_logits: np.ndarray  # (B, T)
+    attention: np.ndarray  # (B, T, N) rows stochastic over valid tokens
+    loss: float
+    mse: float
+    bce: float
+    # the activations backward() reads
+    batch: Batch
+    emb: np.ndarray  # (B, N, d_e) token embeddings
+    enc_states: np.ndarray  # (B, N, d_enc)
+    memory: np.ndarray  # (B, N, mem)
+    steps: list[Step]
 
 
 def make_batch(examples, cfg: ToyConfig) -> Batch:
@@ -171,92 +190,168 @@ def make_batch(examples, cfg: ToyConfig) -> Batch:
     return Batch(tokens, token_mask, aug_ids, targets, frame_mask, gates)
 
 
-def _encode(model: ToyModel, batch: Batch) -> Tensor:
-    """Token RNN + augmentation embedding concat: memory (B, N, mem_dim)."""
+def _encode(model: ToyModel, tokens: np.ndarray, aug_ids: np.ndarray):
+    """Token RNN + augmentation embedding concat.
+
+    Returns (embeddings (B, N, d_e), RNN states (B, N, d_enc), memory (B, N, mem)).
+    """
     p = model.params
-    b, n = batch.tokens.shape
-    emb = ad.embedding(p["tok_emb"], batch.tokens)  # (B, N, d_e)
-    h = Tensor(np.zeros((b, model.config.enc_hidden)))
+    b, n = tokens.shape
+    emb = p["tok_emb"][tokens]
+    h = np.zeros((b, model.config.enc_hidden))
     states = []
     for step in range(n):
-        x = ad.narrow(emb, (slice(None), step, slice(None)))
-        pre = ad.add(
-            ad.add(ad.matmul(x, p["enc_w_in"]), ad.matmul(h, p["enc_w_rec"])),
-            p["enc_b"],
-        )
-        h = ad.tanh(pre)
+        h = np.tanh(emb[:, step, :] @ p["enc_w_in"] + h @ p["enc_w_rec"] + p["enc_b"])
         states.append(h)
-    enc = ad.stack(states, axis=1)  # (B, N, d_h)
-    aug = ad.embedding(p["aug_emb"], batch.aug_ids)  # (B, d_a)
-    aug3 = ad.expand(
-        ad.narrow(aug, (slice(None), None, slice(None))),
-        (b, n, model.config.aug_embed_dim),
+    enc = np.stack(states, axis=1)
+    aug = np.broadcast_to(
+        p["aug_emb"][aug_ids][:, None, :], (b, n, model.config.aug_embed_dim)
     )
-    return ad.concat([enc, aug3], axis=2)
+    return emb, enc, np.concatenate([enc, aug], axis=2)
 
 
-def forward(model: ToyModel, batch: Batch, teacher_forcing: bool = True) -> ForwardResult:
+def _decoder_step(p, memory, mem_proj, token_mask, prev, state, context) -> Step:
+    """Decoder RNN, additive attention over memory, output and gate heads."""
+    dec_in = np.concatenate([prev, context], axis=1)
+    state = np.tanh(dec_in @ p["dec_w_in"] + state @ p["dec_w_rec"] + p["dec_b"])
+    query = state @ p["attn_w_query"]
+    scores = np.tanh(query[:, None, :] + mem_proj + p["attn_b"])
+    energies = (scores @ p["attn_v"])[:, :, 0]
+    # softmax over the valid tokens; padded ones get weight 0
+    z = np.where(token_mask, energies, -np.inf)
+    ez = np.exp(z - z.max(axis=1, keepdims=True))
+    alpha = ez / ez.sum(axis=1, keepdims=True)
+    context = (alpha[:, None, :] @ memory)[:, 0, :]
+    head_in = np.concatenate([state, context], axis=1)
+    frame = head_in @ p["out_w"] + p["out_b"]
+    gate = (head_in @ p["gate_w"] + p["gate_b"])[:, 0]
+    return Step(dec_in, state, scores, alpha, context, head_in, frame, gate)
+
+
+def forward(model: ToyModel, batch: Batch) -> ForwardResult:
     """Teacher-forced pass with masked MSE + gate BCE loss."""
     cfg = model.config
     p = model.params
     b, t_max = batch.frame_mask.shape
-    memory = _encode(model, batch)  # (B, N, mem)
-    # memory projection reused by every decoder step
-    mem_proj = ad.matmul(memory, p["attn_w_memory"])  # (B, N, d_att)
+    emb, enc_states, memory = _encode(model, batch.tokens, batch.aug_ids)
+    mem_proj = memory @ p["attn_w_memory"]  # reused by every decoder step
 
-    state = Tensor(np.zeros((b, cfg.dec_hidden)))
-    context = Tensor(np.zeros((b, cfg.memory_dim)))
-    prev_frame = Tensor(np.zeros((b, cfg.feat_dim)))
-    preds, gate_logits, attn_rows = [], [], []
-    for step in range(t_max):
-        dec_in = ad.concat([prev_frame, context], axis=1)
-        pre = ad.add(
-            ad.add(ad.matmul(dec_in, p["dec_w_in"]), ad.matmul(state, p["dec_w_rec"])),
-            p["dec_b"],
+    state = np.zeros((b, cfg.dec_hidden))
+    context = np.zeros((b, cfg.memory_dim))
+    prev = np.zeros((b, cfg.feat_dim))
+    mask = batch.token_mask
+    steps = []
+    for t in range(t_max):
+        step = _decoder_step(p, memory, mem_proj, mask, prev, state, context)
+        steps.append(step)
+        state, context, prev = step.state, step.context, batch.targets[:, t, :]
+
+    predicted = np.stack([s.frame for s in steps], axis=1)
+    gate_logits = np.stack([s.gate for s in steps], axis=1)
+    attention = np.stack([s.alpha for s in steps], axis=1)
+    # means over the valid frames: MSE on frames, stable BCE on gate logits
+    n_valid = float(batch.frame_mask.sum())
+    diff = (predicted - batch.targets) * batch.frame_mask[..., None]
+    mse = (diff * diff).sum() / (n_valid * cfg.feat_dim)
+    z = gate_logits
+    per = np.maximum(z, 0.0) - z * batch.gate_targets + np.log1p(np.exp(-np.abs(z)))
+    bce = (per * batch.frame_mask).sum() / n_valid
+    loss = mse + bce * cfg.gate_loss_weight
+    return ForwardResult(
+        predicted, gate_logits, attention, float(loss), float(mse), float(bce),
+        batch, emb, enc_states, memory, steps,
+    )
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """All leading axes flattened into rows: weight gradients sum over them."""
+    return x.reshape(-1, x.shape[-1])
+
+
+def _recurrent_weights_grad(states: np.ndarray, d_pre: np.ndarray) -> np.ndarray:
+    """Gradient of W_rec in h_t = tanh(... + h_{t-1} @ W_rec), with h_{-1} = 0."""
+    return _rows(states[:, :-1]).T @ _rows(d_pre[:, 1:])
+
+
+def backward(model: ToyModel, result: ForwardResult) -> dict[str, np.ndarray]:
+    """Gradient of result.loss for every parameter, in params order.
+
+    Backpropagation through time over the activations forward() kept: the
+    heads and losses for all frames at once, then the decoder steps last to
+    first (the only sequential part: state and context carries), the memory
+    projection and aug-embedding concat, and the encoder RNN last token first.
+    """
+    cfg = model.config
+    p = model.params
+    batch, steps, memory = result.batch, result.steps, result.memory
+    m, hd, he = cfg.feat_dim, cfg.dec_hidden, cfg.enc_hidden
+    b, t_max = batch.frame_mask.shape
+    g: dict[str, np.ndarray] = {}
+
+    n_valid = float(batch.frame_mask.sum())
+    d_pred = 2.0 * (result.predicted - batch.targets) * batch.frame_mask[..., None]
+    d_pred /= n_valid * m
+    sig = 1.0 / (1.0 + np.exp(-result.gate_logits))
+    d_gate = cfg.gate_loss_weight * (sig - batch.gate_targets) * batch.frame_mask
+    d_gate /= n_valid
+    head_in = np.stack([s.head_in for s in steps], axis=1)
+    g["out_w"] = _rows(head_in).T @ _rows(d_pred)
+    g["out_b"] = d_pred.sum(axis=(0, 1))
+    g["gate_w"] = _rows(head_in).T @ d_gate.reshape(-1, 1)
+    g["gate_b"] = np.array([d_gate.sum()])
+    d_head = d_pred @ p["out_w"].T + d_gate[..., None] @ p["gate_w"].T
+
+    v = p["attn_v"][:, 0]
+    d_state = np.zeros((b, hd))
+    d_context = np.zeros((b, cfg.memory_dim))
+    d_mem_proj = np.zeros(memory.shape[:2] + (cfg.attn_dim,))
+    d_contexts, d_energies, d_queries, d_dec_pre = ([None] * t_max for _ in range(4))
+    for t in reversed(range(t_max)):
+        s = steps[t]
+        d_state = d_state + d_head[:, t, :hd]
+        d_context = d_context + d_head[:, t, hd:]
+        d_alpha = (memory @ d_context[:, :, None])[:, :, 0]
+        d_e = s.alpha * (d_alpha - (d_alpha * s.alpha).sum(axis=1, keepdims=True))
+        d_score_pre = d_e[:, :, None] * v * (1.0 - s.scores * s.scores)
+        d_mem_proj += d_score_pre
+        d_query = d_score_pre.sum(axis=1)
+        d_pre = (d_state + d_query @ p["attn_w_query"].T) * (1.0 - s.state * s.state)
+        d_contexts[t], d_energies[t], d_queries[t], d_dec_pre[t] = (
+            d_context, d_e, d_query, d_pre
         )
-        state = ad.tanh(pre)
-        query = ad.matmul(state, p["attn_w_query"])  # (B, d_att)
-        scores = ad.tanh(
-            ad.add(
-                ad.add(ad.narrow(query, (slice(None), None, slice(None))), mem_proj),
-                p["attn_b"],
-            )
-        )  # (B, N, d_att)
-        energies = ad.narrow(ad.matmul(scores, p["attn_v"]), (slice(None), slice(None), 0))
-        alpha = ad.masked_softmax(energies, batch.token_mask)  # (B, N)
-        attn_rows.append(alpha)
-        context = ad.narrow(
-            ad.matmul(ad.narrow(alpha, (slice(None), None, slice(None))), memory),
-            (slice(None), 0, slice(None)),
-        )  # (B, mem)
-        head_in = ad.concat([state, context], axis=1)
-        y = ad.add(ad.matmul(head_in, p["out_w"]), p["out_b"])  # (B, M)
-        g = ad.narrow(ad.add(ad.matmul(head_in, p["gate_w"]), p["gate_b"]), (slice(None), 0))
-        preds.append(y)
-        gate_logits.append(g)
-        if teacher_forcing:
-            prev_frame = Tensor(batch.targets[:, step, :])
-        else:
-            prev_frame = y
+        d_state = d_pre @ p["dec_w_rec"].T
+        d_context = d_pre @ p["dec_w_in"][m:].T  # the context half of dec_in
 
-    predicted = ad.stack(preds, axis=1)  # (B, T, M)
-    gates = ad.stack(gate_logits, axis=1)  # (B, T)
-    attention = ad.stack(attn_rows, axis=1)  # (B, T, N)
-    mse = ad.masked_mse(predicted, batch.targets, batch.frame_mask)
-    bce = ad.masked_bce_logits(gates, batch.gate_targets, batch.frame_mask)
-    loss = ad.add(mse, ad.scale(bce, cfg.gate_loss_weight))
-    return ForwardResult(predicted, gates, attention, loss, mse, bce)
+    dec_in = np.stack([s.dec_in for s in steps], axis=1)
+    states = np.stack([s.state for s in steps], axis=1)
+    scores = np.stack([s.scores for s in steps], axis=1)
+    d_dec_pre = np.stack(d_dec_pre, axis=1)
+    g["dec_w_in"] = _rows(dec_in).T @ _rows(d_dec_pre)
+    g["dec_w_rec"] = _recurrent_weights_grad(states, d_dec_pre)
+    g["dec_b"] = d_dec_pre.sum(axis=(0, 1))
+    g["attn_w_query"] = _rows(states).T @ _rows(np.stack(d_queries, axis=1))
+    g["attn_v"] = _rows(scores).T @ np.stack(d_energies, axis=1).reshape(-1, 1)
+    g["attn_b"] = d_mem_proj.sum(axis=(0, 1))
+    g["attn_w_memory"] = _rows(memory).T @ _rows(d_mem_proj)
+    d_memory = (
+        result.attention.transpose(0, 2, 1) @ np.stack(d_contexts, axis=1)
+        + d_mem_proj @ p["attn_w_memory"].T
+    )
 
-
-def attention_matrices(result: ForwardResult, batch: Batch):
-    """Per-example (valid_frames x valid_tokens) attention weight arrays."""
-    out = []
-    att = result.attention.data
-    for i in range(att.shape[0]):
-        t = int(batch.frame_mask[i].sum())
-        n = int(batch.token_mask[i].sum())
-        out.append(att[i, :t, :n])
-    return out
+    g["aug_emb"] = np.zeros_like(p["aug_emb"])
+    np.add.at(g["aug_emb"], batch.aug_ids, d_memory[:, :, he:].sum(axis=1))
+    enc = result.enc_states
+    d_enc_pre = np.empty_like(enc)
+    d_h = np.zeros((b, he))
+    for n in reversed(range(enc.shape[1])):
+        d_enc_pre[:, n] = (d_memory[:, n, :he] + d_h) * (1.0 - enc[:, n] * enc[:, n])
+        d_h = d_enc_pre[:, n] @ p["enc_w_rec"].T
+    g["enc_w_in"] = _rows(result.emb).T @ _rows(d_enc_pre)
+    g["enc_w_rec"] = _recurrent_weights_grad(enc, d_enc_pre)
+    g["enc_b"] = d_enc_pre.sum(axis=(0, 1))
+    g["tok_emb"] = np.zeros_like(p["tok_emb"])
+    np.add.at(g["tok_emb"], batch.tokens, d_enc_pre @ p["enc_w_in"].T)
+    return {name: g[name] for name in p}
 
 
 def infer(
@@ -269,44 +364,28 @@ def infer(
     cfg = model.config
     if not 0 <= aug_id < cfg.n_aug_ids:
         raise AugIdOutOfRange(f"aug_id {aug_id} not in [0, {cfg.n_aug_ids})")
+    if not tokens:
+        raise ShapeMismatch("need at least one token")
     if any(tok < 1 or tok > cfg.vocab_size for tok in tokens):
         raise ShapeMismatch("token outside [1, vocab_size]")
     p = model.params
-    n = len(tokens)
-    probe = Batch(
-        tokens=np.asarray(tokens, dtype=np.int64)[None, :],
-        token_mask=np.ones((1, n), dtype=bool),
-        aug_ids=np.asarray([aug_id]),
-        targets=np.zeros((1, 1, cfg.feat_dim)),
-        frame_mask=np.ones((1, 1), dtype=bool),
-        gate_targets=np.zeros((1, 1)),
+    token_mask = np.ones((1, len(tokens)), dtype=bool)
+    _, _, memory = _encode(
+        model, np.asarray(tokens, dtype=np.int64)[None, :], np.asarray([aug_id])
     )
-    memory = _encode(model, probe).data[0]  # (N, mem)
-    mem_proj = memory @ p["attn_w_memory"].data  # (N, d_att)
+    mem_proj = memory @ p["attn_w_memory"]
 
-    state = np.zeros(cfg.dec_hidden)
-    context = np.zeros(cfg.memory_dim)
-    prev = np.zeros(cfg.feat_dim)
+    state = np.zeros((1, cfg.dec_hidden))
+    context = np.zeros((1, cfg.memory_dim))
+    prev = np.zeros((1, cfg.feat_dim))
     frames, gate_probs, attn = [], [], []
     for _ in range(cfg.max_decode_frames):
-        dec_in = np.concatenate([prev, context])
-        state = np.tanh(
-            dec_in @ p["dec_w_in"].data + state @ p["dec_w_rec"].data + p["dec_b"].data
-        )
-        query = state @ p["attn_w_query"].data
-        scores = np.tanh(query[None, :] + mem_proj + p["attn_b"].data)
-        energies = (scores @ p["attn_v"].data)[:, 0]
-        ez = np.exp(energies - energies.max())
-        alpha = ez / ez.sum()
-        context = alpha @ memory
-        head_in = np.concatenate([state, context])
-        y = head_in @ p["out_w"].data + p["out_b"].data
-        g = float((head_in @ p["gate_w"].data)[0] + p["gate_b"].data[0])
-        gate_prob = 1.0 / (1.0 + np.exp(-g))
-        frames.append(y)
+        step = _decoder_step(p, memory, mem_proj, token_mask, prev, state, context)
+        state, context, prev = step.state, step.context, step.frame
+        gate_prob = 1.0 / (1.0 + np.exp(-float(step.gate[0])))
+        frames.append(step.frame[0])
         gate_probs.append(gate_prob)
-        attn.append(alpha)
-        prev = y
+        attn.append(step.alpha[0])
         if gate_prob > gate_threshold:
             break
     return np.array(frames), np.array(gate_probs), np.array(attn)
@@ -341,7 +420,7 @@ def save_model(model: ToyModel, path: str | Path) -> None:
         blob += struct.pack("<d", getattr(cfg, name))
     blob += struct.pack("<Q", cfg.seed)
     for name, shape in _param_shapes(cfg):
-        data = model.params[name].data
+        data = model.params[name]
         if data.shape != shape:
             raise MalformedCheckpoint(f"{name}: shape drifted from config")
         blob += struct.pack("<Q", data.size)
@@ -379,7 +458,7 @@ def load_model(path: str | Path) -> ToyModel:
                 raise MalformedCheckpoint(f"{name}: parameter block truncated")
             data = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(shape)
             pos += 8 * count
-            model.params[name] = Tensor(data.copy())
+            model.params[name] = data.copy()
     except (struct.error, ValueError) as exc:
         raise MalformedCheckpoint(f"checkpoint does not parse: {exc}") from exc
     if pos != len(raw):

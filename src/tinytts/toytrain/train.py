@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..curation import BUCKETED, RANDOM_SHUFFLE, CorpusEntry, Subset, plan_batches
-from .autodiff import backward
 from .data import SyntheticCorpus, ToyExample, frame_count_of
-from .model import ToyModel, forward, make_batch
+from .model import ToyModel, backward, forward, make_batch
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -37,37 +36,34 @@ class Adam:
     def __init__(self, model: ToyModel, lr: float):
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in model.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in model.params.items()}
+        self.m = {k: np.zeros_like(p) for k, p in model.params.items()}
+        self.v = {k: np.zeros_like(p) for k, p in model.params.items()}
 
-    def step(self, model: ToyModel) -> None:
+    def step(self, model: ToyModel, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         bias1 = 1.0 - ADAM_BETA1**self.t
         bias2 = 1.0 - ADAM_BETA2**self.t
         for name, p in model.params.items():
-            g = p.grad
-            if g is None:
-                continue
+            g = grads[name]
             m = self.m[name]
             v = self.v[name]
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
-def clip_global_norm(model: ToyModel, max_norm: float) -> float:
+def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
+    """Scale grads in place to a global L2 norm of at most max_norm; the norm before."""
     total = 0.0
-    for p in model.params.values():
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+    for g in grads.values():
+        total += float((g * g).sum())
     norm = float(np.sqrt(total))
     if norm > max_norm > 0:
         factor = max_norm / norm
-        for p in model.params.values():
-            if p.grad is not None:
-                p.grad *= factor
+        for g in grads.values():
+            g *= factor
     return norm
 
 
@@ -92,7 +88,7 @@ def mean_corpus_loss(model: ToyModel, examples: list[ToyExample]) -> float:
     for start in range(0, len(examples), cfg.batch_size):
         chunk = examples[start : start + cfg.batch_size]
         res = forward(model, make_batch(chunk, cfg))
-        total += float(res.loss.data) * len(chunk)
+        total += res.loss * len(chunk)
         n += len(chunk)
     return total / n
 
@@ -124,12 +120,11 @@ def train(
             if step >= cfg.steps:
                 break
             batch = make_batch([corpus.examples[i] for i in batch_idx], cfg)
-            model.zero_grads()
             result = forward(model, batch)
-            backward(result.loss)
-            clip_global_norm(model, cfg.grad_clip_norm)
-            optimizer.step(model)
-            curve.append(float(result.loss.data))
+            grads = backward(model, result)
+            clip_global_norm(grads, cfg.grad_clip_norm)
+            optimizer.step(model, grads)
+            curve.append(result.loss)
             step += 1
     final = mean_corpus_loss(model, corpus.examples) if cfg.steps > 0 else initial
 
@@ -153,18 +148,14 @@ def train(
 def grad_check(model: ToyModel, examples: list[ToyExample], eps: float = 1e-5) -> float:
     """Max relative error of analytic vs central-finite-difference gradients."""
     batch = make_batch(examples, model.config)
-    model.zero_grads()
-    result = forward(model, batch)
-    backward(result.loss)
-    analytic = {k: np.array(p.grad) if p.grad is not None else np.zeros_like(p.data)
-                for k, p in model.params.items()}
+    analytic = backward(model, forward(model, batch))
 
     def loss_at() -> float:
-        return float(forward(model, batch).loss.data)
+        return forward(model, batch).loss
 
     worst = 0.0
     for name, p in model.params.items():
-        flat = p.data.reshape(-1)
+        flat = p.reshape(-1)
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + eps

@@ -266,7 +266,7 @@ def test_criterion_08_gradient_check():
     # 1e-8 floor and the resolution of eps=1e-5 central differences
     rng = np.random.default_rng(0)
     for p in model.params.values():
-        p.data = rng.uniform(-0.7, 0.7, size=p.data.shape)
+        p[...] = rng.uniform(-0.7, 0.7, size=p.shape)
     worst = grad_check(model, corpus.examples[:3], eps=1e-5)
     assert worst < 1e-4
     elapsed = time.perf_counter() - started

@@ -322,3 +322,59 @@ def test_toy_pipeline_gen_train_infer(tmp_path, capsys):
     assert frames.shape[1] == 3
     attn = read_attention(attn_path)
     assert attn.weights.shape[1] == 3
+
+
+@pytest.mark.parametrize("tokens", ["", "1,x", "1.5"])
+def test_toy_infer_bad_tokens_exit_cleanly(tmp_path, capsys, tokens):
+    from tinytts.toytrain import ToyConfig, ToyModel, save_model
+
+    model_path = tmp_path / "model.toym"
+    save_model(ToyModel(ToyConfig(vocab_size=4, max_decode_frames=5)), model_path)
+    code = main(["toy-infer", "--model", str(model_path), "--tokens", tokens])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_toy_train_malformed_corpus_exits_cleanly(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text('{"templates": [[0.0]], "aug_profiles": [], "seed": 0}\n')
+    run_dir = tmp_path / "run"
+    code = main(["toy-train", "--corpus", str(corpus_path), "--out-dir", str(run_dir)])
+    assert code == 1
+    assert "emission_counts" in capsys.readouterr().err
+    assert not (run_dir / "model.toym").exists()
+
+
+def _jobs_argv(command, tmp_path):
+    missing = str(tmp_path / "no_manifest.jsonl")
+    out = str(tmp_path / "out")
+    return {
+        "augment": ["augment", "--manifest", missing, "--out-dir", out],
+        "verify-aug": ["verify-aug", "--manifest", missing],
+        "study": ["study", "--study", "batching", "--seeds", "1,2,3", "--out-dir", out],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["augment", "verify-aug", "study"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_jobs_outside_core_count_rejected_before_any_pool(
+    tmp_path, capsys, monkeypatch, command, source
+):
+    import os
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("tinytts.augment.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("tinytts.toytrain.study.ProcessPoolExecutor", no_pool)
+    for jobs in (0, (os.cpu_count() or 1) + 1):
+        if source == "flag":
+            argv = _jobs_argv(command, tmp_path) + ["--jobs", str(jobs)]
+        else:
+            cfg = tmp_path / "jobs.cfg"
+            cfg.write_text(f"jobs = {jobs}\n")
+            argv = ["--config", str(cfg)] + _jobs_argv(command, tmp_path)
+        # the manifest does not exist: a check after reading it would exit 2
+        assert main(argv) == 1
+        assert "jobs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from tinytts.errors import AugIdOutOfRange, BadRange, MalformedCheckpoint, ShapeMismatch
+from tinytts.errors import (
+    AugIdOutOfRange,
+    BadRange,
+    MalformedCheckpoint,
+    MalformedCorpus,
+    ShapeMismatch,
+)
 from tinytts.toytrain import (
     ToyConfig,
     ToyModel,
@@ -14,7 +20,7 @@ from tinytts.toytrain import (
     save_corpus,
     save_model,
 )
-from tinytts.toytrain.autodiff import backward
+from tinytts.toytrain.model import backward
 
 TINY = ToyConfig(
     vocab_size=4,
@@ -88,6 +94,26 @@ def test_corpus_file_round_trip(tmp_path):
         assert np.allclose(a.target_frames, b.target_frames)
 
 
+@pytest.mark.parametrize(
+    "line, old, new",
+    [
+        (0, '"emission_counts"', '"counts"'),  # header key missing
+        (1, "{", "{not json"),
+        (1, '"gates": [', '"gates": [0, '),  # one gate more than frames
+        (1, '"tokens": [', '"tokens": ["a", '),
+        (1, None, "[1, 2]\n"),  # a row that is not an object
+    ],
+)
+def test_malformed_corpus_file_rejected(tmp_path, line, old, new):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(tiny_corpus(), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[line] = new if old is None else lines[line].replace(old, new, 1)
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(MalformedCorpus):
+        load_corpus(path)
+
+
 # --- forward pass ---
 
 def test_attention_rows_stochastic_over_valid_tokens():
@@ -95,7 +121,7 @@ def test_attention_rows_stochastic_over_valid_tokens():
     model = ToyModel(TINY)
     batch = make_batch(corpus.examples[:3], TINY)
     res = forward(model, batch)
-    att = res.attention.data  # (B, T, N)
+    att = res.attention  # (B, T, N)
     assert np.allclose(att.sum(axis=2), 1.0, atol=1e-5)
     pad = ~np.broadcast_to(batch.token_mask[:, None, :], att.shape)
     assert np.all(att[pad] == 0.0)
@@ -119,31 +145,29 @@ def test_padding_invariance_of_loss():
     )
     wider.gate_targets = np.concatenate([wider.gate_targets, np.zeros((b, 3))], axis=1)
     padded = forward(model, wider)
-    assert abs(float(padded.loss.data) - float(base.loss.data)) < 1e-9
+    assert abs(padded.loss - base.loss) < 1e-9
 
 
 def test_zero_output_projection_closed_form():
     corpus = tiny_corpus(profiles=())
     model = ToyModel(TINY)
-    model.params["out_w"].data[:] = 0.0
+    model.params["out_w"][:] = 0.0
     bias = np.array([0.3, -0.2, 0.1])
-    model.params["out_b"].data[:] = bias
+    model.params["out_b"][:] = bias
     batch = make_batch(corpus.examples[:4], TINY)
     res = forward(model, batch)
-    assert np.allclose(res.predicted.data, bias, atol=1e-12)
+    assert np.allclose(res.predicted, bias, atol=1e-12)
     diff = (batch.targets - bias) * batch.frame_mask[:, :, None]
     expected_mse = (diff**2).sum() / (batch.frame_mask.sum() * 3)
-    assert float(res.mse.data) == pytest.approx(expected_mse, rel=1e-12)
+    assert res.mse == pytest.approx(expected_mse, rel=1e-12)
 
 
 def test_aug_embedding_gradient_isolation():
     corpus = tiny_corpus()  # aug ids {0, 1}; row 2 unused
     model = ToyModel(TINY)
     batch = make_batch(corpus.examples[:4], TINY)
-    model.zero_grads()
     res = forward(model, batch)
-    backward(res.loss)
-    grad = model.params["aug_emb"].grad
+    grad = backward(model, res)["aug_emb"]
     used = set(batch.aug_ids.tolist())
     for row in range(TINY.n_aug_ids):
         if row in used:
@@ -161,10 +185,8 @@ def test_gate_loss_weight_scales_gradient_linearly():
     def grads_at(lam):
         model = ToyModel(replace(TINY, gate_loss_weight=lam))
         batch = make_batch(batch_examples, model.config)
-        model.zero_grads()
         res = forward(model, batch)
-        backward(res.loss)
-        return {k: np.array(p.grad) for k, p in model.params.items()}
+        return backward(model, res)
 
     g0, g1, g2 = grads_at(0.0), grads_at(1.0), grads_at(2.0)
     for name in g0:
@@ -209,6 +231,23 @@ def test_infer_rejects_bad_aug_id():
         infer(model, [1], 7)
 
 
+def test_infer_rejects_empty_tokens():
+    with pytest.raises(ShapeMismatch):
+        infer(ToyModel(TINY), [], 0)
+
+
+def test_infer_first_frame_is_forward_frame_zero():
+    # infer and the teacher-forced forward share one decoder step: at frame 0
+    # both start from zero state, context and previous frame
+    corpus = tiny_corpus()
+    model = ToyModel(TINY)
+    for example in corpus.examples[:2]:
+        frames, _gates, attn = infer(model, example.tokens, example.aug_id)
+        res = forward(model, make_batch([example], TINY))
+        assert frames[0].tobytes() == res.predicted[0, 0].tobytes()
+        assert attn[0].tobytes() == res.attention[0, 0].tobytes()
+
+
 # --- serialization ---
 
 def test_checkpoint_round_trip_exact(tmp_path):
@@ -219,10 +258,10 @@ def test_checkpoint_round_trip_exact(tmp_path):
     back = load_model(path)
     assert back.config == TINY
     for name, p in model.params.items():
-        assert np.array_equal(back.params[name].data, p.data)
+        assert np.array_equal(back.params[name], p)
     batch = make_batch(corpus.examples[:2], TINY)
     assert np.array_equal(
-        forward(back, batch).predicted.data, forward(model, batch).predicted.data
+        forward(back, batch).predicted, forward(model, batch).predicted
     )
     raw = path.read_bytes()
     assert raw[:4] == b"TOYM"

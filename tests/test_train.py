@@ -8,6 +8,7 @@ from tinytts.toytrain import (
     ToyModel,
     gen_synthetic_corpus,
     grad_check,
+    make_batch,
     train,
 )
 
@@ -33,7 +34,7 @@ def generic_point(model: ToyModel, seed: int = 0) -> None:
     of eps=1e-5 central differences."""
     rng = np.random.default_rng(seed)
     for p in model.params.values():
-        p.data = rng.uniform(-0.7, 0.7, size=p.data.shape)
+        p[...] = rng.uniform(-0.7, 0.7, size=p.shape)
 
 
 def test_grad_check_tiny_config():
@@ -41,6 +42,22 @@ def test_grad_check_tiny_config():
     model = ToyModel(TINY)
     generic_point(model)
     assert grad_check(model, corpus.examples[:3], eps=1e-5) < 1e-4
+
+
+def test_grad_check_mixed_lengths_without_aug_embedding():
+    # token and frame counts differ across the batch, so the attention softmax
+    # mask and the loss masks both cut; aug_embed_dim=0 as in the augmentation
+    # study's noembed arm
+    cfg = replace(TINY, aug_embed_dim=0)
+    corpus = gen_synthetic_corpus(4, 3, 8, (1, 5), [(0.1, 0.05)], seed=4)
+    by_length = sorted(corpus.examples, key=lambda e: len(e.tokens))
+    examples = [by_length[0], by_length[-1], by_length[len(by_length) // 2]]
+    batch = make_batch(examples, cfg)
+    assert len(set(batch.token_mask.sum(axis=1))) == 3
+    assert len(set(batch.frame_mask.sum(axis=1))) == 3
+    model = ToyModel(cfg)
+    generic_point(model, seed=3)
+    assert grad_check(model, examples, eps=1e-5) < 1e-4
 
 
 def test_grad_check_eps_sensitivity():
@@ -61,9 +78,9 @@ def test_grad_check_zero_weights_near_linear_regime():
     rng = np.random.default_rng(2)
     for name, p in model.params.items():
         if name.endswith("_b"):
-            p.data = rng.uniform(-0.5, 0.5, size=p.data.shape)
+            p[...] = rng.uniform(-0.5, 0.5, size=p.shape)
         else:
-            p.data = np.zeros_like(p.data)
+            p[...] = 0.0
     assert grad_check(model, corpus.examples[:2], eps=1e-5) < 1e-6
 
 
@@ -82,12 +99,12 @@ def test_zero_steps_leaves_model_unchanged():
     cfg = replace(TINY, steps=0)
     corpus = gen_synthetic_corpus(4, 3, 6, (2, 4), [], seed=2)
     model = ToyModel(cfg)
-    before = {k: p.data.copy() for k, p in model.params.items()}
+    before = {k: p.copy() for k, p in model.params.items()}
     report = train(model, corpus, BUCKETED)
     assert report.loss_curve == []
     assert report.final_loss == report.initial_loss
     for k, p in model.params.items():
-        assert np.array_equal(p.data, before[k])
+        assert np.array_equal(p, before[k])
 
 
 def test_training_deterministic():
