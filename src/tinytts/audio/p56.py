@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ..errors import SignalTooShort, SilentSignal
 from .clip import AudioClip
@@ -38,24 +37,28 @@ class ActiveLevelResult:
 
 def _envelope(x: np.ndarray, fs: int) -> np.ndarray:
     """Rectified signal through two cascaded first-order smoothers."""
+    # imported here, not at module level: scipy.signal is slow to import and
+    # most commands never measure P.56
+    from scipy.signal import lfilter
+
     g = np.exp(-1.0 / (fs * SMOOTHING_TIME_S))
     p = lfilter([1.0 - g], [1.0, -g], np.abs(x))
     return lfilter([1.0 - g], [1.0, -g], p)
 
 
 def _active_counts(env: np.ndarray, thresholds: np.ndarray, hang: int) -> np.ndarray:
-    """Samples active per threshold: envelope crossing extended by the hangover."""
-    n = len(env)
-    idx = np.arange(n)
-    counts = np.empty(len(thresholds), dtype=np.int64)
-    for j, c in enumerate(thresholds):
-        cross = env >= c
-        if not cross.any():
-            counts[j] = 0
-            continue
-        last = np.maximum.accumulate(np.where(cross, idx, -(hang + 1)))
-        counts[j] = int(np.count_nonzero(idx - last <= hang))
-    return counts
+    """Samples active per threshold: envelope crossing extended by the hangover.
+
+    Sample i is active at threshold c when env[k] >= c for some k in
+    [i - hang, i], i.e. when the trailing max of the last hang + 1 envelope
+    samples reaches c; one sort of those maxima then counts every rung.
+    """
+    from scipy.ndimage import maximum_filter1d
+
+    trailing_max = maximum_filter1d(
+        env, size=hang + 1, origin=hang // 2, mode="nearest"
+    )
+    return len(env) - np.searchsorted(np.sort(trailing_max), thresholds, side="left")
 
 
 def active_speech_level_p56(clip: AudioClip) -> ActiveLevelResult:

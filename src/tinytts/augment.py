@@ -12,12 +12,13 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .audio import AudioClip, active_speech_level_p56, read_wav, write_wav
-from .curation import Subset
+from .curation import CorpusEntry, Subset
 from .errors import BuildError, ConfigError, MissingFile, TinyTtsError
 from .noisegen import NoiseSpec, mix_at_snr
 
@@ -57,14 +58,42 @@ def _check_specs(specs: list[NoiseSpec]) -> None:
         raise ConfigError(f"duplicate aug_ids in {ids}")
 
 
-def _render_one(task) -> tuple[np.ndarray, int, float]:
-    """Render one output: (samples, sample_rate, mixture_gain)."""
-    audio_path, spec, seed = task
-    clip = read_wav(audio_path)
-    if spec is None:
-        return clip.samples, clip.sample_rate_hz, 1.0
-    res = mix_at_snr(clip, spec.spectrum, spec.snr_db, seed)
-    return res.clip.samples, res.clip.sample_rate_hz, res.mixture_gain
+def _build_source(
+    entry: CorpusEntry, specs: list[NoiseSpec], wav_dir: Path, master_seed: int
+) -> list[AugManifestEntry]:
+    """Write the clean copy and one noisy copy per spec of one source utterance.
+
+    The source is read once and its P.56 level measured once. Every copy is
+    rendered before any is written, so a source that fails (silent, too short,
+    or a spec its sample rate cannot take) writes none of its copies.
+    """
+    clip = read_wav(entry.audio_path)
+    level = active_speech_level_p56(clip) if specs else None
+    rendered = []
+    for spec in [None, *specs]:
+        aug_id = spec.aug_id if spec else CLEAN_AUG_ID
+        seed = derive_seed(master_seed, entry.id, aug_id)
+        out_clip, mixture_gain = clip, 1.0
+        if spec is not None:
+            mix = mix_at_snr(clip, spec.spectrum, spec.snr_db, seed, level=level)
+            out_clip, mixture_gain = mix.clip, mix.mixture_gain
+        out_id = f"{entry.id}__aug{aug_id}"
+        row = AugManifestEntry(
+            id=out_id,
+            source_id=entry.id,
+            audio_path=str(wav_dir / f"{out_id}.wav"),
+            text=entry.text,
+            duration_s=entry.duration_s,
+            aug_id=aug_id,
+            noise_name=spec.name if spec else CLEAN_NAME,
+            snr_db=spec.snr_db if spec else None,
+            mixture_gain=mixture_gain,
+            seed=seed,
+        )
+        rendered.append((row, out_clip))
+    for row, out_clip in rendered:
+        write_wav(out_clip, row.audio_path)
+    return [row for row, _ in rendered]
 
 
 def build_augmented_dataset(
@@ -74,72 +103,42 @@ def build_augmented_dataset(
     master_seed: int,
     jobs: int = 1,
 ) -> list[AugManifestEntry]:
-    """Write |subset| * (len(specs) + 1) WAVs plus a JSON-lines manifest."""
+    """Write |subset| * (len(specs) + 1) WAVs plus a JSON-lines manifest.
+
+    One task per source utterance renders and writes that utterance's WAVs,
+    so memory holds one utterance's copies at a time; the manifest and
+    summary are written only if every source succeeded.
+    """
     _check_specs(specs)
     out = Path(out_dir)
     wav_dir = out / "wavs"
     wav_dir.mkdir(parents=True, exist_ok=True)
 
-    spec_by_id: dict[int, NoiseSpec | None] = {s.aug_id: s for s in specs}
-    spec_by_id[CLEAN_AUG_ID] = None
-    keys = [
-        (entry, aug_id)
-        for entry in subset.entries
-        for aug_id in [CLEAN_AUG_ID] + [s.aug_id for s in specs]
-    ]
-
-    def task_of(entry, aug_id):
-        return (
-            str(entry.audio_path),
-            spec_by_id[aug_id],
-            derive_seed(master_seed, entry.id, aug_id),
-        )
-
-    rendered: dict[tuple[str, int], tuple[np.ndarray, int, float]] = {}
+    build = partial(
+        _build_source, specs=specs, wav_dir=wav_dir, master_seed=master_seed
+    )
+    manifest: list[AugManifestEntry] = []
     failures: list[str] = []
+
+    def collect(entry, rows_of) -> None:
+        try:
+            manifest.extend(rows_of())
+        except TinyTtsError as exc:
+            failures.append(f"{entry.id}: {exc}")
+
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                (entry.id, aug_id): pool.submit(_render_one, task_of(entry, aug_id))
-                for entry, aug_id in keys
-            }
-            for (sid, aug_id), fut in futures.items():
-                try:
-                    rendered[(sid, aug_id)] = fut.result()
-                except TinyTtsError as exc:
-                    failures.append(f"{sid}/aug{aug_id}: {exc}")
+            futures = [pool.submit(build, entry) for entry in subset.entries]
+            for entry, fut in zip(subset.entries, futures):
+                collect(entry, fut.result)
     else:
-        for entry, aug_id in keys:
-            try:
-                rendered[(entry.id, aug_id)] = _render_one(task_of(entry, aug_id))
-            except TinyTtsError as exc:
-                failures.append(f"{entry.id}/aug{aug_id}: {exc}")
+        for entry in subset.entries:
+            collect(entry, partial(build, entry))
     if failures:
         raise BuildError(
-            f"{len(failures)} render failure(s): " + "; ".join(failures[:20])
+            f"{len(failures)} source failure(s): " + "; ".join(failures[:20])
         )
 
-    manifest: list[AugManifestEntry] = []
-    for entry, aug_id in keys:
-        samples, rate, mixture_gain = rendered[(entry.id, aug_id)]
-        out_id = f"{entry.id}__aug{aug_id}"
-        wav_path = wav_dir / f"{out_id}.wav"
-        write_wav(AudioClip(samples, rate), wav_path)
-        spec = spec_by_id[aug_id]
-        manifest.append(
-            AugManifestEntry(
-                id=out_id,
-                source_id=entry.id,
-                audio_path=str(wav_path),
-                text=entry.text,
-                duration_s=entry.duration_s,
-                aug_id=aug_id,
-                noise_name=spec.name if spec else CLEAN_NAME,
-                snr_db=spec.snr_db if spec else None,
-                mixture_gain=mixture_gain,
-                seed=derive_seed(master_seed, entry.id, aug_id),
-            )
-        )
     write_aug_manifest(manifest, out / "manifest.jsonl")
     summary = {
         "master_seed": master_seed,
@@ -197,18 +196,26 @@ class VerifyReport:
     flagged_ids: list[str]
 
 
-def _verify_one(args) -> float:
-    """Deviation in dB between the achieved active-speech SNR and the target."""
-    noisy_path, clean_path, mixture_gain, snr_db = args
-    noisy = read_wav(noisy_path)
+def _verify_source(clean_path: str, noisy: list[AugManifestEntry]) -> list[float]:
+    """Deviations in dB between achieved active-speech SNR and target for the
+    noisy copies of one source.
+
+    The clean file is read once, and P.56 is measured once per distinct
+    mixture gain; each noisy copy's noise is taken from its own file.
+    """
     clean = read_wav(clean_path)
-    scaled_clean = clean.samples * mixture_gain
-    noise = noisy.samples - scaled_clean
-    active_db = active_speech_level_p56(
-        AudioClip(scaled_clean, clean.sample_rate_hz)
-    ).active_level_db
-    achieved = active_db - 10.0 * np.log10(np.mean(noise**2))
-    return abs(achieved - snr_db)
+    by_gain: dict[float, tuple[np.ndarray, float]] = {}
+    deviations = []
+    for m in noisy:
+        if m.mixture_gain not in by_gain:
+            scaled = clean.samples * m.mixture_gain
+            level = active_speech_level_p56(AudioClip(scaled, clean.sample_rate_hz))
+            by_gain[m.mixture_gain] = scaled, level.active_level_db
+        scaled_clean, active_db = by_gain[m.mixture_gain]
+        noise = read_wav(m.audio_path).samples - scaled_clean
+        achieved = active_db - 10.0 * np.log10(np.mean(noise**2))
+        deviations.append(abs(achieved - m.snr_db))
+    return deviations
 
 
 def verify_augmented_dataset(
@@ -220,19 +227,25 @@ def verify_augmented_dataset(
     }
     n_clean = sum(1 for m in manifest if m.aug_id == CLEAN_AUG_ID)
     noisy = [m for m in manifest if m.aug_id != CLEAN_AUG_ID]
-    tasks = []
-    for m in noisy:
+    by_source: dict[str, list[int]] = {}  # source id -> indices into noisy
+    for i, m in enumerate(noisy):
         if not Path(m.audio_path).exists():
             raise MissingFile(f"{m.id}: {m.audio_path}")
         clean_path = clean_paths.get(m.source_id)
         if clean_path is None or not Path(clean_path).exists():
             raise MissingFile(f"{m.id}: clean source for {m.source_id}")
-        tasks.append((m.audio_path, clean_path, m.mixture_gain, m.snr_db))
+        by_source.setdefault(m.source_id, []).append(i)
+    cleans = [clean_paths[sid] for sid in by_source]
+    groups = [[noisy[i] for i in idx] for idx in by_source.values()]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            deviations = list(pool.map(_verify_one, tasks, chunksize=4))
+            per_source = list(pool.map(_verify_source, cleans, groups))
     else:
-        deviations = [_verify_one(t) for t in tasks]
+        per_source = list(map(_verify_source, cleans, groups))
+    deviations = [0.0] * len(noisy)
+    for idx, devs in zip(by_source.values(), per_source):
+        for i, dev in zip(idx, devs):
+            deviations[i] = dev
     flagged = [m.id for m, dev in zip(noisy, deviations) if dev > tolerance_db]
     max_dev = max(deviations, default=0.0)
     return VerifyReport(len(noisy), n_clean, max_dev, len(flagged), flagged)

@@ -76,6 +76,16 @@ def _jobs(args, cfg: RunConfig) -> int:
     return jobs
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """Comma-separated integers of a flag; blank fields are skipped."""
+    try:
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError as exc:
+        raise TinyTtsError(
+            f"{flag} {text!r}: expected comma-separated integers"
+        ) from exc
+
+
 def _emit(args, human: str, payload: dict) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -396,12 +406,7 @@ def cmd_toy_train(args) -> int:
 
 
 def cmd_toy_infer(args) -> int:
-    try:
-        tokens = [int(t) for t in args.tokens.split(",") if t.strip()]
-    except ValueError as exc:
-        raise TinyTtsError(
-            f"--tokens {args.tokens!r}: expected comma-separated integers"
-        ) from exc
+    tokens = _int_list("--tokens", args.tokens)
     model = load_model(args.model)
     frames, gates, attn = infer(model, tokens, args.aug_id)
     if args.out_frames:
@@ -421,7 +426,7 @@ def cmd_toy_infer(args) -> int:
 def cmd_study(args) -> int:
     cfg = _load_cfg(args)
     jobs = _jobs(args, cfg)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    seeds = _int_list("--seeds", args.seeds)
     out = _prepare_out_dir(args.out_dir, args.force)
     summary = run_study(args.study, seeds, out, jobs=jobs)
     cfg.write_snapshot(out)

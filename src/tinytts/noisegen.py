@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioClip, active_speech_level_p56
+from .audio import ActiveLevelResult, AudioClip, active_speech_level_p56
 from .errors import BadSpectrum, TooShort
 
 USASI_HIGHPASS_HZ = 100.0
@@ -153,14 +153,22 @@ class MixResult:
 
 
 def mix_at_snr(
-    speech: AudioClip, spectrum: SpectrumSpec, snr_db: float, seed: int
+    speech: AudioClip,
+    spectrum: SpectrumSpec,
+    snr_db: float,
+    seed: int,
+    *,
+    level: ActiveLevelResult | None = None,
 ) -> MixResult:
     """Add spectrum-shaped noise at an exact P.56 active-speech SNR.
 
-    If the mix would clip, the whole mixture is rescaled to peak 0.99 (the SNR
-    is unaffected) and the rescale reported as mixture_gain.
+    `level` is the speech's P.56 measurement, when the caller already has it;
+    without it the level is measured here. If the mix would clip, the whole
+    mixture is rescaled to peak 0.99 (the SNR is unaffected) and the rescale
+    reported as mixture_gain.
     """
-    level = active_speech_level_p56(speech)
+    if level is None:
+        level = active_speech_level_p56(speech)
     n = len(speech.samples)
     # shaping needs >= 1 s for spectral validity; overdraw and truncate
     gen_n = max(n, speech.sample_rate_hz)

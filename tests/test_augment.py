@@ -1,11 +1,14 @@
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tinytts.audio import write_wav
+import tinytts.augment
+import tinytts.noisegen
+from tinytts.audio import AudioClip, write_wav
 from tinytts.augment import (
     build_augmented_dataset,
     derive_seed,
@@ -111,8 +114,6 @@ def test_derive_seed_stability():
 def test_silent_source_collected_as_failure(tmp_path):
     subset = make_speech_subset(tmp_path, 2)
     silent = tmp_path / "clean" / "silent.wav"
-    from tinytts.audio import AudioClip
-
     write_wav(AudioClip(np.zeros(22050), 22050), silent)
     subset.entries.append(CorpusEntry("silent", silent, "quiet", 1.0))
     with pytest.raises(BuildError, match="silent"):
@@ -157,3 +158,63 @@ def test_manifest_round_trip(tmp_path):
     summary = json.loads((tmp_path / "out" / "build_summary.json").read_text())
     assert summary["n_outputs"] == len(manifest)
     assert [s["aug_id"] for s in summary["specs"]] == [1, 2, 3]
+
+
+def _record_calls(monkeypatch, module, name) -> list:
+    """Wrap module.name so each call appends its first argument to a list."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_build_reads_and_measures_each_source_once(tmp_path, monkeypatch):
+    subset = make_speech_subset(tmp_path, 3)
+    reads = _record_calls(monkeypatch, tinytts.augment, "read_wav")
+    p56 = _record_calls(monkeypatch, tinytts.augment, "active_speech_level_p56")
+    mix_p56 = _record_calls(monkeypatch, tinytts.noisegen, "active_speech_level_p56")
+    build_augmented_dataset(subset, default_noise_specs(), tmp_path / "out", 4)
+    assert sorted(str(p) for p in reads) == sorted(
+        str(e.audio_path) for e in subset.entries
+    )
+    assert len(p56) == 3
+    assert mix_p56 == []
+
+
+def test_verify_reads_each_file_once(tmp_path, monkeypatch):
+    subset = make_speech_subset(tmp_path, 3)
+    manifest = build_augmented_dataset(subset, default_noise_specs(), tmp_path / "out", 5)
+    reads = _record_calls(monkeypatch, tinytts.augment, "read_wav")
+    p56 = _record_calls(monkeypatch, tinytts.augment, "active_speech_level_p56")
+    report = verify_augmented_dataset(manifest)
+    assert report.n_noisy == 9
+    assert Counter(str(p) for p in reads) == Counter(m.audio_path for m in manifest)
+    gains = {(m.source_id, m.mixture_gain) for m in manifest if m.aug_id != 0}
+    assert len(p56) == len(gains)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "bad_clip",
+    [
+        AudioClip(np.zeros(22050), 22050),  # silent: P.56 fails
+        speech_like(7, duration_s=1.2, fs=16000),  # sensor table above Nyquist
+    ],
+    ids=["silent", "16khz"],
+)
+def test_failed_source_writes_no_manifest_and_no_copies(tmp_path, jobs, bad_clip):
+    subset = make_speech_subset(tmp_path, 2)
+    bad = tmp_path / "clean" / "bad.wav"
+    write_wav(bad_clip, bad)
+    subset.entries.insert(1, CorpusEntry("bad", bad, "quiet", bad_clip.duration_s))
+    out = tmp_path / "out"
+    with pytest.raises(BuildError, match="bad: "):
+        build_augmented_dataset(subset, default_noise_specs(), out, 1, jobs=jobs)
+    assert not (out / "manifest.jsonl").exists()
+    assert not (out / "build_summary.json").exists()
+    assert list((out / "wavs").glob("bad__*")) == []

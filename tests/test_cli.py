@@ -257,6 +257,19 @@ def test_study_cli_wiring(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "out" / "resolved_config.txt").exists()
 
 
+def test_study_bad_seeds_exit_cleanly(tmp_path, capsys, monkeypatch):
+    def no_study(*args, **kwargs):
+        raise AssertionError("the study was started")
+
+    monkeypatch.setattr("tinytts.cli.run_study", no_study)
+    out = tmp_path / "out"
+    code = main(["study", "--study", "batching", "--seeds", "1,x", "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--seeds" in err
+    assert not out.exists()
+
+
 def test_toy_pipeline_gen_train_infer(tmp_path, capsys):
     cfg = tmp_path / "toy.cfg"
     cfg.write_text(

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinytts.audio import AudioClip, active_speech_level_p56
+from tinytts.audio.p56 import (
+    HANGOVER_S,
+    MIN_DURATION_S,
+    N_THRESHOLDS,
+    _active_counts,
+    _envelope,
+)
 from tinytts.errors import SignalTooShort, SilentSignal
 
 from conftest import gated_noise, speech_like, tone
@@ -60,3 +69,82 @@ def test_active_at_least_long_term_property():
         r = active_speech_level_p56(speech_like(seed))
         assert r.active_level_db >= r.long_term_level_db - 1e-9
         assert 0.0 < r.activity_factor <= 1.0 + 1e-12
+
+
+def _loop_active_counts(env, thresholds, hang):
+    """Oracle: one pass per threshold, tracking the last crossing index."""
+    n = len(env)
+    idx = np.arange(n)
+    counts = np.empty(len(thresholds), dtype=np.int64)
+    for j, c in enumerate(thresholds):
+        cross = env >= c
+        if not cross.any():
+            counts[j] = 0
+            continue
+        last = np.maximum.accumulate(np.where(cross, idx, -(hang + 1)))
+        counts[j] = int(np.count_nonzero(idx - last <= hang))
+    return counts
+
+
+LADDER = 2.0 ** np.arange(-(N_THRESHOLDS - 1), 1, dtype=np.float64)
+# 11025 Hz: hang 2205, an even window of hang + 1; 22050 Hz: hang 4410, odd
+PROPERTY_RATES = (11025, 22050)
+
+
+def _hang(rate):
+    return int(np.ceil(HANGOVER_S * rate))
+
+
+def test_property_rates_cover_both_window_parities():
+    assert [_hang(r) for r in PROPERTY_RATES] == [2205, 4410]
+    assert {(_hang(r) + 1) % 2 for r in PROPERTY_RATES} == {0, 1}
+
+
+@st.composite
+def envelopes(draw):
+    """Bursty non-negative envelopes just over the minimum duration.
+
+    Burst levels are exact ladder rungs (ties with a threshold) or off-rung
+    values; a quiet envelope never reaches the lowest rung.
+    """
+    rate = draw(st.sampled_from(PROPERTY_RATES))
+    n = int(np.ceil(MIN_DURATION_S * rate)) + draw(st.integers(0, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    env = rng.random(n) * 2.0 ** -draw(st.integers(8, 40))
+    bursts = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),  # start
+                st.integers(1, n),  # length
+                st.integers(0, 34),  # level exponent, rung 2**-k
+                st.sampled_from([1.0, 0.75, 1.5]),  # on or off the rung
+            ),
+            max_size=6,
+        )
+    )
+    for start, length, k, factor in bursts:
+        env[start : start + length] = 2.0**-k * factor
+    if draw(st.booleans()):  # activity at index 0
+        env[0] = 2.0 ** -draw(st.integers(0, 30))
+    if draw(st.booleans()):  # never crosses the lowest rung
+        env = env * (LADDER[0] / (2.0 * max(env.max(), LADDER[0])))
+    return env, _hang(rate)
+
+
+@settings(max_examples=80, deadline=None)
+@given(envelopes())
+def test_active_counts_match_per_threshold_loop(case):
+    env, hang = case
+    expected = _loop_active_counts(env, LADDER, hang)
+    np.testing.assert_array_equal(_active_counts(env, LADDER, hang), expected)
+
+
+def test_active_counts_match_loop_on_speech_envelopes():
+    for rate in PROPERTY_RATES:
+        for seed in range(3):
+            clip = speech_like(seed, duration_s=1.0, fs=rate)
+            env = _envelope(clip.samples, rate)
+            expected = _loop_active_counts(env, LADDER, _hang(rate))
+            np.testing.assert_array_equal(
+                _active_counts(env, LADDER, _hang(rate)), expected
+            )
