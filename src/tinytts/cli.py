@@ -44,6 +44,7 @@ from .toytrain import (
     save_model,
     train,
 )
+from .toytrain.study import check_seeds
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -427,6 +428,7 @@ def cmd_study(args) -> int:
     cfg = _load_cfg(args)
     jobs = _jobs(args, cfg)
     seeds = _int_list("--seeds", args.seeds)
+    check_seeds(seeds)
     out = _prepare_out_dir(args.out_dir, args.force)
     summary = run_study(args.study, seeds, out, jobs=jobs)
     cfg.write_snapshot(out)

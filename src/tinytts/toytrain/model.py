@@ -149,12 +149,14 @@ class ForwardResult:
     loss: float
     mse: float
     bce: float
-    # the activations backward() reads
+    # the activations backward() reads, one read-only copy each
     batch: Batch
     emb: np.ndarray  # (B, N, d_e) token embeddings
     enc_states: np.ndarray  # (B, N, d_enc)
     memory: np.ndarray  # (B, N, mem)
-    steps: list[Step]
+    dec_in: np.ndarray  # (B, T, M + mem) previous frame and previous context
+    head_in: np.ndarray  # (B, T, d_dec + mem) decoder state and context
+    scores: np.ndarray  # (B, T, N, d_att) tanh of the attention pre-activation
 
 
 def make_batch(examples, cfg: ToyConfig) -> Batch:
@@ -240,15 +242,23 @@ def forward(model: ToyModel, batch: Batch) -> ForwardResult:
     context = np.zeros((b, cfg.memory_dim))
     prev = np.zeros((b, cfg.feat_dim))
     mask = batch.token_mask
-    steps = []
+    # batch-major (B, T, ...): the weight-gradient GEMMs sum their rows in this order
+    dec_in = np.empty((b, t_max, cfg.feat_dim + cfg.memory_dim))
+    head_in = np.empty((b, t_max, cfg.dec_hidden + cfg.memory_dim))
+    scores = np.empty((b, t_max) + mem_proj.shape[1:])
+    attention = np.empty((b, t_max, mask.shape[1]))
+    predicted = np.empty((b, t_max, cfg.feat_dim))
+    gate_logits = np.empty((b, t_max))
+    kept = (dec_in, head_in, scores, attention, predicted, gate_logits)
     for t in range(t_max):
-        step = _decoder_step(p, memory, mem_proj, mask, prev, state, context)
-        steps.append(step)
-        state, context, prev = step.state, step.context, batch.targets[:, t, :]
+        s = _decoder_step(p, memory, mem_proj, mask, prev, state, context)
+        values = (s.dec_in, s.head_in, s.scores, s.alpha, s.frame, s.gate)
+        for buf, value in zip(kept, values):
+            buf[:, t] = value
+        state, context, prev = s.state, s.context, batch.targets[:, t, :]
+    for a in kept + (emb, enc_states, memory):
+        a.setflags(write=False)
 
-    predicted = np.stack([s.frame for s in steps], axis=1)
-    gate_logits = np.stack([s.gate for s in steps], axis=1)
-    attention = np.stack([s.alpha for s in steps], axis=1)
     # means over the valid frames: MSE on frames, stable BCE on gate logits
     n_valid = float(batch.frame_mask.sum())
     diff = (predicted - batch.targets) * batch.frame_mask[..., None]
@@ -259,7 +269,7 @@ def forward(model: ToyModel, batch: Batch) -> ForwardResult:
     loss = mse + bce * cfg.gate_loss_weight
     return ForwardResult(
         predicted, gate_logits, attention, float(loss), float(mse), float(bce),
-        batch, emb, enc_states, memory, steps,
+        batch, emb, enc_states, memory, dec_in, head_in, scores,
     )
 
 
@@ -283,9 +293,10 @@ def backward(model: ToyModel, result: ForwardResult) -> dict[str, np.ndarray]:
     """
     cfg = model.config
     p = model.params
-    batch, steps, memory = result.batch, result.steps, result.memory
+    batch, memory, scores = result.batch, result.memory, result.scores
     m, hd, he = cfg.feat_dim, cfg.dec_hidden, cfg.enc_hidden
     b, t_max = batch.frame_mask.shape
+    states = result.head_in[..., :hd]
     g: dict[str, np.ndarray] = {}
 
     n_valid = float(batch.frame_mask.sum())
@@ -294,10 +305,9 @@ def backward(model: ToyModel, result: ForwardResult) -> dict[str, np.ndarray]:
     sig = 1.0 / (1.0 + np.exp(-result.gate_logits))
     d_gate = cfg.gate_loss_weight * (sig - batch.gate_targets) * batch.frame_mask
     d_gate /= n_valid
-    head_in = np.stack([s.head_in for s in steps], axis=1)
-    g["out_w"] = _rows(head_in).T @ _rows(d_pred)
+    g["out_w"] = _rows(result.head_in).T @ _rows(d_pred)
     g["out_b"] = d_pred.sum(axis=(0, 1))
-    g["gate_w"] = _rows(head_in).T @ d_gate.reshape(-1, 1)
+    g["gate_w"] = _rows(result.head_in).T @ d_gate.reshape(-1, 1)
     g["gate_b"] = np.array([d_gate.sum()])
     d_head = d_pred @ p["out_w"].T + d_gate[..., None] @ p["gate_w"].T
 
@@ -305,36 +315,35 @@ def backward(model: ToyModel, result: ForwardResult) -> dict[str, np.ndarray]:
     d_state = np.zeros((b, hd))
     d_context = np.zeros((b, cfg.memory_dim))
     d_mem_proj = np.zeros(memory.shape[:2] + (cfg.attn_dim,))
-    d_contexts, d_energies, d_queries, d_dec_pre = ([None] * t_max for _ in range(4))
+    d_contexts, d_energies, d_queries, d_dec_pre = (
+        np.empty((b, t_max, k))
+        for k in (cfg.memory_dim, memory.shape[1], cfg.attn_dim, hd)
+    )
     for t in reversed(range(t_max)):
-        s = steps[t]
+        alpha, state, score = result.attention[:, t], states[:, t], scores[:, t]
         d_state = d_state + d_head[:, t, :hd]
         d_context = d_context + d_head[:, t, hd:]
         d_alpha = (memory @ d_context[:, :, None])[:, :, 0]
-        d_e = s.alpha * (d_alpha - (d_alpha * s.alpha).sum(axis=1, keepdims=True))
-        d_score_pre = d_e[:, :, None] * v * (1.0 - s.scores * s.scores)
+        d_e = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
+        d_score_pre = d_e[:, :, None] * v * (1.0 - score * score)
         d_mem_proj += d_score_pre
         d_query = d_score_pre.sum(axis=1)
-        d_pre = (d_state + d_query @ p["attn_w_query"].T) * (1.0 - s.state * s.state)
-        d_contexts[t], d_energies[t], d_queries[t], d_dec_pre[t] = (
+        d_pre = (d_state + d_query @ p["attn_w_query"].T) * (1.0 - state * state)
+        d_contexts[:, t], d_energies[:, t], d_queries[:, t], d_dec_pre[:, t] = (
             d_context, d_e, d_query, d_pre
         )
         d_state = d_pre @ p["dec_w_rec"].T
         d_context = d_pre @ p["dec_w_in"][m:].T  # the context half of dec_in
 
-    dec_in = np.stack([s.dec_in for s in steps], axis=1)
-    states = np.stack([s.state for s in steps], axis=1)
-    scores = np.stack([s.scores for s in steps], axis=1)
-    d_dec_pre = np.stack(d_dec_pre, axis=1)
-    g["dec_w_in"] = _rows(dec_in).T @ _rows(d_dec_pre)
+    g["dec_w_in"] = _rows(result.dec_in).T @ _rows(d_dec_pre)
     g["dec_w_rec"] = _recurrent_weights_grad(states, d_dec_pre)
     g["dec_b"] = d_dec_pre.sum(axis=(0, 1))
-    g["attn_w_query"] = _rows(states).T @ _rows(np.stack(d_queries, axis=1))
-    g["attn_v"] = _rows(scores).T @ np.stack(d_energies, axis=1).reshape(-1, 1)
+    g["attn_w_query"] = _rows(states).T @ _rows(d_queries)
+    g["attn_v"] = _rows(scores).T @ d_energies.reshape(-1, 1)
     g["attn_b"] = d_mem_proj.sum(axis=(0, 1))
     g["attn_w_memory"] = _rows(memory).T @ _rows(d_mem_proj)
     d_memory = (
-        result.attention.transpose(0, 2, 1) @ np.stack(d_contexts, axis=1)
+        result.attention.transpose(0, 2, 1) @ d_contexts
         + d_mem_proj @ p["attn_w_memory"].T
     )
 

@@ -190,6 +190,11 @@ def _run_augemb_arm(args):
     return {f"rmse_aug{a}": v for a, v in rmse.items()}, []
 
 
+def check_seeds(seeds: list[int]) -> None:
+    if len(seeds) < 3:
+        raise BadRange("need at least 3 seeds")
+
+
 def run_study(
     study: str,
     seeds: list[int],
@@ -198,8 +203,7 @@ def run_study(
     params: StudyParams | None = None,
 ) -> dict:
     """Execute one study over the seeds; writes CSV (+ ATTN1 dumps) to out_dir."""
-    if len(seeds) < 3:
-        raise BadRange("need at least 3 seeds")
+    check_seeds(seeds)
     if study == BATCHING:
         arms = [BUCKETED, RANDOM_SHUFFLE]
         runner = _run_batching_arm

@@ -36,22 +36,23 @@ class Adam:
     def __init__(self, model: ToyModel, lr: float):
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros_like(p) for k, p in model.params.items()}
-        self.v = {k: np.zeros_like(p) for k, p in model.params.items()}
+        self.m = np.zeros(model.parameter_count())  # flat, in params order
+        self.v = np.zeros_like(self.m)
 
     def step(self, model: ToyModel, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         bias1 = 1.0 - ADAM_BETA1**self.t
         bias2 = 1.0 - ADAM_BETA2**self.t
-        for name, p in model.params.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+        g = np.concatenate([grads[name].reshape(-1) for name in model.params])
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * g
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * g * g
+        update = self.lr * (self.m / bias1) / (np.sqrt(self.v / bias2) + ADAM_EPS)
+        start = 0
+        for p in model.params.values():
+            p -= update[start : start + p.size].reshape(p.shape)
+            start += p.size
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -87,10 +88,18 @@ def mean_corpus_loss(model: ToyModel, examples: list[ToyExample]) -> float:
     n = 0
     for start in range(0, len(examples), cfg.batch_size):
         chunk = examples[start : start + cfg.batch_size]
-        res = forward(model, make_batch(chunk, cfg))
-        total += res.loss * len(chunk)
+        total += forward(model, make_batch(chunk, cfg)).loss * len(chunk)
         n += len(chunk)
     return total / n
+
+
+def _train_step(model: ToyModel, optimizer: Adam, examples: list[ToyExample]) -> float:
+    """One Adam update; its activations and grads are freed before the next step."""
+    result = forward(model, make_batch(examples, model.config))
+    grads = backward(model, result)
+    clip_global_norm(grads, model.config.grad_clip_norm)
+    optimizer.step(model, grads)
+    return result.loss
 
 
 def train(
@@ -119,12 +128,8 @@ def train(
         for batch_idx in batches:
             if step >= cfg.steps:
                 break
-            batch = make_batch([corpus.examples[i] for i in batch_idx], cfg)
-            result = forward(model, batch)
-            grads = backward(model, result)
-            clip_global_norm(grads, cfg.grad_clip_norm)
-            optimizer.step(model, grads)
-            curve.append(result.loss)
+            examples = [corpus.examples[i] for i in batch_idx]
+            curve.append(_train_step(model, optimizer, examples))
             step += 1
     final = mean_corpus_loss(model, corpus.examples) if cfg.steps > 0 else initial
 

@@ -270,6 +270,14 @@ def test_study_bad_seeds_exit_cleanly(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_study_too_few_seeds_leaves_no_output_dir(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["study", "--study", "batching", "--seeds", "1,2", "--out-dir", str(out)])
+    assert code == 1
+    assert "at least 3 seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_toy_pipeline_gen_train_infer(tmp_path, capsys):
     cfg = tmp_path / "toy.cfg"
     cfg.write_text(
