@@ -96,14 +96,12 @@ def mel_filterbank(cfg: MelConfig, sample_rate_hz: int) -> np.ndarray:
     pts = mel_to_hz(
         np.linspace(hz_to_mel(cfg.fmin_hz), hz_to_mel(cfg.fmax_hz), cfg.n_mels + 2)
     )
-    fb = np.zeros((cfg.n_mels, len(fft_freqs)))
-    for k in range(cfg.n_mels):
-        lo, center, hi = pts[k], pts[k + 1], pts[k + 2]
-        up = (fft_freqs - lo) / max(center - lo, 1e-12)
-        down = (hi - fft_freqs) / max(hi - center, 1e-12)
-        tri = np.maximum(0.0, np.minimum(up, down))
-        fb[k] = tri * (2.0 / (hi - lo))  # area normalization
-    return fb
+    # one row per band: edges lo < center < hi
+    lo, center, hi = pts[:-2, None], pts[1:-1, None], pts[2:, None]
+    up = (fft_freqs - lo) / np.maximum(center - lo, 1e-12)
+    down = (hi - fft_freqs) / np.maximum(hi - center, 1e-12)
+    tri = np.maximum(0.0, np.minimum(up, down))
+    return tri * (2.0 / (hi - lo))  # area normalization
 
 
 def frame_count(n_samples: int, cfg: MelConfig) -> int:

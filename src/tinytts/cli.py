@@ -45,6 +45,7 @@ from .toytrain import (
     train,
 )
 from .toytrain.study import check_seeds
+from .toytrain.train import mean_corpus_loss
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -382,11 +383,14 @@ def cmd_toy_train(args) -> int:
         toy_cfg = replace(toy_cfg, steps=args.steps)
     out = _prepare_out_dir(args.out_dir, args.force)
     corpus = load_corpus(args.corpus)
+    if not corpus.examples:
+        raise TinyTtsError(f"{args.corpus}: the corpus has no examples")
     model = ToyModel(toy_cfg)
+    initial_loss = mean_corpus_loss(model, corpus.examples)
     report = train(model, corpus, batch_plan_mode=args.batch_mode)
     save_model(model, out / "model.toym")
     report_payload = {
-        "initial_loss": report.initial_loss,
+        "initial_loss": initial_loss,
         "final_loss": report.final_loss,
         "steps": len(report.loss_curve),
         "seed": report.seed,
@@ -400,7 +404,7 @@ def cmd_toy_train(args) -> int:
     _emit(
         args,
         f"trained {len(report.loss_curve)} steps: loss "
-        f"{report.initial_loss:.4f} -> {report.final_loss:.4f}",
+        f"{initial_loss:.4f} -> {report.final_loss:.4f}",
         {k: v for k, v in report_payload.items() if k != "loss_curve"},
     )
     return EXIT_OK

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..errors import (
     AugIdOutOfRange,
+    BadConfig,
     MalformedCheckpoint,
     ShapeMismatch,
 )
@@ -62,9 +63,11 @@ class ToyConfig:
             self.batch_size,
         )
         if any(v < 1 for v in positive):
-            raise ValueError("all dimensions and counts must be >= 1")
+            raise BadConfig("all dimensions and counts must be >= 1")
         if self.aug_embed_dim < 0:
-            raise ValueError("aug_embed_dim must be >= 0")
+            raise BadConfig("aug_embed_dim must be >= 0")
+        if self.steps < 0:
+            raise BadConfig("steps must be >= 0")
 
     @property
     def memory_dim(self) -> int:
@@ -129,14 +132,11 @@ class Batch:
 
 
 class Step(NamedTuple):
-    """Activations of one decoder step."""
+    """What one decoder step returns besides the arrays it was given to fill."""
 
-    dec_in: np.ndarray  # (B, M + mem) previous frame and previous context
     state: np.ndarray  # (B, d_dec)
     scores: np.ndarray  # (B, N, d_att) tanh of the attention pre-activation
-    alpha: np.ndarray  # (B, N) attention weights
     context: np.ndarray  # (B, mem)
-    head_in: np.ndarray  # (B, d_dec + mem) state and context
     frame: np.ndarray  # (B, M)
     gate: np.ndarray  # (B,) logits
 
@@ -199,11 +199,18 @@ def _encode(model: ToyModel, tokens: np.ndarray, aug_ids: np.ndarray):
     """
     p = model.params
     b, n = tokens.shape
+    he = model.config.enc_hidden
     emb = p["tok_emb"][tokens]
-    h = np.zeros((b, model.config.enc_hidden))
+    enc_b = np.tile(p["enc_b"], (b, 1))
+    h = np.zeros((b, he))
+    x_in, x_rec = np.empty((b, he)), np.empty((b, he))
     states = []
     for step in range(n):
-        h = np.tanh(emb[:, step, :] @ p["enc_w_in"] + h @ p["enc_w_rec"] + p["enc_b"])
+        np.dot(emb[:, step, :], p["enc_w_in"], out=x_in)
+        np.dot(h, p["enc_w_rec"], out=x_rec)
+        h = np.add(x_in, x_rec)
+        h += enc_b
+        np.tanh(h, out=h)
         states.append(h)
     enc = np.stack(states, axis=1)
     aug = np.broadcast_to(
@@ -212,22 +219,67 @@ def _encode(model: ToyModel, tokens: np.ndarray, aug_ids: np.ndarray):
     return emb, enc, np.concatenate([enc, aug], axis=2)
 
 
-def _decoder_step(p, memory, mem_proj, token_mask, prev, state, context) -> Step:
-    """Decoder RNN, additive attention over memory, output and gate heads."""
-    dec_in = np.concatenate([prev, context], axis=1)
-    state = np.tanh(dec_in @ p["dec_w_in"] + state @ p["dec_w_rec"] + p["dec_b"])
-    query = state @ p["attn_w_query"]
-    scores = np.tanh(query[:, None, :] + mem_proj + p["attn_b"])
-    energies = (scores @ p["attn_v"])[:, :, 0]
-    # softmax over the valid tokens; padded ones get weight 0
-    z = np.where(token_mask, energies, -np.inf)
-    ez = np.exp(z - z.max(axis=1, keepdims=True))
-    alpha = ez / ez.sum(axis=1, keepdims=True)
-    context = (alpha[:, None, :] @ memory)[:, 0, :]
-    head_in = np.concatenate([state, context], axis=1)
-    frame = head_in @ p["out_w"] + p["out_b"]
-    gate = (head_in @ p["gate_w"] + p["gate_b"])[:, 0]
-    return Step(dec_in, state, scores, alpha, context, head_in, frame, gate)
+class _StepScratch:
+    """What the decoder steps of one pass share: the memory, its attention
+    projection, the padding mask as an additive bias, the biases tiled to the
+    batch, and contiguous buffers for the step's intermediates.
+
+    Writing a ufunc or product into a contiguous buffer with out= rounds as a
+    fresh result does, and a tiled bias adds the same value to each element as
+    a broadcast one, so the step's bits do not depend on this scratch.
+    """
+
+    def __init__(self, p: dict[str, np.ndarray], memory: np.ndarray, token_mask):
+        b, n, _ = memory.shape
+        hd, att = p["attn_w_query"].shape
+        self.memory = memory
+        self.mem_proj = memory @ p["attn_w_memory"]
+        self.mask_bias = np.where(token_mask, 0.0, -np.inf)  # padding: weight 0
+        self.dec_b = np.tile(p["dec_b"], (b, 1))
+        self.attn_b = np.tile(p["attn_b"], (b, n, 1))
+        self.out_b = np.tile(p["out_b"], (b, 1))
+        self.gate_b = np.tile(p["gate_b"], (b, 1))
+        self.x_in, self.x_rec = np.empty((b, hd)), np.empty((b, hd))
+        self.query = np.empty((b, att))
+        self.scores = np.empty((b, n, att))
+        self.energies = np.empty((b, n, 1))
+        self.row = np.empty((b, 1))
+        self.gate = np.empty((b, 1))
+
+
+def _decoder_step(p, sc: _StepScratch, prev, state, context, dec_in, alpha, head_in):
+    """Decoder RNN, additive attention over memory, output and gate heads.
+
+    Fills the step's dec_in (B, M + mem), alpha (B, N) and head_in
+    (B, d_dec + mem) in place and returns a Step; its scores and gate are
+    sc's buffers, overwritten by the next step.
+    """
+    np.concatenate([prev, context], axis=1, out=dec_in)
+    np.dot(dec_in, p["dec_w_in"], out=sc.x_in)
+    np.dot(state, p["dec_w_rec"], out=sc.x_rec)
+    state = np.add(sc.x_in, sc.x_rec)
+    state += sc.dec_b
+    np.tanh(state, out=state)
+    np.dot(state, p["attn_w_query"], out=sc.query)
+    np.add(sc.query[:, None, :], sc.mem_proj, out=sc.scores)
+    sc.scores += sc.attn_b
+    np.tanh(sc.scores, out=sc.scores)
+    np.matmul(sc.scores, p["attn_v"], out=sc.energies)
+    # softmax over the valid tokens
+    z = sc.energies[:, :, 0]
+    z += sc.mask_bias
+    np.maximum.reduce(z, axis=1, keepdims=True, out=sc.row)
+    z -= sc.row
+    np.exp(z, out=z)
+    np.add.reduce(z, axis=1, keepdims=True, out=sc.row)
+    np.divide(z, sc.row, out=alpha)
+    context = (alpha[:, None, :] @ sc.memory)[:, 0, :]
+    np.concatenate([state, context], axis=1, out=head_in)
+    frame = np.dot(head_in, p["out_w"])
+    frame += sc.out_b
+    np.dot(head_in, p["gate_w"], out=sc.gate)
+    sc.gate += sc.gate_b
+    return Step(state, sc.scores, context, frame, sc.gate[:, 0])
 
 
 def forward(model: ToyModel, batch: Batch) -> ForwardResult:
@@ -236,27 +288,30 @@ def forward(model: ToyModel, batch: Batch) -> ForwardResult:
     p = model.params
     b, t_max = batch.frame_mask.shape
     emb, enc_states, memory = _encode(model, batch.tokens, batch.aug_ids)
-    mem_proj = memory @ p["attn_w_memory"]  # reused by every decoder step
+    scratch = _StepScratch(p, memory, batch.token_mask)
 
     state = np.zeros((b, cfg.dec_hidden))
     context = np.zeros((b, cfg.memory_dim))
     prev = np.zeros((b, cfg.feat_dim))
-    mask = batch.token_mask
     # batch-major (B, T, ...): the weight-gradient GEMMs sum their rows in this order
     dec_in = np.empty((b, t_max, cfg.feat_dim + cfg.memory_dim))
     head_in = np.empty((b, t_max, cfg.dec_hidden + cfg.memory_dim))
-    scores = np.empty((b, t_max) + mem_proj.shape[1:])
-    attention = np.empty((b, t_max, mask.shape[1]))
+    scores = np.empty((b, t_max) + scratch.scores.shape[1:])
+    attention = np.empty((b, t_max, memory.shape[1]))
     predicted = np.empty((b, t_max, cfg.feat_dim))
     gate_logits = np.empty((b, t_max))
-    kept = (dec_in, head_in, scores, attention, predicted, gate_logits)
+    # The step writes dec_in, attention and head_in straight into slice t: the
+    # concatenate and divide that fill them round exactly, whatever the stride.
+    # tanh and exp write only contiguous scratch, copied out here.
     for t in range(t_max):
-        s = _decoder_step(p, memory, mem_proj, mask, prev, state, context)
-        values = (s.dec_in, s.head_in, s.scores, s.alpha, s.frame, s.gate)
-        for buf, value in zip(kept, values):
-            buf[:, t] = value
+        s = _decoder_step(
+            p, scratch, prev, state, context,
+            dec_in[:, t], attention[:, t], head_in[:, t],
+        )
+        scores[:, t], predicted[:, t], gate_logits[:, t] = s.scores, s.frame, s.gate
         state, context, prev = s.state, s.context, batch.targets[:, t, :]
-    for a in kept + (emb, enc_states, memory):
+    for a in (dec_in, head_in, scores, attention, predicted, gate_logits, emb,
+              enc_states, memory):
         a.setflags(write=False)
 
     # means over the valid frames: MSE on frames, stable BCE on gate logits
@@ -311,29 +366,55 @@ def backward(model: ToyModel, result: ForwardResult) -> dict[str, np.ndarray]:
     g["gate_b"] = np.array([d_gate.sum()])
     d_head = d_pred @ p["out_w"].T + d_gate[..., None] @ p["gate_w"].T
 
-    v = p["attn_v"][:, 0]
+    n_tok = memory.shape[1]
+    w_query_t, w_rec_t = p["attn_w_query"].T, p["dec_w_rec"].T
+    w_context_t = p["dec_w_in"][m:].T  # the context half of dec_in
     d_state = np.zeros((b, hd))
     d_context = np.zeros((b, cfg.memory_dim))
-    d_mem_proj = np.zeros(memory.shape[:2] + (cfg.attn_dim,))
     d_contexts, d_energies, d_queries, d_dec_pre = (
-        np.empty((b, t_max, k))
-        for k in (cfg.memory_dim, memory.shape[1], cfg.attn_dim, hd)
+        np.empty((b, t_max, k)) for k in (cfg.memory_dim, n_tok, cfg.attn_dim, hd)
     )
+    # Contiguous scratch, reused by every step. The attention block is
+    # token-major (N, B, A), so the sum over tokens for d_query, in token order
+    # as before, is one axis-0 reduce. Its operands are copied in first and
+    # multiplied in place (d_e * v rounds the same either way): a copy across
+    # layouts is much cheaper than a broadcast multiply across layouts.
+    d_alpha3, d_alpha_row = np.empty((b, n_tok, 1)), np.empty((b, 1))
+    tmp_n = np.empty((b, n_tok))
+    v = np.tile(p["attn_v"][:, 0], (n_tok, b, 1))
+    d_mem_proj_t = np.zeros((n_tok, b, cfg.attn_dim))
+    d_score_pre, score_slope = np.empty_like(d_mem_proj_t), np.empty_like(d_mem_proj_t)
+    tmp_h, state_slope = np.empty((b, hd)), np.empty((b, hd))
     for t in reversed(range(t_max)):
-        alpha, state, score = result.attention[:, t], states[:, t], scores[:, t]
-        d_state = d_state + d_head[:, t, :hd]
-        d_context = d_context + d_head[:, t, hd:]
-        d_alpha = (memory @ d_context[:, :, None])[:, :, 0]
-        d_e = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
-        d_score_pre = d_e[:, :, None] * v * (1.0 - score * score)
-        d_mem_proj += d_score_pre
-        d_query = d_score_pre.sum(axis=1)
-        d_pre = (d_state + d_query @ p["attn_w_query"].T) * (1.0 - state * state)
-        d_contexts[:, t], d_energies[:, t], d_queries[:, t], d_dec_pre[:, t] = (
-            d_context, d_e, d_query, d_pre
-        )
-        d_state = d_pre @ p["dec_w_rec"].T
-        d_context = d_pre @ p["dec_w_in"][m:].T  # the context half of dec_in
+        alpha, state = result.attention[:, t], states[:, t]
+        score = scores[:, t].transpose(1, 0, 2)
+        d_e, d_query, d_pre = d_energies[:, t], d_queries[:, t], d_dec_pre[:, t]
+        d_state += d_head[:, t, :hd]
+        d_context += d_head[:, t, hd:]
+        np.matmul(memory, d_context[:, :, None], out=d_alpha3)
+        d_alpha = d_alpha3[:, :, 0]
+        np.multiply(d_alpha, alpha, out=tmp_n)
+        np.add.reduce(tmp_n, axis=1, keepdims=True, out=d_alpha_row)
+        np.subtract(d_alpha, d_alpha_row, out=tmp_n)
+        np.multiply(alpha, tmp_n, out=d_e)
+        np.copyto(score_slope, score)
+        np.multiply(score_slope, score_slope, out=score_slope)
+        np.subtract(1.0, score_slope, out=score_slope)
+        np.copyto(d_score_pre, d_e.T[:, :, None])
+        d_score_pre *= v
+        d_score_pre *= score_slope
+        d_mem_proj_t += d_score_pre
+        np.add.reduce(d_score_pre, axis=0, out=d_query)
+        np.dot(d_query, w_query_t, out=tmp_h)
+        np.add(d_state, tmp_h, out=tmp_h)
+        np.multiply(state, state, out=state_slope)
+        np.subtract(1.0, state_slope, out=state_slope)
+        np.multiply(tmp_h, state_slope, out=d_pre)
+        d_contexts[:, t] = d_context
+        np.dot(d_pre, w_rec_t, out=d_state)
+        np.dot(d_pre, w_context_t, out=d_context)
+    # batch-major again: the sums below run over its rows in (B, N) order
+    d_mem_proj = np.ascontiguousarray(d_mem_proj_t.transpose(1, 0, 2))
 
     g["dec_w_in"] = _rows(result.dec_in).T @ _rows(d_dec_pre)
     g["dec_w_rec"] = _recurrent_weights_grad(states, d_dec_pre)
@@ -378,26 +459,29 @@ def infer(
     if any(tok < 1 or tok > cfg.vocab_size for tok in tokens):
         raise ShapeMismatch("token outside [1, vocab_size]")
     p = model.params
-    token_mask = np.ones((1, len(tokens)), dtype=bool)
     _, _, memory = _encode(
         model, np.asarray(tokens, dtype=np.int64)[None, :], np.asarray([aug_id])
     )
-    mem_proj = memory @ p["attn_w_memory"]
+    scratch = _StepScratch(p, memory, np.ones((1, len(tokens)), dtype=bool))
 
     state = np.zeros((1, cfg.dec_hidden))
     context = np.zeros((1, cfg.memory_dim))
     prev = np.zeros((1, cfg.feat_dim))
-    frames, gate_probs, attn = [], [], []
-    for _ in range(cfg.max_decode_frames):
-        step = _decoder_step(p, memory, mem_proj, token_mask, prev, state, context)
+    dec_in = np.empty((1, cfg.feat_dim + cfg.memory_dim))
+    head_in = np.empty((1, cfg.dec_hidden + cfg.memory_dim))
+    attention = np.empty((cfg.max_decode_frames, len(tokens)))
+    frames, gate_probs = [], []
+    for t in range(cfg.max_decode_frames):
+        step = _decoder_step(
+            p, scratch, prev, state, context, dec_in, attention[t : t + 1], head_in
+        )
         state, context, prev = step.state, step.context, step.frame
         gate_prob = 1.0 / (1.0 + np.exp(-float(step.gate[0])))
         frames.append(step.frame[0])
         gate_probs.append(gate_prob)
-        attn.append(step.alpha[0])
         if gate_prob > gate_threshold:
             break
-    return np.array(frames), np.array(gate_probs), np.array(attn)
+    return np.array(frames), np.array(gate_probs), attention[: len(frames)].copy()
 
 
 # --- TOYM checkpoint: magic, version, config block, parameter blocks ---
@@ -468,7 +552,7 @@ def load_model(path: str | Path) -> ToyModel:
             data = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(shape)
             pos += 8 * count
             model.params[name] = data.copy()
-    except (struct.error, ValueError) as exc:
+    except (struct.error, ValueError, BadConfig) as exc:
         raise MalformedCheckpoint(f"checkpoint does not parse: {exc}") from exc
     if pos != len(raw):
         raise MalformedCheckpoint(f"{len(raw) - pos} trailing bytes")

@@ -23,11 +23,8 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class TrainReport:
-    initial_loss: float
     final_loss: float
     loss_curve: list[float]
-    heldout_sharpness: dict | None
-    heldout_rmse_by_aug: dict | None
     wall_clock_s: float
     seed: int
 
@@ -103,10 +100,7 @@ def _train_step(model: ToyModel, optimizer: Adam, examples: list[ToyExample]) ->
 
 
 def train(
-    model: ToyModel,
-    corpus: SyntheticCorpus,
-    batch_plan_mode: str = BUCKETED,
-    heldout: list[ToyExample] | None = None,
+    model: ToyModel, corpus: SyntheticCorpus, batch_plan_mode: str = BUCKETED
 ) -> TrainReport:
     """Run config.steps Adam updates with teacher forcing throughout."""
     cfg = model.config
@@ -115,7 +109,6 @@ def train(
     if batch_plan_mode not in (BUCKETED, RANDOM_SHUFFLE):
         raise ValueError(f"unknown batch plan mode {batch_plan_mode!r}")
     started = time.perf_counter()
-    initial = mean_corpus_loss(model, corpus.examples)
     curve: list[float] = []
     optimizer = Adam(model, cfg.learning_rate)
     step = 0
@@ -131,20 +124,9 @@ def train(
             examples = [corpus.examples[i] for i in batch_idx]
             curve.append(_train_step(model, optimizer, examples))
             step += 1
-    final = mean_corpus_loss(model, corpus.examples) if cfg.steps > 0 else initial
-
-    heldout_sharpness = None
-    heldout_rmse = None
-    if heldout:
-        from .study import heldout_metrics  # cycle-free: study imports lazily too
-
-        heldout_sharpness, heldout_rmse = heldout_metrics(model, corpus, heldout)
     return TrainReport(
-        initial_loss=initial,
-        final_loss=final,
+        final_loss=mean_corpus_loss(model, corpus.examples),
         loss_curve=curve,
-        heldout_sharpness=heldout_sharpness,
-        heldout_rmse_by_aug=heldout_rmse,
         wall_clock_s=time.perf_counter() - started,
         seed=cfg.seed,
     )

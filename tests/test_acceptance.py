@@ -45,6 +45,9 @@ from tinytts.toytrain.study import AUG_EMBEDDING, BATCHING, StudyParams
 
 from conftest import gated_noise, speech_like, tone
 
+# criterion 11 shows that study outputs do not depend on jobs
+STUDY_JOBS = min(2, os.cpu_count() or 1)
+
 
 def report(criterion: str, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: PASS  ({detail})")
@@ -280,7 +283,9 @@ def test_criterion_08_gradient_check():
 @pytest.mark.study
 def test_criterion_09_batching_study(tmp_path):
     started = time.perf_counter()
-    summary = run_study(BATCHING, [1, 2, 3, 4, 5], tmp_path / "batching")
+    summary = run_study(
+        BATCHING, [1, 2, 3, 4, 5], tmp_path / "batching", jobs=STUDY_JOBS
+    )
     b = summary["medians"][BUCKETED]["median_sharpness"]
     r = summary["medians"][RANDOM_SHUFFLE]["median_sharpness"]
     csv_path = tmp_path / "batching" / "study.csv"
@@ -308,7 +313,9 @@ def test_criterion_09_batching_study(tmp_path):
 @pytest.mark.study
 def test_criterion_10_aug_embedding_study(tmp_path):
     started = time.perf_counter()
-    summary = run_study(AUG_EMBEDDING, [1, 2, 3, 4, 5], tmp_path / "augemb")
+    summary = run_study(
+        AUG_EMBEDDING, [1, 2, 3, 4, 5], tmp_path / "augemb", jobs=STUDY_JOBS
+    )
     embed = summary["medians"]["embed"]
     assert summary["clean_id_beats_noisy_ids"] is True
     for key in ("rmse_aug1", "rmse_aug2", "rmse_aug3"):

@@ -366,6 +366,36 @@ def test_toy_train_malformed_corpus_exits_cleanly(tmp_path, capsys):
     assert not (run_dir / "model.toym").exists()
 
 
+@pytest.mark.parametrize(
+    "config, extra",
+    [
+        ("toy.enc_hidden = 0\n", []),
+        ("toy.batch_size = 0\n", []),
+        ("", ["--steps", "-3"]),
+    ],
+)
+def test_toy_train_bad_config_exits_before_out_dir(tmp_path, capsys, config, extra):
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(config)
+    run_dir = tmp_path / "run"
+    argv = ["--config", str(cfg), "toy-train", "--corpus", str(tmp_path / "none.jsonl")]
+    code = main(argv + ["--out-dir", str(run_dir)] + extra)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not run_dir.exists()
+
+
+def test_toy_train_empty_corpus_exits_cleanly(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    header = {"templates": [[0.0]], "emission_counts": [1], "aug_profiles": [], "seed": 0}
+    corpus_path.write_text(json.dumps(header) + "\n")
+    run_dir = tmp_path / "run"
+    code = main(["toy-train", "--corpus", str(corpus_path), "--out-dir", str(run_dir)])
+    assert code == 1
+    assert "no examples" in capsys.readouterr().err
+    assert not (run_dir / "model.toym").exists()
+
+
 def _jobs_argv(command, tmp_path):
     missing = str(tmp_path / "no_manifest.jsonl")
     out = str(tmp_path / "out")

@@ -11,6 +11,7 @@ from tinytts.audio import (
     read_melb,
     write_melb,
 )
+from tinytts.audio.mel import hz_to_mel, mel_to_hz
 from tinytts.errors import BadConfig, ClipTooShort, MalformedMelb
 
 from conftest import FS, tone
@@ -32,6 +33,40 @@ def test_tone_at_band_center_wins_that_band(band):
     mel = mel_spectrogram(clip, CFG)
     interior = mel.frames[2:-2]
     assert np.all(np.argmax(interior, axis=1) == band)
+
+
+def _filterbank_per_band(cfg: MelConfig, sample_rate_hz: int) -> np.ndarray:
+    """Reference: one triangle per band, built in a loop."""
+    nyquist = sample_rate_hz / 2.0
+    fft_freqs = np.linspace(0.0, nyquist, cfg.n_fft // 2 + 1)
+    pts = mel_to_hz(
+        np.linspace(hz_to_mel(cfg.fmin_hz), hz_to_mel(cfg.fmax_hz), cfg.n_mels + 2)
+    )
+    fb = np.zeros((cfg.n_mels, len(fft_freqs)))
+    for k in range(cfg.n_mels):
+        lo, center, hi = pts[k], pts[k + 1], pts[k + 2]
+        up = (fft_freqs - lo) / max(center - lo, 1e-12)
+        down = (hi - fft_freqs) / max(hi - center, 1e-12)
+        tri = np.maximum(0.0, np.minimum(up, down))
+        fb[k] = tri * (2.0 / (hi - lo))
+    return fb
+
+
+@pytest.mark.parametrize("rate", [16000, 22050, 44100, 48000])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        CFG,
+        MelConfig(n_mels=40, fmin_hz=80.0, fmax_hz=7600.0),
+        MelConfig(
+            n_fft=2048, win_length=2048, hop_length=512, n_mels=128, fmin_hz=20.0
+        ),
+        MelConfig(n_fft=512, win_length=400, hop_length=160, n_mels=200, fmax_hz=6000.0),
+    ],
+)
+def test_filterbank_matches_per_band_loop(cfg, rate):
+    expected = _filterbank_per_band(cfg, rate)
+    assert mel_filterbank(cfg, rate).tobytes() == expected.tobytes()
 
 
 def test_exact_window_gives_one_frame():

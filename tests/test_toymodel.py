@@ -1,8 +1,12 @@
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tinytts.errors import (
     AugIdOutOfRange,
+    BadConfig,
     BadRange,
     MalformedCheckpoint,
     MalformedCorpus,
@@ -274,6 +278,26 @@ def test_checkpoint_truncation_detected(tmp_path):
     path.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(MalformedCheckpoint):
         load_model(path)
+
+
+def test_checkpoint_with_invalid_config_block_rejected(tmp_path):
+    model = ToyModel(TINY)
+    path = tmp_path / "model.toym"
+    save_model(model, path)
+    raw = bytearray(path.read_bytes())
+    raw[8 + 4 * 3 : 8 + 4 * 4] = struct.pack("<I", 0)  # enc_hidden, the 4th int
+    path.write_bytes(bytes(raw))
+    with pytest.raises(MalformedCheckpoint, match="dimensions"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("enc_hidden", 0), ("batch_size", 0), ("steps", -3), ("aug_embed_dim", -1)],
+)
+def test_invalid_config_raises_bad_config(field, value):
+    with pytest.raises(BadConfig):
+        replace(TINY, **{field: value})
 
 
 def test_parameter_count_pure_function_of_config():
