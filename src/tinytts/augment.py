@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioClip, active_speech_level_p56, read_wav, write_wav
-from .curation import CorpusEntry, Subset
+from .curation import CorpusEntry, Subset, read_json_rows
 from .errors import BuildError, ConfigError, MissingFile, TinyTtsError
 from .noisegen import NoiseSpec, mix_at_snr
 
@@ -175,16 +175,13 @@ def write_aug_manifest(manifest: list[AugManifestEntry], path: str | Path) -> No
 
 def read_aug_manifest(path: str | Path) -> list[AugManifestEntry]:
     base = Path(path).resolve().parent
-    manifest = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            if not Path(row["audio_path"]).is_absolute():
-                row["audio_path"] = str(base / row["audio_path"])
-            manifest.append(AugManifestEntry(**row))
-    return manifest
+
+    def entry(row: dict) -> AugManifestEntry:
+        if not Path(row["audio_path"]).is_absolute():
+            row["audio_path"] = str(base / row["audio_path"])
+        return AugManifestEntry(**row)
+
+    return read_json_rows(path, entry)
 
 
 @dataclass

@@ -19,6 +19,7 @@ from . import curation
 from .augment import build_augmented_dataset, read_aug_manifest, verify_augmented_dataset
 from .config import (
     RunConfig,
+    finite_float,
     load_config_file,
     parse_aug_profiles,
     parse_noise_specs,
@@ -33,7 +34,6 @@ from .evalkit import (
     sus_report,
 )
 from .toytrain import (
-    ToyConfig,
     ToyModel,
     gen_synthetic_corpus,
     infer,
@@ -53,10 +53,15 @@ EXIT_IO = 2
 
 
 def _load_cfg(args) -> RunConfig:
-    cfg = load_config_file(args.config) if args.config else RunConfig()
-    for key, value in getattr(args, "overrides", []) or []:
+    return load_config_file(args.config) if args.config else RunConfig()
+
+
+def _flag(cfg: RunConfig, key: str, value):
+    """A flag's value overrides the config's and is recorded in it, so the
+    snapshot lists what ran; None (flag not given) keeps the config's."""
+    if value is not None:
         cfg.set(key, value)
-    return cfg
+    return cfg.get(key)
 
 
 def _prepare_out_dir(path: str | Path, force: bool) -> Path:
@@ -71,7 +76,7 @@ def _prepare_out_dir(path: str | Path, force: bool) -> Path:
 
 def _jobs(args, cfg: RunConfig) -> int:
     """--jobs, else the config's jobs key; at most one worker process per core."""
-    jobs = args.jobs if args.jobs is not None else cfg.get("jobs")
+    jobs = _flag(cfg, "jobs", args.jobs)
     cores = os.cpu_count() or 1
     if not 1 <= jobs <= cores:
         raise TinyTtsError(f"jobs {jobs} outside [1, {cores}] (the CPU count)")
@@ -95,48 +100,16 @@ def _emit(args, human: str, payload: dict) -> None:
         print(human)
 
 
-def _toy_config_from(cfg: RunConfig, seed: int | None = None) -> ToyConfig:
-    return ToyConfig(
-        vocab_size=cfg.get("toy.vocab_size"),
-        feat_dim=cfg.get("toy.feat_dim"),
-        embed_dim=cfg.get("toy.embed_dim"),
-        enc_hidden=cfg.get("toy.enc_hidden"),
-        aug_embed_dim=cfg.get("toy.aug_embed_dim"),
-        dec_hidden=cfg.get("toy.dec_hidden"),
-        attn_dim=cfg.get("toy.attn_dim"),
-        n_aug_ids=cfg.get("toy.n_aug_ids"),
-        max_decode_frames=cfg.get("toy.max_decode_frames"),
-        gate_loss_weight=cfg.get("toy.gate_loss_weight"),
-        learning_rate=cfg.get("toy.learning_rate"),
-        grad_clip_norm=cfg.get("toy.grad_clip_norm"),
-        batch_size=cfg.get("toy.batch_size"),
-        steps=cfg.get("toy.steps"),
-        seed=cfg.get("toy.seed") if seed is None else seed,
-    )
-
-
-def _mel_config_from(cfg: RunConfig) -> audio_mod.MelConfig:
-    return audio_mod.MelConfig(
-        n_fft=cfg.get("mel.n_fft"),
-        hop_length=cfg.get("mel.hop_length"),
-        win_length=cfg.get("mel.win_length"),
-        n_mels=cfg.get("mel.n_mels"),
-        fmin_hz=cfg.get("mel.fmin_hz"),
-        fmax_hz=cfg.get("mel.fmax_hz"),
-        log_floor=cfg.get("mel.log_floor"),
-    )
-
-
 # --- subcommand implementations ---
 
 def cmd_curate(args) -> int:
     cfg = _load_cfg(args)
-    root = args.corpus_root or cfg.get("corpus_root")
+    root = _flag(cfg, "corpus_root", args.corpus_root)
     if not root:
         raise TinyTtsError("no corpus root given (--corpus-root or config)")
-    mode = args.mode or cfg.get("selection_mode")
-    budget = args.budget_s if args.budget_s is not None else cfg.get("budget_s")
-    seed = args.seed if args.seed is not None else cfg.get("seed")
+    mode = _flag(cfg, "selection_mode", args.mode)
+    budget = _flag(cfg, "budget_s", args.budget_s)
+    seed = _flag(cfg, "seed", args.seed)
     out = _prepare_out_dir(args.out_dir, args.force)
 
     entries = curation.load_ljspeech_manifest(root)
@@ -157,10 +130,6 @@ def cmd_curate(args) -> int:
                 e.duration_s for e in excluded
             )
     curation.write_subset_manifest(subset, out / "subset.jsonl")
-    cfg.set("corpus_root", str(root))
-    cfg.set("selection_mode", mode)
-    cfg.set("budget_s", budget)
-    cfg.set("seed", seed)
     cfg.write_snapshot(out)
     _emit(
         args,
@@ -181,15 +150,12 @@ def cmd_curate(args) -> int:
 
 def cmd_augment(args) -> int:
     cfg = _load_cfg(args)
-    specs = parse_noise_specs(args.noise_specs or cfg.get("noise_specs"))
-    master_seed = (
-        args.master_seed if args.master_seed is not None else cfg.get("master_seed")
-    )
+    specs = parse_noise_specs(_flag(cfg, "noise_specs", args.noise_specs))
+    master_seed = _flag(cfg, "master_seed", args.master_seed)
     jobs = _jobs(args, cfg)
     out = _prepare_out_dir(args.out_dir, args.force)
     subset = curation.read_subset_manifest(args.manifest)
     manifest = build_augmented_dataset(subset, specs, out, master_seed, jobs=jobs)
-    cfg.set("master_seed", master_seed)
     cfg.write_snapshot(out)
     _emit(
         args,
@@ -265,7 +231,7 @@ def cmd_mix(args) -> int:
 def cmd_mel(args) -> int:
     cfg = _load_cfg(args)
     clip = audio_mod.read_wav(args.infile)
-    mel = audio_mod.mel_spectrogram(clip, _mel_config_from(cfg))
+    mel = audio_mod.mel_spectrogram(clip, cfg.build("mel"))
     audio_mod.write_melb(mel, args.outfile)
     _emit(
         args,
@@ -351,10 +317,8 @@ def cmd_sus(args) -> int:
 
 def cmd_toy_gen(args) -> int:
     cfg = _load_cfg(args)
-    seed = args.seed if args.seed is not None else cfg.get("toy.seed")
-    profiles = parse_aug_profiles(
-        args.aug_profiles if args.aug_profiles is not None else cfg.get("toy.aug_profiles")
-    )
+    seed = _flag(cfg, "toy.seed", args.seed)
+    profiles = parse_aug_profiles(_flag(cfg, "toy.aug_profiles", args.aug_profiles))
     corpus = gen_synthetic_corpus(
         cfg.get("toy.vocab_size"),
         cfg.get("toy.feat_dim"),
@@ -375,12 +339,9 @@ def cmd_toy_gen(args) -> int:
 
 def cmd_toy_train(args) -> int:
     cfg = _load_cfg(args)
-    seed = args.seed if args.seed is not None else None
-    toy_cfg = _toy_config_from(cfg, seed=seed)
-    if args.steps is not None:
-        from dataclasses import replace
-
-        toy_cfg = replace(toy_cfg, steps=args.steps)
+    _flag(cfg, "toy.seed", args.seed)
+    _flag(cfg, "toy.steps", args.steps)
+    toy_cfg = cfg.build("toy")
     out = _prepare_out_dir(args.out_dir, args.force)
     corpus = load_corpus(args.corpus)
     if not corpus.examples:
@@ -456,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curate", help="select a training subset from a corpus")
     p.add_argument("--corpus-root")
     p.add_argument("--mode", choices=[curation.INFORMED, curation.RANDOM])
-    p.add_argument("--budget-s", type=float)
+    p.add_argument("--budget-s", type=finite_float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--force", action="store_true")
@@ -473,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-aug", help="re-measure achieved SNRs of a dataset")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--tolerance-db", type=float, default=0.5)
+    p.add_argument("--tolerance-db", type=finite_float, default=0.5)
     p.add_argument("--jobs", type=int)
     p.set_defaults(func=cmd_verify_aug)
 
@@ -485,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--noise", default="white", help="white|usasi|sensor|<table.csv>")
-    p.add_argument("--snr-db", type=float, required=True)
+    p.add_argument("--snr-db", type=finite_float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_mix)
 

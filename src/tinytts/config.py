@@ -4,14 +4,25 @@ Precedence: command-line flags override the config file, which overrides the
 defaults below. Unknown keys are errors so typos cannot silently fall back to
 a default. Every command with an output directory echoes the fully-resolved
 configuration there (minus execution details like job counts, which must not
-change the output bytes).
+change the output bytes). Commands record their flags here before they build
+anything, so that snapshot lists the values that ran.
+
+The `mel.*` and `toy.*` keys are the fields of MelConfig and ToyConfig, with
+the dataclass defaults; no default is written twice.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from pathlib import Path
 
+from .audio import MelConfig
 from .errors import ConfigFileError
+from .toytrain import ToyConfig
+
+# key prefix -> the dataclass whose fields are the keys under it
+SECTIONS = {"mel": MelConfig, "toy": ToyConfig}
 
 # every known key with its default and parser
 DEFAULTS: dict[str, tuple[object, type]] = {
@@ -22,28 +33,11 @@ DEFAULTS: dict[str, tuple[object, type]] = {
     "master_seed": (0, int),
     "jobs": (1, int),
     "noise_specs": ("white:25:1,usasi:15:2,sensor:20:3", str),
-    "mel.n_fft": (1024, int),
-    "mel.hop_length": (256, int),
-    "mel.win_length": (1024, int),
-    "mel.n_mels": (80, int),
-    "mel.fmin_hz": (0.0, float),
-    "mel.fmax_hz": (8000.0, float),
-    "mel.log_floor": (1e-5, float),
-    "toy.vocab_size": (12, int),
-    "toy.feat_dim": (16, int),
-    "toy.embed_dim": (16, int),
-    "toy.enc_hidden": (32, int),
-    "toy.aug_embed_dim": (4, int),
-    "toy.dec_hidden": (32, int),
-    "toy.attn_dim": (16, int),
-    "toy.n_aug_ids": (4, int),
-    "toy.max_decode_frames": (200, int),
-    "toy.gate_loss_weight": (1.0, float),
-    "toy.learning_rate": (1e-3, float),
-    "toy.grad_clip_norm": (1.0, float),
-    "toy.batch_size": (16, int),
-    "toy.steps": (2000, int),
-    "toy.seed": (0, int),
+    **{
+        f"{prefix}.{f.name}": (f.default, type(f.default))
+        for prefix, cls in SECTIONS.items()
+        for f in dataclasses.fields(cls)
+    },
     "toy.n_utts": (200, int),
     "toy.len_min": (3, int),
     "toy.len_max": (8, int),
@@ -74,7 +68,15 @@ class RunConfig:
                 raw = parser(raw)
             except ValueError as exc:
                 raise ConfigFileError(f"{key}: cannot parse {raw!r}") from exc
+        if isinstance(raw, float) and not math.isfinite(raw):
+            raise ConfigFileError(f"{key}: {raw!r} is not a finite number")
         self.values[key] = raw
+
+    def build(self, prefix: str):
+        """The MelConfig ("mel") or ToyConfig ("toy") of the `prefix.*` values."""
+        cls = SECTIONS[prefix]
+        names = [f.name for f in dataclasses.fields(cls)]
+        return cls(**{name: self.values[f"{prefix}.{name}"] for name in names})
 
     def snapshot(self) -> str:
         lines = [
@@ -105,6 +107,14 @@ def load_config_file(path: str | Path) -> RunConfig:
             except ConfigFileError as exc:
                 raise ConfigFileError(f"line {line_no}: {exc}") from exc
     return cfg
+
+
+def finite_float(text: str) -> float:
+    """float(text), refusing nan and infinities with ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def parse_spectrum(name: str):
@@ -144,7 +154,7 @@ def parse_noise_specs(raw: str):
             )
         name, snr_raw, aug_raw = fields
         try:
-            snr = float(snr_raw)
+            snr = finite_float(snr_raw)
             aug_id = int(aug_raw)
         except ValueError as exc:
             raise ConfigFileError(f"noise spec {item!r}: {exc}") from exc
@@ -165,7 +175,7 @@ def parse_aug_profiles(raw: str) -> list[tuple[float, float]]:
         if len(fields) != 2:
             raise ConfigFileError(f"aug profile {item!r}: expected shift:std")
         try:
-            profiles.append((float(fields[0]), float(fields[1])))
+            profiles.append((finite_float(fields[0]), finite_float(fields[1])))
         except ValueError as exc:
             raise ConfigFileError(f"aug profile {item!r}: {exc}") from exc
     return profiles

@@ -257,24 +257,45 @@ def write_subset_manifest(subset: Subset, manifest_path: str | Path) -> None:
     )
 
 
+def read_json_rows(path: str | Path, build) -> list:
+    """build(row) for each JSON object of a JSON-lines file, blank lines skipped.
+
+    Bad UTF-8 or JSON, a row that is not an object, and a KeyError, TypeError
+    or ValueError from build (a missing or mistyped field) raise MalformedRow
+    naming path:line.
+    """
+    out = []
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                if not raw.strip():
+                    continue
+                row = json.loads(raw.decode("utf-8"))
+                if not isinstance(row, dict):
+                    raise ValueError("expected a JSON object")
+                out.append(build(row))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedRow(f"{path}:{line_no}: {exc!r}") from exc
+    return out
+
+
 def read_subset_manifest(manifest_path: str | Path) -> Subset:
     path = Path(manifest_path)
     base = path.resolve().parent
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            audio = Path(row["audio"])
-            if not audio.is_absolute():
-                audio = base / audio
-            entries.append(
-                CorpusEntry(row["id"], audio, row["text"], row["duration_s"])
-            )
+
+    def entry(row: dict) -> CorpusEntry:
+        audio = Path(row["audio"])
+        if not audio.is_absolute():
+            audio = base / audio
+        return CorpusEntry(row["id"], audio, row["text"], row["duration_s"])
+
+    entries = read_json_rows(path, entry)
     summary_path = path.with_suffix(path.suffix + ".summary.json")
     if summary_path.exists():
-        s = json.loads(summary_path.read_text(encoding="utf-8"))
-        return Subset(entries, s["total_s"], s["mode"], s["budget_s"], s["seed"])
+        try:
+            s = json.loads(summary_path.read_text(encoding="utf-8"))
+            return Subset(entries, s["total_s"], s["mode"], s["budget_s"], s["seed"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedRow(f"{summary_path}: {exc!r}") from exc
     total = sum(e.duration_s for e in entries)
     return Subset(entries, total, INFORMED, total)

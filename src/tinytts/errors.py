@@ -56,7 +56,8 @@ class MissingMetadata(TinyTtsError):
 
 
 class MalformedRow(TinyTtsError):
-    """metadata.csv row with the wrong field count; message carries the line number."""
+    """metadata.csv or JSON-lines manifest row that does not parse; message
+    carries the line number."""
 
 
 class EmptySelection(TinyTtsError):

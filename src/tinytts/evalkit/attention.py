@@ -105,7 +105,10 @@ def write_attention(a: AttentionMatrix, path: str | Path) -> None:
 
 
 def read_attention(path: str | Path) -> AttentionMatrix:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedAttnFile(f"{path}: not UTF-8 text: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise MalformedAttnFile("empty file")

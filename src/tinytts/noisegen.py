@@ -30,7 +30,8 @@ PSD_TABLE = "psd_table"
 # Electret capsule noise floor approximation: ~10 dB/decade rise below 1 kHz,
 # flat above. An approximation for a sensor-noise-like spectrum, not a
 # datasheet reconstruction; the augmentation result is insensitive to the
-# exact curve.
+# exact curve. The last point is 8 kHz, the Nyquist frequency of 16 kHz audio,
+# so the table applies at 16 kHz and above.
 SENSOR_PSD_POINTS: tuple[tuple[float, float], ...] = (
     (20.0, 17.0),
     (40.0, 14.0),
@@ -43,7 +44,6 @@ SENSOR_PSD_POINTS: tuple[tuple[float, float], ...] = (
     (2000.0, 0.0),
     (4000.0, 0.0),
     (8000.0, 0.0),
-    (11000.0, 0.0),
 )
 
 
@@ -186,20 +186,24 @@ def mix_at_snr(
 
 def read_psd_table_csv(path) -> SpectrumSpec:
     """Load `freq_hz,power_db` CSV rows into a PSD-table spectrum."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise BadSpectrum(f"{path}: not UTF-8 text: {exc}") from exc
+    header = lines[0].strip() if lines else ""
+    if header.replace(" ", "") != "freq_hz,power_db":
+        raise BadSpectrum(f"bad PSD CSV header: {header!r}")
     pts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header.replace(" ", "") != "freq_hz,power_db":
-            raise BadSpectrum(f"bad PSD CSV header: {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise BadSpectrum(f"line {line_no}: expected 2 fields")
-            try:
-                pts.append((float(fields[0]), float(fields[1])))
-            except ValueError as exc:
-                raise BadSpectrum(f"line {line_no}: {exc}") from exc
+    for line_no, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise BadSpectrum(f"line {line_no}: expected 2 fields")
+        try:
+            pts.append((float(fields[0]), float(fields[1])))
+        except ValueError as exc:
+            raise BadSpectrum(f"line {line_no}: {exc}") from exc
     return SpectrumSpec(PSD_TABLE, tuple(pts))

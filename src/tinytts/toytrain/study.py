@@ -22,8 +22,8 @@ import numpy as np
 
 from ..curation import BUCKETED, RANDOM_SHUFFLE
 from ..errors import BadRange
-from ..evalkit import AttentionMatrix, sharpness_score, sharpness_stats, write_attention
-from .data import SyntheticCorpus, ToyExample, gen_synthetic_corpus
+from ..evalkit import AttentionMatrix, sharpness_score, write_attention
+from .data import SyntheticCorpus, gen_synthetic_corpus
 from .model import ToyConfig, ToyModel, infer
 from .train import train
 
@@ -98,29 +98,7 @@ def rmse_to_templates(
     frames, _gates, _attn = infer(model, tokens, aug_id)
     truth = corpus.clean_frames_for(tokens)
     t = min(frames.shape[0], truth.shape[0])
-    if t == 0:
-        return float(np.sqrt(np.mean(truth**2)))
     return float(np.sqrt(np.mean((frames[:t] - truth[:t]) ** 2)))
-
-
-def heldout_metrics(
-    model: ToyModel, corpus: SyntheticCorpus, heldout: list[ToyExample]
-):
-    """(sharpness stats over clean-ID inference, RMSE-to-template per aug id)."""
-    scores = []
-    rmse_by_aug: dict[int, list[float]] = {
-        a: [] for a in range(model.config.n_aug_ids)
-    }
-    for example in heldout:
-        frames, _gates, attn = infer(model, example.tokens, 0)
-        if frames.shape[0] > 0:
-            scores.append(sharpness_score(AttentionMatrix(attn)))
-        for aug_id in range(model.config.n_aug_ids):
-            rmse_by_aug[aug_id].append(
-                rmse_to_templates(model, corpus, example.tokens, aug_id)
-            )
-    stats = sharpness_stats(scores) if scores else None
-    return stats, {a: float(np.median(v)) for a, v in rmse_by_aug.items()}
 
 
 def _split(corpus: SyntheticCorpus, n_heldout_utts: int, copies_per_utt: int):
@@ -154,14 +132,8 @@ def _run_batching_arm(args):
     train_part, heldout = _split(corpus, params.n_heldout_utts, params.copies_per_utt)
     model = ToyModel(replace(params.config, seed=seed))
     train(model, train_part, batch_plan_mode=mode)
-    scores = []
-    attn_mats = []
-    for example in heldout:
-        frames, _gates, attn = infer(model, example.tokens, 0)
-        if frames.shape[0] == 0:
-            continue
-        scores.append(sharpness_score(AttentionMatrix(attn)))
-        attn_mats.append(attn)
+    attn_mats = [infer(model, e.tokens, 0)[2] for e in heldout]
+    scores = [sharpness_score(AttentionMatrix(attn)) for attn in attn_mats]
     return {
         "median_sharpness": float(np.median(scores)),
         "mean_sharpness": float(np.mean(scores)),
@@ -179,15 +151,14 @@ def _run_augemb_arm(args):
     )
     model = ToyModel(cfg)
     train(model, train_part, batch_plan_mode=BUCKETED)
-    rmse = {
-        aug_id: float(
+    return {
+        f"rmse_aug{aug_id}": float(
             np.median(
                 [rmse_to_templates(model, corpus, e.tokens, aug_id) for e in heldout]
             )
         )
         for aug_id in range(cfg.n_aug_ids)
-    }
-    return {f"rmse_aug{a}": v for a, v in rmse.items()}, []
+    }, []
 
 
 def check_seeds(seeds: list[int]) -> None:

@@ -17,7 +17,13 @@ from tinytts.augment import (
 )
 from tinytts.curation import INFORMED, CorpusEntry, Subset
 from tinytts.errors import BuildError, ConfigError, MissingFile
-from tinytts.noisegen import WHITE, NoiseSpec, SpectrumSpec, default_noise_specs
+from tinytts.noisegen import (
+    PSD_TABLE,
+    WHITE,
+    NoiseSpec,
+    SpectrumSpec,
+    default_noise_specs,
+)
 
 from conftest import speech_like
 
@@ -198,23 +204,43 @@ def test_verify_reads_each_file_once(tmp_path, monkeypatch):
     assert len(p56) == len(gains)
 
 
+# a PSD table with a point above 8 kHz, the Nyquist frequency of 16 kHz audio
+ABOVE_8KHZ = NoiseSpec(
+    "hiss", SpectrumSpec(PSD_TABLE, ((100.0, 0.0), (11000.0, -6.0))), 20.0, 4
+)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize(
-    "bad_clip",
+    "bad_clip, extra_specs",
     [
-        AudioClip(np.zeros(22050), 22050),  # silent: P.56 fails
-        speech_like(7, duration_s=1.2, fs=16000),  # sensor table above Nyquist
+        (AudioClip(np.zeros(22050), 22050), []),  # silent: P.56 fails
+        (speech_like(7, duration_s=1.2, fs=16000), [ABOVE_8KHZ]),  # table above Nyquist
     ],
     ids=["silent", "16khz"],
 )
-def test_failed_source_writes_no_manifest_and_no_copies(tmp_path, jobs, bad_clip):
+def test_failed_source_writes_no_manifest_and_no_copies(
+    tmp_path, jobs, bad_clip, extra_specs
+):
     subset = make_speech_subset(tmp_path, 2)
     bad = tmp_path / "clean" / "bad.wav"
     write_wav(bad_clip, bad)
     subset.entries.insert(1, CorpusEntry("bad", bad, "quiet", bad_clip.duration_s))
     out = tmp_path / "out"
+    specs = default_noise_specs() + extra_specs
     with pytest.raises(BuildError, match="bad: "):
-        build_augmented_dataset(subset, default_noise_specs(), out, 1, jobs=jobs)
+        build_augmented_dataset(subset, specs, out, 1, jobs=jobs)
     assert not (out / "manifest.jsonl").exists()
     assert not (out / "build_summary.json").exists()
     assert list((out / "wavs").glob("bad__*")) == []
+
+
+def test_16khz_source_augments_with_default_specs(tmp_path):
+    clip = speech_like(8, duration_s=1.2, fs=16000)
+    path = tmp_path / "u16k.wav"
+    write_wav(clip, path)
+    subset = Subset([CorpusEntry("u16k", path, "t", clip.duration_s)], 1.2, INFORMED, 1.2)
+    manifest = build_augmented_dataset(subset, default_noise_specs(), tmp_path / "out", 3)
+    assert sorted(m.aug_id for m in manifest) == [0, 1, 2, 3]
+    report = verify_augmented_dataset(manifest)
+    assert report.n_noisy == 3 and report.n_exceeding_half_db == 0

@@ -181,7 +181,8 @@ def test_wer_tsv_input(tmp_path, capsys):
     assert payload["ref_words"] == 4
 
 
-def test_augment_verify_pipeline(tmp_path, capsys):
+def _curated_subset(tmp_path, capsys) -> str:
+    """Curate a two-utterance speech corpus; the subset manifest's path."""
     (tmp_path / "corpus" / "wavs").mkdir(parents=True)
     lines = []
     for i in range(2):
@@ -201,12 +202,16 @@ def test_augment_verify_pipeline(tmp_path, capsys):
         str(tmp_path / "subset"),
     )
     assert code == 0
+    return str(tmp_path / "subset" / "subset.jsonl")
+
+
+def test_augment_verify_pipeline(tmp_path, capsys):
     code, out = run_cli(
         capsys,
         "--json",
         "augment",
         "--manifest",
-        str(tmp_path / "subset" / "subset.jsonl"),
+        _curated_subset(tmp_path, capsys),
         "--out-dir",
         str(tmp_path / "aug"),
         "--master-seed",
@@ -429,3 +434,102 @@ def test_jobs_outside_core_count_rejected_before_any_pool(
         assert main(argv) == 1
         assert "jobs" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_augment_snapshot_records_noise_specs_flag(tmp_path, capsys):
+    manifest = _curated_subset(tmp_path, capsys)
+    out = tmp_path / "aug"
+    code, _ = run_cli(
+        capsys, "augment", "--manifest", manifest, "--out-dir", str(out),
+        "--noise-specs", "white:30:1",
+    )
+    assert code == 0
+    assert "noise_specs = white:30:1\n" in (out / "resolved_config.txt").read_text()
+
+
+def test_toy_train_snapshot_records_seed_and_steps(tmp_path, capsys):
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text("toy.vocab_size = 4\ntoy.feat_dim = 3\ntoy.n_utts = 4\n")
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["--config", str(cfg), "toy-gen", "--out", str(corpus)]) == 0
+    run_dir = tmp_path / "run"
+    code = main([
+        "--config", str(cfg), "toy-train", "--corpus", str(corpus),
+        "--out-dir", str(run_dir), "--seed", "5", "--steps", "3",
+    ])
+    assert code == 0
+    snapshot = (run_dir / "resolved_config.txt").read_text().splitlines()
+    assert "toy.seed = 5" in snapshot and "toy.steps = 3" in snapshot
+    assert json.loads((run_dir / "train_report.json").read_text())["steps"] == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_flag_exits_before_output(tmp_path, capsys, value):
+    src = tmp_path / "speech.wav"
+    write_wav(speech_like(3, duration_s=1.1), src)
+    dst = tmp_path / "noisy.wav"
+    assert main(["mix", "--in", str(src), "--out", str(dst), f"--snr-db={value}"]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not dst.exists()
+    out = tmp_path / "subset"
+    argv = ["curate", "--corpus-root", str(tmp_path), f"--budget-s={value}", "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert not out.exists()
+    argv = ["verify-aug", "--manifest", str(tmp_path / "none.jsonl"), f"--tolerance-db={value}"]
+    assert main(argv) == 1
+
+
+def test_non_finite_config_value_exits_before_output(tmp_path, capsys):
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text("toy.learning_rate = nan\n")
+    run_dir = tmp_path / "run"
+    argv = ["--config", str(cfg), "toy-train", "--corpus", str(tmp_path / "none.jsonl")]
+    assert main(argv + ["--out-dir", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "toy.learning_rate" in err
+    assert not run_dir.exists()
+
+
+def test_subset_manifest_row_without_audio_exits_cleanly(tmp_path, capsys):
+    manifest = tmp_path / "subset.jsonl"
+    manifest.write_text(
+        '{"id": "a", "audio": "a.wav", "text": "t", "duration_s": 1.0}\n'
+        '{"id": "b", "text": "t", "duration_s": 1.0}\n'
+    )
+    code = main(["augment", "--manifest", str(manifest), "--out-dir", str(tmp_path / "aug")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{manifest}:2:" in err and "audio" in err
+
+
+@pytest.mark.parametrize(
+    "line", [b"not json\n", b'["a", "list"]\n', b'{"id": "\xff"}\n'],
+    ids=["bad-json", "not-object", "bad-utf8"],
+)
+def test_aug_manifest_bad_line_exits_cleanly(tmp_path, capsys, line):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_bytes(b"\n" + line)
+    assert main(["verify-aug", "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{manifest}:2:" in err
+
+
+def test_attention_file_bad_utf8_exits_cleanly(tmp_path, capsys):
+    attn_dir = tmp_path / "attn"
+    attn_dir.mkdir()
+    (attn_dir / "u.attn").write_bytes(b"ATTN1 1 2\n0.5 0.5\xff\n")
+    code = main(["sharpness", "--attn-dir", str(attn_dir), "--label", "x"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_psd_table_bad_utf8_exits_cleanly(tmp_path, capsys):
+    src = tmp_path / "speech.wav"
+    write_wav(speech_like(3, duration_s=1.1), src)
+    table = tmp_path / "mic.csv"
+    table.write_bytes(b"freq_hz,power_db\n100,6\xff\n4000,-3\n")
+    dst = tmp_path / "noisy.wav"
+    argv = ["mix", "--in", str(src), "--out", str(dst), "--noise", str(table), "--snr-db", "10"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not dst.exists()

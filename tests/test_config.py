@@ -1,6 +1,10 @@
+import hashlib
+
 import pytest
 
+from tinytts.audio import MelConfig
 from tinytts.config import (
+    DEFAULTS,
     RunConfig,
     load_config_file,
     parse_aug_profiles,
@@ -9,6 +13,11 @@ from tinytts.config import (
 )
 from tinytts.errors import ConfigFileError
 from tinytts.noisegen import PSD_TABLE, USASI, WHITE
+from tinytts.toytrain import ToyConfig
+
+# SHA-256 of RunConfig().snapshot() when the mel/toy defaults stopped being
+# restated in DEFAULTS: a default that drifts in a dataclass changes it
+SNAPSHOT_SHA256 = "f0887b8b70a150d43450816cd7a91ae5fc15cec4bcc606878582f693392b256f"
 
 
 def test_defaults_and_overrides(tmp_path):
@@ -54,6 +63,36 @@ def test_snapshot_is_stable_and_excludes_jobs():
     # job count is an execution detail: snapshots match the defaults exactly
     assert snap == RunConfig().snapshot()
     assert "budget_s = 7200.0" in snap
+
+
+def test_default_snapshot_bytes_are_pinned():
+    snap = RunConfig().snapshot().encode("utf-8")
+    assert hashlib.sha256(snap).hexdigest() == SNAPSHOT_SHA256
+    assert len(DEFAULTS) == 33
+
+
+@pytest.mark.parametrize(
+    "prefix, cls, name", [("mel", MelConfig, "n_mels"), ("toy", ToyConfig, "seed")]
+)
+def test_build_uses_dataclass_defaults_and_set_values(prefix, cls, name):
+    assert RunConfig().build(prefix) == cls()
+    cfg = RunConfig()
+    cfg.set(f"{prefix}.{name}", "7")
+    assert getattr(cfg.build(prefix), name) == 7
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_float_rejected(tmp_path, raw):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"toy.learning_rate = {raw}\n", encoding="utf-8")
+    with pytest.raises(ConfigFileError, match="line 1: toy.learning_rate"):
+        load_config_file(path)
+    with pytest.raises(ConfigFileError, match="finite"):
+        RunConfig().set("budget_s", float(raw))
+    with pytest.raises(ConfigFileError):
+        parse_noise_specs(f"white:{raw}:1")
+    with pytest.raises(ConfigFileError):
+        parse_aug_profiles(f"0:{raw}")
 
 
 def test_parse_noise_specs_named():

@@ -226,3 +226,15 @@ def test_manifest_round_trip(tmp_path):
     assert back.total_duration_s == pytest.approx(subset.total_duration_s)
     assert back.selection_mode == INFORMED
     assert (tmp_path / "subset.jsonl.summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "summary", [b'{"total_s": 1.0}', b"not json", b"[1]", b'{"mode": "\xff"}'],
+    ids=["missing-key", "bad-json", "not-object", "bad-utf8"],
+)
+def test_manifest_bad_summary_names_the_file(tmp_path, summary):
+    path = tmp_path / "subset.jsonl"
+    write_subset_manifest(select_informed_subset(make_corpus([1.5, 2.0]), 3.0), path)
+    (tmp_path / "subset.jsonl.summary.json").write_bytes(summary)
+    with pytest.raises(MalformedRow, match="summary.json"):
+        read_subset_manifest(path)
