@@ -1,6 +1,7 @@
 """Command-line interface: one subcommand per pipeline operation.
 
-Flag precedence: explicit flags > --config file > built-in defaults. Commands
+Flag precedence: explicit flags > --config file > built-in defaults. `main`
+parses --config once and hands the RunConfig to the command. Commands
 that create an output directory refuse a non-empty one unless --force is
 given and echo the resolved configuration into it. Exit codes: 0 success,
 1 validation/usage error, 2 I/O error.
@@ -52,10 +53,6 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 
-def _load_cfg(args) -> RunConfig:
-    return load_config_file(args.config) if args.config else RunConfig()
-
-
 def _flag(cfg: RunConfig, key: str, value):
     """A flag's value overrides the config's and is recorded in it, so the
     snapshot lists what ran; None (flag not given) keeps the config's."""
@@ -102,8 +99,7 @@ def _emit(args, human: str, payload: dict) -> None:
 
 # --- subcommand implementations ---
 
-def cmd_curate(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_curate(args, cfg: RunConfig) -> int:
     root = _flag(cfg, "corpus_root", args.corpus_root)
     if not root:
         raise TinyTtsError("no corpus root given (--corpus-root or config)")
@@ -148,8 +144,7 @@ def cmd_curate(args) -> int:
     return EXIT_OK if prefix_ok else EXIT_VALIDATION
 
 
-def cmd_augment(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_augment(args, cfg: RunConfig) -> int:
     specs = parse_noise_specs(_flag(cfg, "noise_specs", args.noise_specs))
     master_seed = _flag(cfg, "master_seed", args.master_seed)
     jobs = _jobs(args, cfg)
@@ -170,8 +165,8 @@ def cmd_augment(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify_aug(args) -> int:
-    jobs = _jobs(args, _load_cfg(args))
+def cmd_verify_aug(args, cfg: RunConfig) -> int:
+    jobs = _jobs(args, cfg)
     manifest = read_aug_manifest(args.manifest)
     report = verify_augmented_dataset(
         manifest, tolerance_db=args.tolerance_db, jobs=jobs
@@ -192,7 +187,7 @@ def cmd_verify_aug(args) -> int:
     return EXIT_OK if report.n_exceeding_half_db == 0 else EXIT_VALIDATION
 
 
-def cmd_p56(args) -> int:
+def cmd_p56(args, cfg: RunConfig) -> int:
     clip = audio_mod.read_wav(args.infile)
     result = audio_mod.active_speech_level_p56(clip)
     _emit(
@@ -209,7 +204,7 @@ def cmd_p56(args) -> int:
     return EXIT_OK
 
 
-def cmd_mix(args) -> int:
+def cmd_mix(args, cfg: RunConfig) -> int:
     from .noisegen import mix_at_snr
 
     clip = audio_mod.read_wav(args.infile)
@@ -228,8 +223,7 @@ def cmd_mix(args) -> int:
     return EXIT_OK
 
 
-def cmd_mel(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_mel(args, cfg: RunConfig) -> int:
     clip = audio_mod.read_wav(args.infile)
     mel = audio_mod.mel_spectrogram(clip, cfg.build("mel"))
     audio_mod.write_melb(mel, args.outfile)
@@ -241,7 +235,7 @@ def cmd_mel(args) -> int:
     return EXIT_OK
 
 
-def cmd_sharpness(args) -> int:
+def cmd_sharpness(args, cfg: RunConfig) -> int:
     if len(args.attn_dir) != len(args.label):
         raise TinyTtsError("need one --label per --attn-dir")
     by_label: dict[str, list[AttentionMatrix]] = {}
@@ -282,7 +276,7 @@ def _sentence_pairs(args) -> list[tuple[str, str]]:
     return list(zip(refs, hyps))
 
 
-def cmd_wer(args) -> int:
+def cmd_wer(args, cfg: RunConfig) -> int:
     agg = sus_report(_sentence_pairs(args))
     _emit(
         args,
@@ -297,7 +291,7 @@ def cmd_wer(args) -> int:
     return EXIT_OK
 
 
-def cmd_sus(args) -> int:
+def cmd_sus(args, cfg: RunConfig) -> int:
     agg = sus_report(_sentence_pairs(args))
     csv = sus_csv(agg)
     if args.out:
@@ -315,8 +309,7 @@ def cmd_sus(args) -> int:
     return EXIT_OK
 
 
-def cmd_toy_gen(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_toy_gen(args, cfg: RunConfig) -> int:
     seed = _flag(cfg, "toy.seed", args.seed)
     profiles = parse_aug_profiles(_flag(cfg, "toy.aug_profiles", args.aug_profiles))
     corpus = gen_synthetic_corpus(
@@ -337,8 +330,7 @@ def cmd_toy_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_toy_train(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_toy_train(args, cfg: RunConfig) -> int:
     _flag(cfg, "toy.seed", args.seed)
     _flag(cfg, "toy.steps", args.steps)
     toy_cfg = cfg.build("toy")
@@ -371,7 +363,7 @@ def cmd_toy_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_toy_infer(args) -> int:
+def cmd_toy_infer(args, cfg: RunConfig) -> int:
     tokens = _int_list("--tokens", args.tokens)
     model = load_model(args.model)
     frames, gates, attn = infer(model, tokens, args.aug_id)
@@ -389,8 +381,7 @@ def cmd_toy_infer(args) -> int:
     return EXIT_OK
 
 
-def cmd_study(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_study(args, cfg: RunConfig) -> int:
     jobs = _jobs(args, cfg)
     seeds = _int_list("--seeds", args.seeds)
     check_seeds(seeds)
@@ -515,9 +506,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.config:
-            load_config_file(args.config)  # reject unknown keys before any work
-        return args.func(args)
+        # parsed once, so unknown keys are rejected before any work
+        cfg = load_config_file(args.config) if args.config else RunConfig()
+        return args.func(args, cfg)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -95,17 +95,21 @@ class RunConfig:
 def load_config_file(path: str | Path) -> RunConfig:
     cfg = RunConfig()
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigFileError(f"line {line_no}: expected key = value")
-            key, _, raw = stripped.partition("=")
-            try:
-                cfg.set(key.strip(), raw.strip())
-            except ConfigFileError as exc:
-                raise ConfigFileError(f"line {line_no}: {exc}") from exc
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigFileError(f"{path}: not UTF-8: {exc}") from exc
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigFileError(f"line {line_no}: expected key = value")
+        key, _, raw = stripped.partition("=")
+        try:
+            cfg.set(key.strip(), raw.strip())
+        except ConfigFileError as exc:
+            raise ConfigFileError(f"line {line_no}: {exc}") from exc
     return cfg
 
 

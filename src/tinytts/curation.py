@@ -10,6 +10,7 @@ zero padding small.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,21 +71,27 @@ def load_ljspeech_manifest(root_dir: str | Path) -> list[CorpusEntry]:
     meta = root / "metadata.csv"
     if not meta.exists():
         raise MissingMetadata(f"no metadata.csv under {root}")
+    raw_bytes = meta.read_bytes()
+    try:
+        text = raw_bytes.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw_bytes.count(b"\n", 0, exc.start) + 1
+        raise MalformedRow(f"{meta}:{line_no}: not UTF-8: {exc.reason}") from exc
     entries = []
-    with open(meta, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("|")
-            if len(fields) != 3:
-                raise MalformedRow(
-                    f"line {line_no}: expected 3 pipe-separated fields, got {len(fields)}"
-                )
-            utt_id, _raw, normalized = fields
-            entries.append(
-                CorpusEntry(utt_id, root / "wavs" / f"{utt_id}.wav", normalized)
+    # newline=None: \r\n and \r end lines, as when reading the file as text
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("|")
+        if len(fields) != 3:
+            raise MalformedRow(
+                f"line {line_no}: expected 3 pipe-separated fields, got {len(fields)}"
             )
+        utt_id, _raw, normalized = fields
+        entries.append(
+            CorpusEntry(utt_id, root / "wavs" / f"{utt_id}.wav", normalized)
+        )
     return entries
 
 

@@ -533,3 +533,44 @@ def test_psd_table_bad_utf8_exits_cleanly(tmp_path, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not dst.exists()
+
+
+def test_config_file_bad_utf8_exits_cleanly(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"budget_s = 1\xff\n")
+    assert main(["--config", str(cfg), "p56", "--in", str(tmp_path / "x.wav")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg) in err and "UTF-8" in err
+
+
+def test_ljspeech_metadata_bad_utf8_exits_cleanly(tmp_path, capsys):
+    write_ljspeech_fixture(tmp_path / "corpus", [("u0", "r", "t"), ("u1", "r", "t")])
+    meta = tmp_path / "corpus" / "metadata.csv"
+    meta.write_bytes(b"u0|r|t\nu1|r|t\xff\n")
+    out_dir = tmp_path / "out"
+    argv = ["curate", "--corpus-root", str(tmp_path / "corpus"), "--budget-s", "10"]
+    assert main(argv + ["--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{meta}:2:" in err
+
+
+def test_config_file_is_read_once(tmp_path, capsys, monkeypatch):
+    import builtins
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mel.n_mels = 40\n")
+    src = tmp_path / "tone.wav"
+    write_wav(tone(440.0, 0.5, 0.5), src)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(cfg):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    out = tmp_path / "tone.melb"
+    assert main(["--config", str(cfg), "mel", "--in", str(src), "--out", str(out)]) == 0
+    assert len(opened) == 1
+    assert read_melb(out).shape[1] == 40

@@ -1,13 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from tinytts.audio import AudioClip, active_speech_level_p56
 from tinytts.audio.p56 import (
+    BLOCK,
     HANGOVER_S,
     MIN_DURATION_S,
     N_THRESHOLDS,
+    SMOOTHING_TIME_S,
     _active_counts,
     _envelope,
 )
@@ -148,3 +156,94 @@ def test_active_counts_match_loop_on_speech_envelopes():
             np.testing.assert_array_equal(
                 _active_counts(env, LADDER, _hang(rate)), expected
             )
+
+
+def _lfilter_envelope(x, fs):
+    """Oracle: |x| through the two smoothers as two sample-by-sample recursions."""
+    g = np.exp(-1.0 / (fs * SMOOTHING_TIME_S))
+    p = lfilter([1.0 - g], [1.0, -g], np.abs(x))
+    return lfilter([1.0 - g], [1.0, -g], p)
+
+
+ENVELOPE_RATES = (11025, 16000, 22050)
+
+
+@st.composite
+def speech_like_signals(draw):
+    """Noise bursts over quiet stretches and exact silence, at a sample rate and
+    a length below one block, at a block multiple or one either side of it."""
+    rate = draw(st.sampled_from(ENVELOPE_RATES))
+    blocks = draw(st.integers(1, int(1.2 * rate) // BLOCK))
+    n = draw(
+        st.one_of(
+            st.integers(1, BLOCK - 1),
+            st.sampled_from([-1, 0, 1]).map(lambda d: blocks * BLOCK + d),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(n) * 2.0 ** -draw(st.integers(12, 40))
+    for _ in range(draw(st.integers(0, 6))):
+        start = int(rng.integers(n))
+        stop = start + int(rng.integers(1, max(2, rate // 4)))
+        x[start:stop] = rng.standard_normal(len(x[start:stop])) * 2.0 ** -rng.uniform(0, 14)
+    if draw(st.booleans()):  # digital silence, as at the head of a recording
+        x[: int(rng.integers(n))] = 0.0
+    return x, rate
+
+
+@settings(max_examples=120, deadline=None)
+@given(speech_like_signals())
+def test_envelope_matches_lfilter_oracle(case):
+    x, rate = case
+    env = _envelope(x, rate)
+    expected = _lfilter_envelope(x, rate)
+    assert env.shape == expected.shape
+    audible = expected >= 2.0**-40
+    np.testing.assert_allclose(env[audible], expected[audible], rtol=1e-12, atol=0)
+    np.testing.assert_array_less(env[~audible], 2.0**-39)
+    hang = _hang(rate)
+    np.testing.assert_array_equal(
+        _active_counts(env, LADDER, hang), _loop_active_counts(expected, LADDER, hang)
+    )
+
+
+SCIPY_FREE = """
+import sys
+from pathlib import Path
+
+from tinytts.audio import active_speech_level_p56, write_wav
+from tinytts.cli import main
+
+sys.path.insert(0, sys.argv[2])
+from conftest import speech_like
+
+tmp = Path(sys.argv[1])
+active_speech_level_p56(speech_like(1, duration_s=1.0))
+(tmp / "wavs").mkdir()
+rows = []
+for i in range(2):
+    write_wav(speech_like(i, duration_s=1.2, fs=16000), tmp / "wavs" / f"u{i}.wav")
+    rows.append(f"u{i}|r|t")
+(tmp / "metadata.csv").write_text("\\n".join(rows) + "\\n")
+argv = ["curate", "--corpus-root", str(tmp), "--budget-s", "100", "--out-dir", str(tmp / "s")]
+assert main(argv) == 0
+argv = ["augment", "--manifest", str(tmp / "s" / "subset.jsonl"), "--out-dir", str(tmp / "a"),
+        "--noise-specs", "white:20:1,usasi:15:2"]
+assert main(argv) == 0
+assert main(["verify-aug", "--manifest", str(tmp / "a" / "manifest.jsonl")]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_and_p56_pipeline_never_import_scipy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE, str(tmp_path), str(tests)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
