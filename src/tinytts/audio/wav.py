@@ -16,44 +16,47 @@ from ..errors import MalformedWav, UnsupportedFormat
 from .clip import AudioClip
 
 _FMT_PCM = 1
+# the PCM fields of the fmt chunk: format tag, channels, sample rate, byte
+# rate, block align, bits per sample
+_FMT = struct.Struct("<HHIIHH")
 
 
-def _parse_chunks(raw: bytes) -> tuple[bytes, bytes]:
-    """Return (fmt_chunk, data_chunk) payloads from RIFF bytes."""
-    if len(raw) < 12:
+def _read_header(fh) -> tuple[int, int, int]:
+    """Check an open mono 16-bit PCM WAV: (sample rate, data offset, data bytes).
+
+    Reads the RIFF header, the 8-byte chunk headers and the PCM fields of the
+    fmt chunk, never the audio; a chunk that declares more bytes than the
+    file holds is malformed. Later chunks of a kind replace earlier ones.
+    """
+    head = fh.read(12)
+    size = fh.seek(0, 2)
+    if len(head) < 12:
         raise MalformedWav("file shorter than a RIFF header")
-    if raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
+    if head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise MalformedWav("missing RIFF/WAVE magic")
     fmt = None
     data = None
     pos = 12
-    while pos + 8 <= len(raw):
-        cid = raw[pos : pos + 4]
-        (size,) = struct.unpack("<I", raw[pos + 4 : pos + 8])
-        body = raw[pos + 8 : pos + 8 + size]
-        if len(body) < size:
+    while pos + 8 <= size:
+        fh.seek(pos)
+        cid, chunk_size = struct.unpack("<4sI", fh.read(8))
+        present = size - pos - 8
+        if present < chunk_size:
             raise MalformedWav(
-                f"chunk {cid!r} declares {size} bytes but only {len(body)} present"
+                f"chunk {cid!r} declares {chunk_size} bytes but only {present} present"
             )
         if cid == b"fmt ":
-            fmt = body
+            fmt = fh.read(min(chunk_size, _FMT.size))
         elif cid == b"data":
-            data = body
-        pos += 8 + size + (size & 1)  # chunks are word-aligned
+            data = (pos + 8, chunk_size)
+        pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
     if fmt is None:
         raise MalformedWav("no fmt chunk")
     if data is None:
         raise MalformedWav("no data chunk")
-    return fmt, data
-
-
-def read_wav(path: str | Path) -> AudioClip:
-    """Read a mono 16-bit PCM WAV file; samples scaled by 1/32768 into [-1, 1)."""
-    raw = Path(path).read_bytes()
-    fmt, data = _parse_chunks(raw)
-    if len(fmt) < 16:
+    if len(fmt) < _FMT.size:
         raise MalformedWav(f"fmt chunk too short ({len(fmt)} bytes)")
-    audio_format, channels, rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
+    audio_format, channels, rate, _, _, bits = _FMT.unpack(fmt)
     if audio_format != _FMT_PCM:
         raise UnsupportedFormat(f"compressed or non-PCM format tag {audio_format}")
     if channels != 1:
@@ -62,24 +65,26 @@ def read_wav(path: str | Path) -> AudioClip:
         raise UnsupportedFormat(f"{bits}-bit samples; only 16-bit is supported")
     if rate <= 0:
         raise MalformedWav("non-positive sample rate")
-    if len(data) % 2 != 0:
+    if data[1] % 2 != 0:
         raise MalformedWav("data chunk has an odd byte count")
+    return (rate, *data)
+
+
+def read_wav(path: str | Path) -> AudioClip:
+    """Read a mono 16-bit PCM WAV file; samples scaled by 1/32768 into [-1, 1)."""
+    with open(path, "rb") as fh:
+        rate, offset, n_bytes = _read_header(fh)
+        fh.seek(offset)
+        data = fh.read(n_bytes)
     ints = np.frombuffer(data, dtype="<i2")
     return AudioClip(ints.astype(np.float64) / 32768.0, rate)
 
 
 def read_wav_info(path: str | Path) -> tuple[int, int]:
-    """Header-only probe: (sample count, sample rate) without decoding audio."""
-    raw = Path(path).read_bytes()
-    fmt, data = _parse_chunks(raw)
-    if len(fmt) < 16:
-        raise MalformedWav(f"fmt chunk too short ({len(fmt)} bytes)")
-    audio_format, channels, rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
-    if audio_format != _FMT_PCM or channels != 1 or bits != 16:
-        raise UnsupportedFormat("only mono 16-bit PCM is supported")
-    if rate <= 0:
-        raise MalformedWav("non-positive sample rate")
-    return len(data) // 2, rate
+    """Header-only probe: (sample count, sample rate) without reading audio."""
+    with open(path, "rb") as fh:
+        rate, _, n_bytes = _read_header(fh)
+    return n_bytes // 2, rate
 
 
 def write_wav(clip: AudioClip, path: str | Path) -> None:
@@ -87,16 +92,9 @@ def write_wav(clip: AudioClip, path: str | Path) -> None:
     q = np.round(clip.samples * 32768.0)
     q = np.clip(q, -32768, 32767).astype("<i2")
     data = q.tobytes()
+    rate = clip.sample_rate_hz
     header = b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
-    header += b"fmt " + struct.pack(
-        "<IHHIIHH",
-        16,
-        _FMT_PCM,
-        1,
-        clip.sample_rate_hz,
-        clip.sample_rate_hz * 2,
-        2,
-        16,
-    )
+    header += b"fmt " + struct.pack("<I", _FMT.size)
+    header += _FMT.pack(_FMT_PCM, 1, rate, 2 * rate, 2, 16)
     header += b"data" + struct.pack("<I", len(data))
     Path(path).write_bytes(header + data)

@@ -9,8 +9,6 @@ so serial and parallel builds produce byte-identical trees.
 from __future__ import annotations
 
 import hashlib
-import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -18,9 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioClip, active_speech_level_p56, read_wav, write_wav
-from .curation import CorpusEntry, Subset, read_json_rows
+from .audio import read_wav_info
+from .curation import CorpusEntry, Subset, read_json_rows, write_json, write_json_rows
 from .errors import BuildError, ConfigError, MissingFile, TinyTtsError
 from .noisegen import NoiseSpec, mix_at_snr
+from .parallel import map_tasks
 
 CLEAN_NAME = "clean"
 CLEAN_AUG_ID = 0
@@ -51,11 +51,17 @@ def derive_seed(master_seed: int, source_id: str, aug_id: int) -> int:
 
 
 def _check_specs(specs: list[NoiseSpec]) -> None:
+    """NoiseSpec itself refuses aug_id 0, the clean copy's."""
     ids = [s.aug_id for s in specs]
-    if any(i < 1 for i in ids):
-        raise ConfigError("noise specs must use aug_id >= 1 (0 is clean)")
     if len(set(ids)) != len(ids):
         raise ConfigError(f"duplicate aug_ids in {ids}")
+
+
+def _check_rate(entry: CorpusEntry, specs: list[NoiseSpec]) -> None:
+    """Every spec must suit the source's sample rate (read from its header)."""
+    _, rate = read_wav_info(entry.audio_path)
+    for spec in specs:
+        spec.spectrum.check_rate(rate)
 
 
 def _build_source(
@@ -64,8 +70,8 @@ def _build_source(
     """Write the clean copy and one noisy copy per spec of one source utterance.
 
     The source is read once and its P.56 level measured once. Every copy is
-    rendered before any is written, so a source that fails (silent, too short,
-    or a spec its sample rate cannot take) writes none of its copies.
+    rendered before any is written, so a source that fails (silent or too
+    short) writes none of its copies.
     """
     clip = read_wav(entry.audio_path)
     level = active_speech_level_p56(clip) if specs else None
@@ -96,6 +102,22 @@ def _build_source(
     return [row for row, _ in rendered]
 
 
+def _failure_of(task, entry: CorpusEntry):
+    """task(entry), or the text "<id>: <error>" of the TinyTtsError it raised."""
+    try:
+        return task(entry)
+    except TinyTtsError as exc:
+        return f"{entry.id}: {exc}"
+
+
+def _raise_failures(outcomes: list) -> None:
+    failures = [o for o in outcomes if isinstance(o, str)]
+    if failures:
+        raise BuildError(
+            f"{len(failures)} source failure(s): " + "; ".join(failures[:20])
+        )
+
+
 def build_augmented_dataset(
     subset: Subset,
     specs: list[NoiseSpec],
@@ -105,41 +127,24 @@ def build_augmented_dataset(
 ) -> list[AugManifestEntry]:
     """Write |subset| * (len(specs) + 1) WAVs plus a JSON-lines manifest.
 
-    One task per source utterance renders and writes that utterance's WAVs,
-    so memory holds one utterance's copies at a time; the manifest and
-    summary are written only if every source succeeded.
+    Every source's sample rate is checked against every spec before any WAV
+    is written. Then one task per source utterance renders and writes that
+    utterance's WAVs, so memory holds one utterance's copies at a time; the
+    manifest and summary are written only if every source succeeded.
     """
     _check_specs(specs)
+    check = partial(_check_rate, specs=specs)
+    _raise_failures([_failure_of(check, entry) for entry in subset.entries])
     out = Path(out_dir)
     wav_dir = out / "wavs"
     wav_dir.mkdir(parents=True, exist_ok=True)
 
-    build = partial(
-        _build_source, specs=specs, wav_dir=wav_dir, master_seed=master_seed
-    )
-    manifest: list[AugManifestEntry] = []
-    failures: list[str] = []
+    task = partial(_build_source, specs=specs, wav_dir=wav_dir, master_seed=master_seed)
+    per_source = map_tasks(partial(_failure_of, task), subset.entries, jobs)
+    _raise_failures(per_source)
+    manifest = [row for rows in per_source for row in rows]
 
-    def collect(entry, rows_of) -> None:
-        try:
-            manifest.extend(rows_of())
-        except TinyTtsError as exc:
-            failures.append(f"{entry.id}: {exc}")
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(build, entry) for entry in subset.entries]
-            for entry, fut in zip(subset.entries, futures):
-                collect(entry, fut.result)
-    else:
-        for entry in subset.entries:
-            collect(entry, partial(build, entry))
-    if failures:
-        raise BuildError(
-            f"{len(failures)} source failure(s): " + "; ".join(failures[:20])
-        )
-
-    write_aug_manifest(manifest, out / "manifest.jsonl")
+    write_json_rows(out / "manifest.jsonl", [asdict(m) for m in manifest], "audio_path")
     summary = {
         "master_seed": master_seed,
         "n_sources": len(subset.entries),
@@ -154,34 +159,12 @@ def build_augmented_dataset(
             for s in specs
         ],
     }
-    (out / "build_summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(out / "build_summary.json", summary)
     return manifest
 
 
-def write_aug_manifest(manifest: list[AugManifestEntry], path: str | Path) -> None:
-    """Audio paths under the manifest's directory are stored relative, so a
-    rebuilt dataset is byte-identical regardless of where it lives."""
-    base = Path(path).resolve().parent
-    with open(path, "w", encoding="utf-8") as fh:
-        for m in manifest:
-            row = asdict(m)
-            audio = Path(row["audio_path"]).resolve()
-            if audio.is_relative_to(base):
-                row["audio_path"] = audio.relative_to(base).as_posix()
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-
-
 def read_aug_manifest(path: str | Path) -> list[AugManifestEntry]:
-    base = Path(path).resolve().parent
-
-    def entry(row: dict) -> AugManifestEntry:
-        if not Path(row["audio_path"]).is_absolute():
-            row["audio_path"] = str(base / row["audio_path"])
-        return AugManifestEntry(**row)
-
-    return read_json_rows(path, entry)
+    return read_json_rows(path, lambda row: AugManifestEntry(**row), "audio_path")
 
 
 @dataclass
@@ -193,13 +176,14 @@ class VerifyReport:
     flagged_ids: list[str]
 
 
-def _verify_source(clean_path: str, noisy: list[AugManifestEntry]) -> list[float]:
+def _verify_source(source: tuple[str, list[AugManifestEntry]]) -> list[float]:
     """Deviations in dB between achieved active-speech SNR and target for the
-    noisy copies of one source.
+    noisy copies of one source, given as (clean path, noisy rows).
 
     The clean file is read once, and P.56 is measured once per distinct
     mixture gain; each noisy copy's noise is taken from its own file.
     """
+    clean_path, noisy = source
     clean = read_wav(clean_path)
     by_gain: dict[float, tuple[np.ndarray, float]] = {}
     deviations = []
@@ -219,10 +203,8 @@ def verify_augmented_dataset(
     manifest: list[AugManifestEntry], tolerance_db: float = 0.5, jobs: int = 1
 ) -> VerifyReport:
     """Re-measure the achieved active-speech SNR of every noisy file."""
-    clean_paths = {
-        m.source_id: m.audio_path for m in manifest if m.aug_id == CLEAN_AUG_ID
-    }
-    n_clean = sum(1 for m in manifest if m.aug_id == CLEAN_AUG_ID)
+    clean = [m for m in manifest if m.aug_id == CLEAN_AUG_ID]
+    clean_paths = {m.source_id: m.audio_path for m in clean}
     noisy = [m for m in manifest if m.aug_id != CLEAN_AUG_ID]
     by_source: dict[str, list[int]] = {}  # source id -> indices into noisy
     for i, m in enumerate(noisy):
@@ -232,17 +214,14 @@ def verify_augmented_dataset(
         if clean_path is None or not Path(clean_path).exists():
             raise MissingFile(f"{m.id}: clean source for {m.source_id}")
         by_source.setdefault(m.source_id, []).append(i)
-    cleans = [clean_paths[sid] for sid in by_source]
-    groups = [[noisy[i] for i in idx] for idx in by_source.values()]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_source = list(pool.map(_verify_source, cleans, groups))
-    else:
-        per_source = list(map(_verify_source, cleans, groups))
+    sources = [
+        (clean_paths[sid], [noisy[i] for i in idx]) for sid, idx in by_source.items()
+    ]
+    per_source = map_tasks(_verify_source, sources, jobs)
     deviations = [0.0] * len(noisy)
     for idx, devs in zip(by_source.values(), per_source):
         for i, dev in zip(idx, devs):
             deviations[i] = dev
     flagged = [m.id for m, dev in zip(noisy, deviations) if dev > tolerance_db]
     max_dev = max(deviations, default=0.0)
-    return VerifyReport(len(noisy), n_clean, max_dev, len(flagged), flagged)
+    return VerifyReport(len(noisy), len(clean), max_dev, len(flagged), flagged)

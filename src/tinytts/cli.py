@@ -35,6 +35,8 @@ from .evalkit import (
     sus_report,
 )
 from .toytrain import (
+    AUG_EMBEDDING,
+    BATCHING,
     ToyModel,
     gen_synthetic_corpus,
     infer,
@@ -46,7 +48,7 @@ from .toytrain import (
     train,
 )
 from .toytrain.study import check_seeds
-from .toytrain.train import mean_corpus_loss
+from .toytrain.train import clipped, mean_corpus_loss
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -342,23 +344,24 @@ def cmd_toy_train(args, cfg: RunConfig) -> int:
     initial_loss = mean_corpus_loss(model, corpus.examples)
     report = train(model, corpus, batch_plan_mode=args.batch_mode)
     save_model(model, out / "model.toym")
+    norms = report.grad_norms
     report_payload = {
         "initial_loss": initial_loss,
         "final_loss": report.final_loss,
         "steps": len(report.loss_curve),
         "seed": report.seed,
         "wall_clock_s": report.wall_clock_s,
+        "clipped_steps": sum(clipped(n, toy_cfg.grad_clip_norm) for n in norms),
         "loss_curve": report.loss_curve,
+        "grad_norms": norms,
     }
-    (out / "train_report.json").write_text(
-        json.dumps(report_payload, indent=2) + "\n", encoding="utf-8"
-    )
+    curation.write_json(out / "train_report.json", report_payload)
     cfg.write_snapshot(out)
     _emit(
         args,
         f"trained {len(report.loss_curve)} steps: loss "
         f"{initial_loss:.4f} -> {report.final_loss:.4f}",
-        {k: v for k, v in report_payload.items() if k != "loss_curve"},
+        {k: v for k, v in report_payload.items() if not isinstance(v, list)},
     )
     return EXIT_OK
 
@@ -489,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_toy_infer)
 
     p = sub.add_parser("study", help="run a batching or augmentation-embedding study")
-    p.add_argument("--study", choices=["batching", "augembedding"], required=True)
+    p.add_argument("--study", choices=[BATCHING, AUG_EMBEDDING], required=True)
     p.add_argument("--seeds", required=True, help="comma-separated seed list")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--jobs", type=int)
@@ -509,12 +512,9 @@ def main(argv: list[str] | None = None) -> int:
         # parsed once, so unknown keys are rejected before any work
         cfg = load_config_file(args.config) if args.config else RunConfig()
         return args.func(args, cfg)
-    except OSError as exc:
+    except (OSError, TinyTtsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except TinyTtsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

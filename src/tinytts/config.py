@@ -18,7 +18,8 @@ import math
 from pathlib import Path
 
 from .audio import MelConfig
-from .errors import ConfigFileError
+from .errors import ConfigFileError, read_utf8
+from .noisegen import SPECTRA, NoiseSpec, read_psd_table_csv
 from .toytrain import ToyConfig
 
 # key prefix -> the dataclass whose fields are the keys under it
@@ -32,6 +33,7 @@ DEFAULTS: dict[str, tuple[object, type]] = {
     "seed": (0, int),
     "master_seed": (0, int),
     "jobs": (1, int),
+    # also noisegen.default_noise_specs(); names are noisegen.SPECTRA's
     "noise_specs": ("white:25:1,usasi:15:2,sensor:20:3", str),
     **{
         f"{prefix}.{f.name}": (f.default, type(f.default))
@@ -94,11 +96,7 @@ class RunConfig:
 
 def load_config_file(path: str | Path) -> RunConfig:
     cfg = RunConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise ConfigFileError(f"{path}: not UTF-8: {exc}") from exc
+    lines = read_utf8(path, ConfigFileError).split("\n")
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -123,63 +121,44 @@ def finite_float(text: str) -> float:
 
 def parse_spectrum(name: str):
     """white/usasi/sensor, or a path to a freq_hz,power_db CSV table."""
-    from .noisegen import (
-        PSD_TABLE,
-        SENSOR_PSD_POINTS,
-        USASI,
-        WHITE,
-        SpectrumSpec,
-        read_psd_table_csv,
-    )
-
-    if name == "white":
-        return SpectrumSpec(WHITE)
-    if name == "usasi":
-        return SpectrumSpec(USASI)
-    if name == "sensor":
-        return SpectrumSpec(PSD_TABLE, SENSOR_PSD_POINTS)
+    if name in SPECTRA:
+        return SPECTRA[name]
     if name.endswith(".csv"):
         return read_psd_table_csv(name)
     raise ConfigFileError(f"unknown spectrum {name!r}")
 
 
-def parse_noise_specs(raw: str):
-    """Decode `name:snr:aug_id` triples; name is white/usasi/sensor or a CSV path."""
-    from .noisegen import NoiseSpec
-
-    if not raw.strip():
-        return []
-    specs = []
-    for item in raw.split(","):
-        fields = item.strip().rsplit(":", 2)
-        if len(fields) != 3:
-            raise ConfigFileError(
-                f"noise spec {item!r}: expected name:snr_db:aug_id"
-            )
-        name, snr_raw, aug_raw = fields
+def _parse_items(raw: str, what: str, usage: str, parse) -> list:
+    """parse(*fields) per comma-separated item, its colon fields split from the
+    right (CSV paths may hold colons); ConfigFileError on a bad item."""
+    n_colons = usage.count(":")
+    out = []
+    for item in raw.split(",") if raw.strip() else []:
+        fields = item.strip().rsplit(":", n_colons)
         try:
-            snr = finite_float(snr_raw)
-            aug_id = int(aug_raw)
+            if len(fields) != n_colons + 1:
+                raise ValueError(f"expected {usage}")
+            out.append(parse(*fields))
         except ValueError as exc:
-            raise ConfigFileError(f"noise spec {item!r}: {exc}") from exc
-        spectrum = parse_spectrum(name)
-        if name.endswith(".csv"):
-            name = Path(name).stem
-        specs.append(NoiseSpec(name, spectrum, snr, aug_id))
-    return specs
+            raise ConfigFileError(f"{what} {item!r}: {exc}") from exc
+    return out
+
+
+def _noise_spec(name: str, snr_raw: str, aug_raw: str):
+    snr, aug_id = finite_float(snr_raw), int(aug_raw)
+    stem = Path(name).stem if name.endswith(".csv") else name
+    return NoiseSpec(stem, parse_spectrum(name), snr, aug_id)
+
+
+def parse_noise_specs(raw: str) -> list[NoiseSpec]:
+    """Decode `name:snr:aug_id` triples; name is white/usasi/sensor or a CSV path."""
+    return _parse_items(raw, "noise spec", "name:snr_db:aug_id", _noise_spec)
 
 
 def parse_aug_profiles(raw: str) -> list[tuple[float, float]]:
     """Decode `shift:std` pairs for the synthetic corpus generator."""
-    if not raw.strip():
-        return []
-    profiles = []
-    for item in raw.split(","):
-        fields = item.strip().split(":")
-        if len(fields) != 2:
-            raise ConfigFileError(f"aug profile {item!r}: expected shift:std")
-        try:
-            profiles.append((finite_float(fields[0]), finite_float(fields[1])))
-        except ValueError as exc:
-            raise ConfigFileError(f"aug profile {item!r}: {exc}") from exc
-    return profiles
+
+    def profile(shift: str, std: str) -> tuple[float, float]:
+        return finite_float(shift), finite_float(std)
+
+    return _parse_items(raw, "aug profile", "shift:std", profile)

@@ -120,9 +120,10 @@ def _sorted_by_duration(entries: list[CorpusEntry]) -> list[CorpusEntry]:
     return sorted(entries, key=lambda e: (e.duration_s, e.id))
 
 
-def select_informed_subset(entries: list[CorpusEntry], budget_s: float) -> Subset:
-    """Shortest-first prefix within the duration budget."""
-    ordered = _sorted_by_duration(entries)
+def _budget_prefix(
+    ordered: list[CorpusEntry], budget_s: float, mode: str, seed: int | None = None
+) -> Subset:
+    """The longest prefix of `ordered` whose total duration fits the budget."""
     picked: list[CorpusEntry] = []
     total = 0.0
     for entry in ordered:
@@ -131,8 +132,13 @@ def select_informed_subset(entries: list[CorpusEntry], budget_s: float) -> Subse
         picked.append(entry)
         total += entry.duration_s
     if not picked:
-        raise EmptySelection(f"budget {budget_s} s below the shortest sample")
-    return Subset(picked, total, INFORMED, budget_s)
+        raise EmptySelection(f"budget {budget_s} s below the first {mode} sample")
+    return Subset(picked, total, mode, budget_s, seed)
+
+
+def select_informed_subset(entries: list[CorpusEntry], budget_s: float) -> Subset:
+    """Shortest-first prefix within the duration budget."""
+    return _budget_prefix(_sorted_by_duration(entries), budget_s, INFORMED)
 
 
 def select_random_subset(
@@ -141,17 +147,7 @@ def select_random_subset(
     """Uniform shuffle by seed, then the prefix that stays within budget."""
     gen = np.random.Generator(np.random.Philox(key=seed))
     order = gen.permutation(len(entries))
-    picked: list[CorpusEntry] = []
-    total = 0.0
-    for idx in order:
-        entry = entries[int(idx)]
-        if total + entry.duration_s > budget_s:
-            break
-        picked.append(entry)
-        total += entry.duration_s
-    if not picked:
-        raise EmptySelection(f"budget {budget_s} s below the first drawn sample")
-    return Subset(picked, total, RANDOM, budget_s, seed)
+    return _budget_prefix([entries[int(i)] for i in order], budget_s, RANDOM, seed)
 
 
 def plan_batches(subset: Subset, batch_size: int, mode: str, seed: int) -> BatchPlan:
@@ -234,24 +230,11 @@ def symbol_histogram(
 
 def write_subset_manifest(subset: Subset, manifest_path: str | Path) -> None:
     path = Path(manifest_path)
-    base = path.resolve().parent
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in subset.entries:
-            audio = Path(e.audio_path).resolve()
-            fh.write(
-                json.dumps(
-                    {
-                        "id": e.id,
-                        "audio": audio.relative_to(base).as_posix()
-                        if audio.is_relative_to(base)
-                        else str(audio),
-                        "text": e.text,
-                        "duration_s": e.duration_s,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    rows = [
+        {"id": e.id, "audio": e.audio_path, "text": e.text, "duration_s": e.duration_s}
+        for e in subset.entries
+    ]
+    write_json_rows(path, rows, "audio")
     summary = {
         "mode": subset.selection_mode,
         "budget_s": subset.budget_s,
@@ -259,18 +242,40 @@ def write_subset_manifest(subset: Subset, manifest_path: str | Path) -> None:
         "total_s": subset.total_duration_s,
         "n": len(subset.entries),
     }
-    path.with_suffix(path.suffix + ".summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(path.with_suffix(path.suffix + ".summary.json"), summary)
 
 
-def read_json_rows(path: str | Path, build) -> list:
+def write_json(path: str | Path, obj) -> None:
+    """A JSON sidecar or report: indented, with a final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+
+
+def write_json_rows(path: str | Path, rows, audio_key: str | None = None) -> None:
+    """One JSON object per line. Each row's `audio_key` path, if any, is stored
+    relative to the file's directory when it lies under it, else absolute, so
+    a tree rebuilt elsewhere has the same bytes; read_json_rows reverses this."""
+    base = Path(path).resolve().parent
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            if audio_key is not None:
+                audio = Path(row[audio_key]).resolve()
+                row[audio_key] = (
+                    audio.relative_to(base).as_posix()
+                    if audio.is_relative_to(base)
+                    else str(audio)
+                )
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
+def read_json_rows(path: str | Path, build, audio_key: str) -> list:
     """build(row) for each JSON object of a JSON-lines file, blank lines skipped.
 
+    A relative `audio_key` path is made absolute against the file's directory.
     Bad UTF-8 or JSON, a row that is not an object, and a KeyError, TypeError
     or ValueError from build (a missing or mistyped field) raise MalformedRow
     naming path:line.
     """
+    base = Path(path).resolve().parent
     out = []
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -280,6 +285,7 @@ def read_json_rows(path: str | Path, build) -> list:
                 row = json.loads(raw.decode("utf-8"))
                 if not isinstance(row, dict):
                     raise ValueError("expected a JSON object")
+                row[audio_key] = str(base / row[audio_key])
                 out.append(build(row))
             except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedRow(f"{path}:{line_no}: {exc!r}") from exc
@@ -288,15 +294,12 @@ def read_json_rows(path: str | Path, build) -> list:
 
 def read_subset_manifest(manifest_path: str | Path) -> Subset:
     path = Path(manifest_path)
-    base = path.resolve().parent
 
     def entry(row: dict) -> CorpusEntry:
         audio = Path(row["audio"])
-        if not audio.is_absolute():
-            audio = base / audio
         return CorpusEntry(row["id"], audio, row["text"], row["duration_s"])
 
-    entries = read_json_rows(path, entry)
+    entries = read_json_rows(path, entry, "audio")
     summary_path = path.with_suffix(path.suffix + ".summary.json")
     if summary_path.exists():
         try:

@@ -79,7 +79,7 @@ class MeasurementError(TinyTtsError):
 # --- augment ---
 
 class ConfigError(TinyTtsError):
-    """Noise spec configuration invalid (duplicate or reserved aug ids)."""
+    """Noise spec configuration invalid (duplicate aug ids)."""
 
 
 class BuildError(TinyTtsError):
@@ -138,3 +138,12 @@ class MalformedCheckpoint(TinyTtsError):
 
 class ConfigFileError(TinyTtsError):
     """Run-config file has unknown keys or unparseable values."""
+
+
+def read_utf8(path, error: type[TinyTtsError]) -> str:
+    """A text file's contents; bytes that are not UTF-8 raise `error`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc

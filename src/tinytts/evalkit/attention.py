@@ -18,6 +18,7 @@ from ..errors import (
     MalformedAttnFile,
     NotRowStochastic,
     NoValidFrames,
+    read_utf8,
 )
 
 ROW_SUM_TOL = 1e-4
@@ -42,8 +43,9 @@ class AttentionMatrix:
 
 
 def _check_rows(weights: np.ndarray) -> None:
-    if np.any(weights < -1e-12) or np.any(weights > 1.0 + 1e-12):
-        bad = int(np.argwhere((weights < -1e-12) | (weights > 1 + 1e-12))[0][0])
+    outside = (weights < -1e-12) | (weights > 1.0 + 1e-12)
+    if outside.any():
+        bad = int(np.argwhere(outside)[0][0])
         raise NotRowStochastic(f"row {bad}: weight outside [0, 1]")
     sums = weights.sum(axis=1)
     off = np.abs(sums - 1.0) > ROW_SUM_TOL
@@ -105,10 +107,7 @@ def write_attention(a: AttentionMatrix, path: str | Path) -> None:
 
 
 def read_attention(path: str | Path) -> AttentionMatrix:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedAttnFile(f"{path}: not UTF-8 text: {exc}") from exc
+    text = read_utf8(path, MalformedAttnFile)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise MalformedAttnFile("empty file")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import ActiveLevelResult, AudioClip, active_speech_level_p56
-from .errors import BadSpectrum, TooShort
+from .errors import BadSpectrum, TooShort, read_utf8
 
 USASI_HIGHPASS_HZ = 100.0
 USASI_LOWPASS_HZ = 320.0
@@ -71,6 +71,19 @@ class SpectrumSpec:
         elif self.psd_points is not None:
             raise BadSpectrum("psd_points only valid for kind=psd_table")
 
+    def check_rate(self, sample_rate_hz: int) -> None:
+        """A PSD table may not run above the Nyquist frequency of the audio."""
+        if self.kind == PSD_TABLE and self.psd_points[-1][0] > sample_rate_hz / 2.0:
+            raise BadSpectrum("PSD table frequency above Nyquist")
+
+
+# the named spectra of noise specs (config.parse_spectrum)
+SPECTRA = {
+    "white": SpectrumSpec(WHITE),
+    "usasi": SpectrumSpec(USASI),
+    "sensor": SpectrumSpec(PSD_TABLE, SENSOR_PSD_POINTS),
+}
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -87,12 +100,10 @@ class NoiseSpec:
 
 
 def default_noise_specs() -> list[NoiseSpec]:
-    """White/25 dB, USASI/15 dB, sensor-table/20 dB."""
-    return [
-        NoiseSpec("white", SpectrumSpec(WHITE), 25.0, 1),
-        NoiseSpec("usasi", SpectrumSpec(USASI), 15.0, 2),
-        NoiseSpec("sensor", SpectrumSpec(PSD_TABLE, SENSOR_PSD_POINTS), 20.0, 3),
-    ]
+    """The specs of the `noise_specs` config default (white, USASI, sensor)."""
+    from .config import DEFAULTS, parse_noise_specs
+
+    return parse_noise_specs(DEFAULTS["noise_specs"][0])
 
 
 def white_gaussian(n: int, seed: int) -> np.ndarray:
@@ -135,9 +146,7 @@ def shaped_noise(
     if spectrum.kind == USASI:
         mag = usasi_magnitude(freqs)
     else:
-        nyquist = sample_rate_hz / 2.0
-        if any(f > nyquist for f, _ in spectrum.psd_points):
-            raise BadSpectrum("PSD table frequency above Nyquist")
+        spectrum.check_rate(sample_rate_hz)
         mag = _table_magnitude(spectrum.psd_points, freqs)
     shaped = np.fft.irfft(np.fft.rfft(white) * mag, n=n)
     return shaped / np.sqrt(np.mean(shaped**2))
@@ -186,11 +195,7 @@ def mix_at_snr(
 
 def read_psd_table_csv(path) -> SpectrumSpec:
     """Load `freq_hz,power_db` CSV rows into a PSD-table spectrum."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise BadSpectrum(f"{path}: not UTF-8 text: {exc}") from exc
+    lines = read_utf8(path, BadSpectrum).splitlines()
     header = lines[0].strip() if lines else ""
     if header.replace(" ", "") != "freq_hz,power_db":
         raise BadSpectrum(f"bad PSD CSV header: {header!r}")

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..curation import write_json_rows
 from ..errors import BadRange, MalformedCorpus
 
 MIN_EMIT = 2
@@ -90,26 +91,22 @@ def frame_count_of(example: ToyExample) -> int:
 
 def save_corpus(corpus: SyntheticCorpus, path: str | Path) -> None:
     """JSON-lines: one header object, then one object per example."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "templates": corpus.templates.tolist(),
-            "emission_counts": corpus.emission_counts.tolist(),
-            "aug_profiles": corpus.aug_profiles,
-            "seed": corpus.seed,
+    header = {
+        "templates": corpus.templates.tolist(),
+        "emission_counts": corpus.emission_counts.tolist(),
+        "aug_profiles": corpus.aug_profiles,
+        "seed": corpus.seed,
+    }
+    examples = (
+        {
+            "tokens": e.tokens,
+            "aug_id": e.aug_id,
+            "frames": e.target_frames.tolist(),
+            "gates": e.gate_targets.astype(int).tolist(),
         }
-        fh.write(json.dumps(header) + "\n")
-        for e in corpus.examples:
-            fh.write(
-                json.dumps(
-                    {
-                        "tokens": e.tokens,
-                        "aug_id": e.aug_id,
-                        "frames": e.target_frames.tolist(),
-                        "gates": e.gate_targets.astype(int).tolist(),
-                    }
-                )
-                + "\n"
-            )
+        for e in corpus.examples
+    )
+    write_json_rows(path, [header, *examples])
 
 
 def _example_from(row: dict) -> ToyExample:

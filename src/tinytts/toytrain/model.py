@@ -15,7 +15,7 @@ pass keeps.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -51,23 +51,12 @@ class ToyConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        positive = (
-            self.vocab_size,
-            self.feat_dim,
-            self.embed_dim,
-            self.enc_hidden,
-            self.dec_hidden,
-            self.attn_dim,
-            self.n_aug_ids,
-            self.max_decode_frames,
-            self.batch_size,
-        )
-        if any(v < 1 for v in positive):
-            raise BadConfig("all dimensions and counts must be >= 1")
-        if self.aug_embed_dim < 0:
-            raise BadConfig("aug_embed_dim must be >= 0")
-        if self.steps < 0:
-            raise BadConfig("steps must be >= 0")
+        # int fields are sizes and counts (>= 1) but for these; seeds key Philox
+        floors = {"aug_embed_dim": 0, "steps": 0, "seed": 0}
+        for f in fields(self):
+            value, floor = getattr(self, f.name), floors.get(f.name, 1)
+            if type(f.default) is int and value < floor:
+                raise BadConfig(f"dimensions and counts: {f.name} = {value} < {floor}")
 
     @property
     def memory_dim(self) -> int:
@@ -486,20 +475,14 @@ def infer(
 
 # --- TOYM checkpoint: magic, version, config block, parameter blocks ---
 
-_CONFIG_INTS = (
-    "vocab_size",
-    "feat_dim",
-    "embed_dim",
-    "enc_hidden",
-    "aug_embed_dim",
-    "dec_hidden",
-    "attn_dim",
-    "n_aug_ids",
-    "max_decode_frames",
-    "batch_size",
-    "steps",
+# the config block, as (field, struct format): ToyConfig's int fields, its
+# float fields, then the 64-bit seed
+_FIELDS = [f for f in fields(ToyConfig) if f.name != "seed"]
+_CONFIG_LAYOUT = (
+    [(f.name, "<I") for f in _FIELDS if type(f.default) is int]
+    + [(f.name, "<d") for f in _FIELDS if type(f.default) is float]
+    + [("seed", "<Q")]
 )
-_CONFIG_FLOATS = ("gate_loss_weight", "learning_rate", "grad_clip_norm")
 
 
 def save_model(model: ToyModel, path: str | Path) -> None:
@@ -507,11 +490,8 @@ def save_model(model: ToyModel, path: str | Path) -> None:
     blob = bytearray()
     blob += TOYM_MAGIC
     blob += struct.pack("<I", TOYM_VERSION)
-    for name in _CONFIG_INTS:
-        blob += struct.pack("<I", getattr(cfg, name))
-    for name in _CONFIG_FLOATS:
-        blob += struct.pack("<d", getattr(cfg, name))
-    blob += struct.pack("<Q", cfg.seed)
+    for name, fmt in _CONFIG_LAYOUT:
+        blob += struct.pack(fmt, getattr(cfg, name))
     for name, shape in _param_shapes(cfg):
         data = model.params[name]
         if data.shape != shape:
@@ -531,14 +511,9 @@ def load_model(path: str | Path) -> ToyModel:
             raise MalformedCheckpoint(f"unsupported version {version}")
         pos = 8
         values: dict[str, object] = {}
-        for name in _CONFIG_INTS:
-            (values[name],) = struct.unpack_from("<I", raw, pos)
-            pos += 4
-        for name in _CONFIG_FLOATS:
-            (values[name],) = struct.unpack_from("<d", raw, pos)
-            pos += 8
-        (values["seed"],) = struct.unpack_from("<Q", raw, pos)
-        pos += 8
+        for name, fmt in _CONFIG_LAYOUT:
+            (values[name],) = struct.unpack_from(fmt, raw, pos)
+            pos += struct.calcsize(fmt)
         cfg = ToyConfig(**values)
         model = ToyModel(cfg)
         for name, shape in _param_shapes(cfg):

@@ -14,7 +14,6 @@ so output bytes never depend on scheduling.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,6 +22,7 @@ import numpy as np
 from ..curation import BUCKETED, RANDOM_SHUFFLE
 from ..errors import BadRange
 from ..evalkit import AttentionMatrix, sharpness_score, write_attention
+from ..parallel import map_tasks
 from .data import SyntheticCorpus, gen_synthetic_corpus
 from .model import ToyConfig, ToyModel, infer
 from .train import train
@@ -101,9 +101,17 @@ def rmse_to_templates(
     return float(np.sqrt(np.mean((frames[:t] - truth[:t]) ** 2)))
 
 
-def _split(corpus: SyntheticCorpus, n_heldout_utts: int, copies_per_utt: int):
-    """Withhold the last utterances (all their copies) from training."""
-    cut = len(corpus.examples) - n_heldout_utts * copies_per_utt
+def _corpus(params: StudyParams, seed: int, salt: int):
+    """(corpus, training part, held-out clean examples of the last utterances)."""
+    corpus = gen_synthetic_corpus(
+        params.config.vocab_size,
+        params.config.feat_dim,
+        params.n_utts,
+        params.len_range,
+        list(params.aug_profiles),
+        seed=seed * 1000 + salt,
+    )
+    cut = len(corpus.examples) - params.n_heldout_utts * params.copies_per_utt
     train_part = SyntheticCorpus(
         corpus.examples[:cut],
         corpus.templates,
@@ -112,24 +120,12 @@ def _split(corpus: SyntheticCorpus, n_heldout_utts: int, copies_per_utt: int):
         corpus.seed,
     )
     heldout_clean = [e for e in corpus.examples[cut:] if e.aug_id == 0]
-    return train_part, heldout_clean
-
-
-def _make_corpus(params: StudyParams, seed: int, salt: int) -> SyntheticCorpus:
-    return gen_synthetic_corpus(
-        params.config.vocab_size,
-        params.config.feat_dim,
-        params.n_utts,
-        params.len_range,
-        list(params.aug_profiles),
-        seed=seed * 1000 + salt,
-    )
+    return corpus, train_part, heldout_clean
 
 
 def _run_batching_arm(args):
     seed, mode, params = args
-    corpus = _make_corpus(params, seed, salt=17)
-    train_part, heldout = _split(corpus, params.n_heldout_utts, params.copies_per_utt)
+    _, train_part, heldout = _corpus(params, seed, salt=17)
     model = ToyModel(replace(params.config, seed=seed))
     train(model, train_part, batch_plan_mode=mode)
     attn_mats = [infer(model, e.tokens, 0)[2] for e in heldout]
@@ -142,8 +138,7 @@ def _run_batching_arm(args):
 
 def _run_augemb_arm(args):
     seed, arm, params = args
-    corpus = _make_corpus(params, seed, salt=29)
-    train_part, heldout = _split(corpus, params.n_heldout_utts, params.copies_per_utt)
+    corpus, train_part, heldout = _corpus(params, seed, salt=29)
     cfg = replace(
         params.config,
         seed=seed,
@@ -189,14 +184,8 @@ def run_study(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(seed, arm, params) for arm in arms for seed in seeds]
-    outcomes = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for (seed, arm, _), result in zip(tasks, pool.map(runner, tasks)):
-                outcomes[(seed, arm)] = result
-    else:
-        for task in tasks:
-            outcomes[(task[0], task[1])] = runner(task)
+    results = map_tasks(runner, tasks, jobs)
+    outcomes = {(seed, arm): result for (seed, arm, _), result in zip(tasks, results)}
 
     rows = []
     for arm in arms:

@@ -25,6 +25,7 @@ ADAM_EPS = 1e-8
 class TrainReport:
     final_loss: float
     loss_curve: list[float]
+    grad_norms: list[float]  # global norm of each step's gradient, before clipping
     wall_clock_s: float
     seed: int
 
@@ -52,13 +53,18 @@ class Adam:
             start += p.size
 
 
+def clipped(norm: float, max_norm: float) -> bool:
+    """Whether clip_global_norm scales gradients of this global norm."""
+    return norm > max_norm > 0
+
+
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale grads in place to a global L2 norm of at most max_norm; the norm before."""
     total = 0.0
     for g in grads.values():
         total += float((g * g).sum())
     norm = float(np.sqrt(total))
-    if norm > max_norm > 0:
+    if clipped(norm, max_norm):
         factor = max_norm / norm
         for g in grads.values():
             g *= factor
@@ -90,13 +96,15 @@ def mean_corpus_loss(model: ToyModel, examples: list[ToyExample]) -> float:
     return total / n
 
 
-def _train_step(model: ToyModel, optimizer: Adam, examples: list[ToyExample]) -> float:
-    """One Adam update; its activations and grads are freed before the next step."""
+def _train_step(
+    model: ToyModel, optimizer: Adam, examples: list[ToyExample]
+) -> tuple[float, float]:
+    """One Adam update, whose activations and grads die with it: (loss, norm)."""
     result = forward(model, make_batch(examples, model.config))
     grads = backward(model, result)
-    clip_global_norm(grads, model.config.grad_clip_norm)
+    norm = clip_global_norm(grads, model.config.grad_clip_norm)
     optimizer.step(model, grads)
-    return result.loss
+    return result.loss, norm
 
 
 def train(
@@ -110,6 +118,7 @@ def train(
         raise ValueError(f"unknown batch plan mode {batch_plan_mode!r}")
     started = time.perf_counter()
     curve: list[float] = []
+    norms: list[float] = []
     optimizer = Adam(model, cfg.learning_rate)
     step = 0
     epoch = 0
@@ -122,11 +131,14 @@ def train(
             if step >= cfg.steps:
                 break
             examples = [corpus.examples[i] for i in batch_idx]
-            curve.append(_train_step(model, optimizer, examples))
+            loss, norm = _train_step(model, optimizer, examples)
+            curve.append(loss)
+            norms.append(norm)
             step += 1
     return TrainReport(
         final_loss=mean_corpus_loss(model, corpus.examples),
         loss_curve=curve,
+        grad_norms=norms,
         wall_clock_s=time.perf_counter() - started,
         seed=cfg.seed,
     )

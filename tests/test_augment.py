@@ -212,15 +212,17 @@ ABOVE_8KHZ = NoiseSpec(
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize(
-    "bad_clip, extra_specs",
+    "bad_clip, extra_specs, n_written",
     [
-        (AudioClip(np.zeros(22050), 22050), []),  # silent: P.56 fails
-        (speech_like(7, duration_s=1.2, fs=16000), [ABOVE_8KHZ]),  # table above Nyquist
+        # silent: P.56 fails when the source renders; the good sources write
+        (AudioClip(np.zeros(22050), 22050), [], 2 * 4),
+        # table above Nyquist: the rate check fails before any WAV is written
+        (speech_like(7, duration_s=1.2, fs=16000), [ABOVE_8KHZ], 0),
     ],
     ids=["silent", "16khz"],
 )
 def test_failed_source_writes_no_manifest_and_no_copies(
-    tmp_path, jobs, bad_clip, extra_specs
+    tmp_path, jobs, bad_clip, extra_specs, n_written
 ):
     subset = make_speech_subset(tmp_path, 2)
     bad = tmp_path / "clean" / "bad.wav"
@@ -233,6 +235,7 @@ def test_failed_source_writes_no_manifest_and_no_copies(
     assert not (out / "manifest.jsonl").exists()
     assert not (out / "build_summary.json").exists()
     assert list((out / "wavs").glob("bad__*")) == []
+    assert len(list((out / "wavs").glob("*.wav"))) == n_written
 
 
 def test_16khz_source_augments_with_default_specs(tmp_path):

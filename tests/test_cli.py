@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,8 +425,8 @@ def test_jobs_outside_core_count_rejected_before_any_pool(
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr("tinytts.augment.ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr("tinytts.toytrain.study.ProcessPoolExecutor", no_pool)
+    # tinytts.parallel.map_tasks, the one pool, looks the class up per call
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     for jobs in (0, (os.cpu_count() or 1) + 1):
         if source == "flag":
             argv = _jobs_argv(command, tmp_path) + ["--jobs", str(jobs)]
@@ -461,6 +465,47 @@ def test_toy_train_snapshot_records_seed_and_steps(tmp_path, capsys):
     snapshot = (run_dir / "resolved_config.txt").read_text().splitlines()
     assert "toy.seed = 5" in snapshot and "toy.steps = 3" in snapshot
     assert json.loads((run_dir / "train_report.json").read_text())["steps"] == 3
+
+
+def test_toy_train_report_has_gradient_norms_and_clip_count(tmp_path, capsys):
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text("toy.vocab_size = 4\ntoy.feat_dim = 3\ntoy.n_utts = 6\n")
+    corpus = tmp_path / "corpus.jsonl"
+    assert run_cli(capsys, "--config", str(cfg), "toy-gen", "--out", str(corpus))[0] == 0
+    run_dir = tmp_path / "run"
+    code, out = run_cli(
+        capsys, "--config", str(cfg), "--json", "toy-train", "--corpus", str(corpus),
+        "--out-dir", str(run_dir), "--steps", "12",
+    )
+    assert code == 0
+    report = json.loads((run_dir / "train_report.json").read_text())
+    norms = report["grad_norms"]
+    assert len(norms) == len(report["loss_curve"]) == 12
+    assert report["clipped_steps"] == sum(n > 1.0 for n in norms)  # the default
+    assert 0 < report["clipped_steps"] < 12
+    summary = json.loads(out)
+    assert summary["clipped_steps"] == report["clipped_steps"]
+    assert "grad_norms" not in summary and "loss_curve" not in summary
+
+
+IMPORTS = """
+import sys
+import tinytts.cli
+print(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules))
+"""
+
+
+def test_cli_import_loads_no_process_pool_machinery():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORTS],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -293,7 +293,13 @@ def test_checkpoint_with_invalid_config_block_rejected(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("enc_hidden", 0), ("batch_size", 0), ("steps", -3), ("aug_embed_dim", -1)],
+    [
+        ("enc_hidden", 0),
+        ("batch_size", 0),
+        ("steps", -3),
+        ("aug_embed_dim", -1),
+        ("seed", -1),
+    ],
 )
 def test_invalid_config_raises_bad_config(field, value):
     with pytest.raises(BadConfig):

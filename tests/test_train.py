@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,8 @@ from tinytts.toytrain.train import (
     ADAM_BETA2,
     ADAM_EPS,
     Adam,
+    clip_global_norm,
+    clipped,
     mean_corpus_loss,
 )
 
@@ -158,3 +161,21 @@ def test_bucketed_and_shuffled_modes_differ():
     a = train(ToyModel(cfg), corpus, BUCKETED)
     b = train(ToyModel(cfg), corpus, RANDOM_SHUFFLE)
     assert a.loss_curve != b.loss_curve
+
+
+def test_report_keeps_each_step_gradient_norm(monkeypatch):
+    seen = []
+
+    def recording(grads, max_norm):
+        seen.append(clip_global_norm(grads, max_norm))
+        return seen[-1]
+
+    # the module: the package's `train` attribute is the function
+    train_module = importlib.import_module("tinytts.toytrain.train")
+    monkeypatch.setattr(train_module, "clip_global_norm", recording)
+    cfg = replace(TINY, steps=9, batch_size=4, grad_clip_norm=0.05)
+    corpus = gen_synthetic_corpus(4, 3, 12, (2, 6), [], seed=8)
+    report = train(ToyModel(cfg), corpus, BUCKETED)
+    assert report.grad_norms == seen and len(seen) == 9
+    assert all(clipped(n, cfg.grad_clip_norm) for n in seen)
+    assert not clipped(max(seen), 0.0) and not clipped(0.04, 0.05)
