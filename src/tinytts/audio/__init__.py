@@ -3,7 +3,6 @@
 from .clip import AudioClip
 from .mel import (
     MelConfig,
-    MelSpectrogram,
     frame_count,
     mel_band_centers,
     mel_filterbank,
@@ -18,7 +17,6 @@ __all__ = [
     "AudioClip",
     "ActiveLevelResult",
     "MelConfig",
-    "MelSpectrogram",
     "active_speech_level_p56",
     "frame_count",
     "mel_band_centers",

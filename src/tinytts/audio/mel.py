@@ -17,8 +17,6 @@ import numpy as np
 from ..errors import BadConfig, ClipTooShort, MalformedMelb
 from .clip import AudioClip
 
-# LJSpeech / Tacotron-2 lineage defaults
-DEFAULT_SAMPLE_RATE = 22050
 _MEL_BREAK_HZ = 1000.0
 _MEL_BELOW_BREAK = 3.0 / 200.0  # mels per Hz in the linear region
 _MEL_LOG_STEP = np.log(6.4) / 27.0
@@ -47,14 +45,6 @@ class MelConfig:
             raise BadConfig("log_floor must be positive")
 
 
-@dataclass(frozen=True)
-class MelSpectrogram:
-    """frames: T x n_mels matrix of floored log-mel magnitudes."""
-
-    frames: np.ndarray
-    config: MelConfig
-
-
 def hz_to_mel(f):
     """Slaney mel scale: linear below 1 kHz, log above."""
     f = np.asarray(f, dtype=np.float64)
@@ -79,12 +69,17 @@ def mel_to_hz(m):
     )
 
 
-def mel_band_centers(cfg: MelConfig) -> np.ndarray:
-    """Center frequency in Hz of each triangular band."""
-    pts = mel_to_hz(
+def _band_edges(cfg: MelConfig) -> np.ndarray:
+    """n_mels + 2 frequencies in Hz, equally spaced in mels: band k spans
+    edges k to k + 2 and peaks at edge k + 1."""
+    return mel_to_hz(
         np.linspace(hz_to_mel(cfg.fmin_hz), hz_to_mel(cfg.fmax_hz), cfg.n_mels + 2)
     )
-    return pts[1:-1]
+
+
+def mel_band_centers(cfg: MelConfig) -> np.ndarray:
+    """Center frequency in Hz of each triangular band."""
+    return _band_edges(cfg)[1:-1]
 
 
 def mel_filterbank(cfg: MelConfig, sample_rate_hz: int) -> np.ndarray:
@@ -93,9 +88,7 @@ def mel_filterbank(cfg: MelConfig, sample_rate_hz: int) -> np.ndarray:
     if cfg.fmax_hz > nyquist:
         raise BadConfig(f"fmax_hz {cfg.fmax_hz} above Nyquist {nyquist}")
     fft_freqs = np.linspace(0.0, nyquist, cfg.n_fft // 2 + 1)
-    pts = mel_to_hz(
-        np.linspace(hz_to_mel(cfg.fmin_hz), hz_to_mel(cfg.fmax_hz), cfg.n_mels + 2)
-    )
+    pts = _band_edges(cfg)
     # one row per band: edges lo < center < hi
     lo, center, hi = pts[:-2, None], pts[1:-1, None], pts[2:, None]
     up = (fft_freqs - lo) / np.maximum(center - lo, 1e-12)
@@ -123,15 +116,15 @@ def _stft_magnitude(x: np.ndarray, cfg: MelConfig) -> np.ndarray:
     return np.abs(np.fft.rfft(frames * window, n=cfg.n_fft, axis=1))
 
 
-def mel_spectrogram(clip: AudioClip, cfg: MelConfig = MelConfig()) -> MelSpectrogram:
-    """Floored log-mel magnitudes, one row per frame."""
+def mel_spectrogram(clip: AudioClip, cfg: MelConfig = MelConfig()) -> np.ndarray:
+    """T x n_mels floored log-mel magnitudes, one row per frame."""
     if len(clip.samples) < cfg.win_length:
         raise ClipTooShort(
             f"{len(clip.samples)} samples < win_length {cfg.win_length}"
         )
     fb = mel_filterbank(cfg, clip.sample_rate_hz)
     mel = _stft_magnitude(clip.samples, cfg) @ fb.T
-    return MelSpectrogram(np.log(np.maximum(mel, cfg.log_floor)), cfg)
+    return np.log(np.maximum(mel, cfg.log_floor))
 
 
 # --- MELB format: 16-byte header (magic, T, n_mels, reserved), f32 LE payload ---
@@ -139,8 +132,7 @@ def mel_spectrogram(clip: AudioClip, cfg: MelConfig = MelConfig()) -> MelSpectro
 _MELB_MAGIC = b"MELB"
 
 
-def write_melb(mel: MelSpectrogram | np.ndarray, path: str | Path) -> None:
-    frames = mel.frames if isinstance(mel, MelSpectrogram) else np.asarray(mel)
+def write_melb(frames: np.ndarray, path: str | Path) -> None:
     t, n_mels = frames.shape
     header = _MELB_MAGIC + struct.pack("<III", t, n_mels, 0)
     Path(path).write_bytes(header + frames.astype("<f4").tobytes(order="C"))

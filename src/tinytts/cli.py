@@ -25,6 +25,7 @@ from .config import (
     parse_aug_profiles,
     parse_noise_specs,
     parse_spectrum,
+    seed_int,
 )
 from .errors import TinyTtsError
 from .evalkit import (
@@ -231,8 +232,8 @@ def cmd_mel(args, cfg: RunConfig) -> int:
     audio_mod.write_melb(mel, args.outfile)
     _emit(
         args,
-        f"wrote {mel.frames.shape[0]} x {mel.frames.shape[1]} mel frames",
-        {"frames": mel.frames.shape[0], "n_mels": mel.frames.shape[1]},
+        f"wrote {mel.shape[0]} x {mel.shape[1]} mel frames",
+        {"frames": mel.shape[0], "n_mels": mel.shape[1]},
     )
     return EXIT_OK
 
@@ -338,8 +339,6 @@ def cmd_toy_train(args, cfg: RunConfig) -> int:
     toy_cfg = cfg.build("toy")
     out = _prepare_out_dir(args.out_dir, args.force)
     corpus = load_corpus(args.corpus)
-    if not corpus.examples:
-        raise TinyTtsError(f"{args.corpus}: the corpus has no examples")
     model = ToyModel(toy_cfg)
     initial_loss = mean_corpus_loss(model, corpus.examples)
     report = train(model, corpus, batch_plan_mode=args.batch_mode)
@@ -412,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-root")
     p.add_argument("--mode", choices=[curation.INFORMED, curation.RANDOM])
     p.add_argument("--budget-s", type=finite_float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=seed_int)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_curate)
@@ -420,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="build the noise-augmented dataset")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--master-seed", type=int)
+    p.add_argument("--master-seed", type=seed_int)
     p.add_argument("--noise-specs")
     p.add_argument("--jobs", type=int)
     p.add_argument("--force", action="store_true")
@@ -441,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--noise", default="white", help="white|usasi|sensor|<table.csv>")
     p.add_argument("--snr-db", type=finite_float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed_int, default=0)
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("mel", help="extract a MELB mel spectrogram")
@@ -466,14 +465,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("toy-gen", help="generate a synthetic toy corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=seed_int)
     p.add_argument("--aug-profiles", help='e.g. "0:0.1,0.2:0.05,-0.15:0.08"')
     p.set_defaults(func=cmd_toy_gen)
 
     p = sub.add_parser("toy-train", help="train the toy model on a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=seed_int)
     p.add_argument("--steps", type=int)
     p.add_argument(
         "--batch-mode",

@@ -21,29 +21,43 @@ from .audio import MelConfig
 from .errors import ConfigFileError, read_utf8
 from .noisegen import SPECTRA, NoiseSpec, read_psd_table_csv
 from .toytrain import ToyConfig
+from .toytrain.study import DEFAULT_AUG_PROFILES
 
 # key prefix -> the dataclass whose fields are the keys under it
 SECTIONS = {"mel": MelConfig, "toy": ToyConfig}
+
+
+def seed_int(text: str) -> int:
+    """int(text) for a seed, which keys Philox or a hash: negatives raise ValueError."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"seed {value} is negative")
+    return value
+
 
 # every known key with its default and parser
 DEFAULTS: dict[str, tuple[object, type]] = {
     "corpus_root": ("", str),
     "budget_s": (7200.0, float),
     "selection_mode": ("informed", str),
-    "seed": (0, int),
-    "master_seed": (0, int),
+    "seed": (0, seed_int),
+    "master_seed": (0, seed_int),
     "jobs": (1, int),
     # also noisegen.default_noise_specs(); names are noisegen.SPECTRA's
     "noise_specs": ("white:25:1,usasi:15:2,sensor:20:3", str),
     **{
-        f"{prefix}.{f.name}": (f.default, type(f.default))
+        f"{prefix}.{f.name}": (
+            f.default, seed_int if f.name == "seed" else type(f.default)
+        )
         for prefix, cls in SECTIONS.items()
         for f in dataclasses.fields(cls)
     },
     "toy.n_utts": (200, int),
     "toy.len_min": (3, int),
     "toy.len_max": (8, int),
-    "toy.aug_profiles": ("0:0.1,0.2:0.05,-0.15:0.08", str),
+    "toy.aug_profiles": (
+        ",".join(f"{shift:g}:{std:g}" for shift, std in DEFAULT_AUG_PROFILES), str
+    ),
 }
 
 # execution details excluded from resolved-config snapshots

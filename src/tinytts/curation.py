@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,14 +52,6 @@ class Subset:
 
 
 @dataclass
-class BatchPlan:
-    batches: list[list[str]]
-    batch_size: int
-    mode: str
-    seed: int
-
-
-@dataclass
 class PaddingReport:
     per_batch: list[tuple[float, float]]  # (duration range, padding ratio)
     mean_padding_ratio: float
@@ -95,17 +87,12 @@ def load_ljspeech_manifest(root_dir: str | Path) -> list[CorpusEntry]:
     return entries
 
 
-def measure_durations(
-    entries: list[CorpusEntry], audio_root: str | Path | None = None
-) -> list[CorpusEntry]:
+def measure_durations(entries: list[CorpusEntry]) -> list[CorpusEntry]:
     """Fill duration_s from WAV headers; failures are collected, not skipped."""
     failures = []
     for entry in entries:
-        path = entry.audio_path
-        if audio_root is not None and not Path(path).is_absolute():
-            path = Path(audio_root) / path
         try:
-            n, rate = read_wav_info(path)
+            n, rate = read_wav_info(entry.audio_path)
             entry.duration_s = n / rate
         except (TinyTtsError, OSError) as exc:
             failures.append(f"{entry.id}: {exc}")
@@ -150,8 +137,10 @@ def select_random_subset(
     return _budget_prefix([entries[int(i)] for i in order], budget_s, RANDOM, seed)
 
 
-def plan_batches(subset: Subset, batch_size: int, mode: str, seed: int) -> BatchPlan:
-    """Chunk the subset into batches, bucketed by duration or fully shuffled."""
+def plan_batches(
+    subset: Subset, batch_size: int, mode: str, seed: int
+) -> list[list[str]]:
+    """Chunk the subset's ids into batches, bucketed by duration or fully shuffled."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     gen = np.random.Generator(np.random.Philox(key=seed))
@@ -172,14 +161,16 @@ def plan_batches(subset: Subset, batch_size: int, mode: str, seed: int) -> Batch
         ]
     else:
         raise ValueError(f"unknown batch mode {mode!r}")
-    return BatchPlan(batches, batch_size, mode, seed)
+    return batches
 
 
-def padding_stats(plan: BatchPlan, entries: list[CorpusEntry]) -> PaddingReport:
+def padding_stats(
+    batches: list[list[str]], entries: list[CorpusEntry]
+) -> PaddingReport:
     """Per-batch zero-padding ratio once every item is padded to the batch max."""
     durations = {e.id: e.duration_s for e in entries}
     per_batch = []
-    for batch in plan.batches:
+    for batch in batches:
         try:
             d = [durations[i] for i in batch]
         except KeyError as exc:
@@ -191,25 +182,14 @@ def padding_stats(plan: BatchPlan, entries: list[CorpusEntry]) -> PaddingReport:
 
 
 def symbol_histogram(
-    subset: Subset,
-    full_entries: list[CorpusEntry] | None = None,
-    lexicon: dict[str, list[str]] | None = None,
+    subset: Subset, full_entries: list[CorpusEntry] | None = None
 ) -> dict:
-    """Case-folded symbol counts plus coverage of the full-corpus inventory.
-
-    Character-level by default; with a lexicon, phoneme-level (words missing
-    from the lexicon are tallied under '<oov>').
-    """
+    """Case-folded character counts plus coverage of the full-corpus inventory."""
     if not subset.entries:
         raise EmptySubset("no entries to count")
 
     def symbols_of(text: str):
-        if lexicon is None:
-            return [ch for ch in text.casefold() if not ch.isspace()]
-        out = []
-        for word in text.casefold().split():
-            out.extend(lexicon.get(word, ["<oov>"]))
-        return out
+        return [ch for ch in text.casefold() if not ch.isspace()]
 
     counts: dict[str, int] = {}
     for entry in subset.entries:

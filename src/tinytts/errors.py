@@ -96,10 +96,6 @@ class NotRowStochastic(TinyTtsError):
     """Attention matrix row does not sum to one (or has weights outside [0, 1])."""
 
 
-class NoValidFrames(TinyTtsError):
-    """Frame mask excludes every decoder frame."""
-
-
 class EmptyLabel(TinyTtsError):
     """Report label with no attention matrices."""
 

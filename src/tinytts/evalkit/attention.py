@@ -1,6 +1,6 @@
 """Attention-alignment sharpness diagnostics and the ATTN1 file format.
 
-The sharpness score is the mean over (valid) decoder frames of each frame's
+The sharpness score is the mean over decoder frames of each frame's
 maximum attention weight: 1.0 means a perfectly peaked alignment, 1/N means
 uniform attention over the N encoder tokens.
 """
@@ -13,33 +13,22 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import (
-    EmptyLabel,
-    MalformedAttnFile,
-    NotRowStochastic,
-    NoValidFrames,
-    read_utf8,
-)
+from ..errors import EmptyLabel, MalformedAttnFile, NotRowStochastic, read_utf8
 
 ROW_SUM_TOL = 1e-4
 
 
 @dataclass
 class AttentionMatrix:
-    """T x N row-stochastic weights; frame_mask marks the valid decoder frames."""
+    """T x N row-stochastic weights, one row per decoder frame."""
 
     weights: np.ndarray
-    frame_mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.ndim != 2 or self.weights.size == 0:
             raise MalformedAttnFile("weights must be a non-empty T x N matrix")
         _check_rows(self.weights)
-        if self.frame_mask is not None:
-            self.frame_mask = np.asarray(self.frame_mask, dtype=bool)
-            if self.frame_mask.shape != (self.weights.shape[0],):
-                raise MalformedAttnFile("frame_mask length must equal T")
 
 
 def _check_rows(weights: np.ndarray) -> None:
@@ -55,14 +44,8 @@ def _check_rows(weights: np.ndarray) -> None:
 
 
 def sharpness_score(a: AttentionMatrix) -> float:
-    """Mean of the per-frame maximum attention weights over valid frames."""
-    if a.frame_mask is not None:
-        rows = a.weights[a.frame_mask]
-        if rows.shape[0] == 0:
-            raise NoValidFrames("frame_mask excludes every frame")
-    else:
-        rows = a.weights
-    return float(rows.max(axis=1).mean())
+    """Mean of the per-frame maximum attention weights."""
+    return float(a.weights.max(axis=1).mean())
 
 
 def sharpness_stats(scores: list[float]) -> dict[str, float]:

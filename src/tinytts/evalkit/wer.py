@@ -1,9 +1,10 @@
 """Word error rate with a full substitution/deletion/insertion breakdown.
 
 Alignment is minimal-edit dynamic programming with unit costs; on ties a
-substitution is preferred over an insertion+deletion pair. Corpus-level WER
-pools error and reference-word counts over all pairs (not a mean of
-per-sentence rates), so values above 100% are possible and meaningful.
+substitution is preferred over an insertion+deletion pair, and a deletion
+over an insertion. Corpus-level WER pools error and reference-word counts
+over all pairs (not a mean of per-sentence rates), so values above 100% are
+possible and meaningful.
 """
 
 from __future__ import annotations
@@ -54,37 +55,21 @@ def wer(ref: list[str], hyp: list[str]) -> WERBreakdown:
     """Minimal-edit S/D/I counts between reference and hypothesis words."""
     if not ref:
         raise EmptyReference("reference has no words")
-    n, m = len(ref), len(hyp)
-    # cost[i][j] = edits aligning ref[:i] with hyp[:j]
-    cost = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        cost[i][0] = i
-    for j in range(1, m + 1):
-        cost[0][j] = j
-    for i in range(1, n + 1):
-        ri = ref[i - 1]
-        for j in range(1, m + 1):
-            sub = cost[i - 1][j - 1] + (ri != hyp[j - 1])
-            dele = cost[i - 1][j] + 1
-            ins = cost[i][j - 1] + 1
-            cost[i][j] = min(sub, dele, ins)
-    # backtrace, preferring the diagonal on ties (substitution over D+I)
-    s = d = ins_count = 0
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and cost[i][j] == cost[i - 1][j - 1] + (
-            ref[i - 1] != hyp[j - 1]
-        ):
-            s += ref[i - 1] != hyp[j - 1]
-            i -= 1
-            j -= 1
-        elif i > 0 and cost[i][j] == cost[i - 1][j] + 1:
-            d += 1
-            i -= 1
-        else:
-            ins_count += 1
-            j -= 1
-    return WERBreakdown(s, d, ins_count, n)
+    # row[j] = (edits, S, D, I) of the alignment of ref[:i] with hyp[:j]
+    row = [(j, 0, 0, j) for j in range(len(hyp) + 1)]
+    for i, r in enumerate(ref, start=1):
+        prev, row = row, [(i, 0, i, 0)]
+        for j, h in enumerate(hyp, start=1):
+            e, s, d, n = prev[j - 1]
+            diag = (e + (r != h), s + (r != h), d, n)
+            e, s, d, n = prev[j]
+            dele = (e + 1, s, d + 1, n)
+            e, s, d, n = row[j - 1]
+            ins = (e + 1, s, d, n + 1)
+            # min keeps the first of equal costs: diagonal, then deletion
+            row.append(min(diag, dele, ins, key=lambda c: c[0]))
+    _, s, d, n = row[-1]
+    return WERBreakdown(s, d, n, len(ref))
 
 
 @dataclass(frozen=True)

@@ -138,4 +138,6 @@ def load_corpus(path: str | Path) -> SyntheticCorpus:
                     corpus.examples.append(_example_from(json.loads(line)))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedCorpus(f"{path}:{line_no}: {exc!r}") from exc
+    if not corpus.examples:
+        raise MalformedCorpus(f"{path}: no examples")
     return corpus

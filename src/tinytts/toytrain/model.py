@@ -30,6 +30,7 @@ from ..errors import (
 
 TOYM_MAGIC = b"TOYM"
 TOYM_VERSION = 1
+GATE_THRESHOLD = 0.5  # infer stops once the gate probability exceeds this
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,16 @@ class ForwardResult:
     scores: np.ndarray  # (B, T, N, d_att) tanh of the attention pre-activation
 
 
+def _check_input(tokens: list[int], aug_id: int, cfg: ToyConfig, where: str = ""):
+    """Tokens non-empty and in [1, vocab_size], aug id in [0, n_aug_ids)."""
+    if not tokens:
+        raise ShapeMismatch(f"{where}need at least one token")
+    if any(tok < 1 or tok > cfg.vocab_size for tok in tokens):
+        raise ShapeMismatch(f"{where}token outside [1, vocab_size]")
+    if not 0 <= aug_id < cfg.n_aug_ids:
+        raise AugIdOutOfRange(f"{where}aug_id {aug_id} not in [0, {cfg.n_aug_ids})")
+
+
 def make_batch(examples, cfg: ToyConfig) -> Batch:
     """Pad a list of ToyExample to rectangular arrays with masks."""
     b = len(examples)
@@ -166,12 +177,7 @@ def make_batch(examples, cfg: ToyConfig) -> Batch:
             raise ShapeMismatch(
                 f"example {i}: feat dim {e.target_frames.shape[1]} != {cfg.feat_dim}"
             )
-        if any(tok < 1 or tok > cfg.vocab_size for tok in e.tokens):
-            raise ShapeMismatch(f"example {i}: token outside [1, vocab_size]")
-        if not 0 <= e.aug_id < cfg.n_aug_ids:
-            raise AugIdOutOfRange(
-                f"example {i}: aug_id {e.aug_id} not in [0, {cfg.n_aug_ids})"
-            )
+        _check_input(e.tokens, e.aug_id, cfg, f"example {i}: ")
         tokens[i, :n] = e.tokens
         token_mask[i, :n] = True
         aug_ids[i] = e.aug_id
@@ -433,20 +439,13 @@ def backward(model: ToyModel, result: ForwardResult) -> dict[str, np.ndarray]:
     return {name: g[name] for name in p}
 
 
-def infer(
-    model: ToyModel, tokens: list[int], aug_id: int, gate_threshold: float = 0.5
-):
-    """Autoregressive decoding; stops at gate > threshold or max_decode_frames.
+def infer(model: ToyModel, tokens: list[int], aug_id: int):
+    """Autoregressive decoding; stops at gate > GATE_THRESHOLD or max_decode_frames.
 
     Returns (frames (T, M), gate_probs (T,), attention (T, N)).
     """
     cfg = model.config
-    if not 0 <= aug_id < cfg.n_aug_ids:
-        raise AugIdOutOfRange(f"aug_id {aug_id} not in [0, {cfg.n_aug_ids})")
-    if not tokens:
-        raise ShapeMismatch("need at least one token")
-    if any(tok < 1 or tok > cfg.vocab_size for tok in tokens):
-        raise ShapeMismatch("token outside [1, vocab_size]")
+    _check_input(tokens, aug_id, cfg)
     p = model.params
     _, _, memory = _encode(
         model, np.asarray(tokens, dtype=np.int64)[None, :], np.asarray([aug_id])
@@ -468,7 +467,7 @@ def infer(
         gate_prob = 1.0 / (1.0 + np.exp(-float(step.gate[0])))
         frames.append(step.frame[0])
         gate_probs.append(gate_prob)
-        if gate_prob > gate_threshold:
+        if gate_prob > GATE_THRESHOLD:
             break
     return np.array(frames), np.array(gate_probs), attention[: len(frames)].copy()
 

@@ -112,13 +112,7 @@ def _corpus(params: StudyParams, seed: int, salt: int):
         seed=seed * 1000 + salt,
     )
     cut = len(corpus.examples) - params.n_heldout_utts * params.copies_per_utt
-    train_part = SyntheticCorpus(
-        corpus.examples[:cut],
-        corpus.templates,
-        corpus.emission_counts,
-        corpus.aug_profiles,
-        corpus.seed,
-    )
+    train_part = replace(corpus, examples=corpus.examples[:cut])
     heldout_clean = [e for e in corpus.examples[cut:] if e.aug_id == 0]
     return corpus, train_part, heldout_clean
 

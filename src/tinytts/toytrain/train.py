@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..curation import BUCKETED, RANDOM_SHUFFLE, CorpusEntry, Subset, plan_batches
+from ..curation import BUCKETED, CorpusEntry, Subset, plan_batches
 from .data import SyntheticCorpus, ToyExample, frame_count_of
 from .model import ToyModel, backward, forward, make_batch
 
@@ -80,8 +80,7 @@ def _plan_epoch(
         for i, e in enumerate(examples)
     ]
     subset = Subset(entries, 0.0, "toy", 0.0)
-    plan = plan_batches(subset, batch_size, mode, seed)
-    return [[int(i) for i in batch] for batch in plan.batches]
+    return [[int(i) for i in b] for b in plan_batches(subset, batch_size, mode, seed)]
 
 
 def mean_corpus_loss(model: ToyModel, examples: list[ToyExample]) -> float:
@@ -114,8 +113,6 @@ def train(
     cfg = model.config
     if not corpus.examples:
         raise ValueError("corpus is empty")
-    if batch_plan_mode not in (BUCKETED, RANDOM_SHUFFLE):
-        raise ValueError(f"unknown batch plan mode {batch_plan_mode!r}")
     started = time.perf_counter()
     curve: list[float] = []
     norms: list[float] = []

@@ -5,7 +5,6 @@ from tinytts.errors import (
     EmptyLabel,
     MalformedAttnFile,
     NotRowStochastic,
-    NoValidFrames,
 )
 from tinytts.evalkit import (
     AttentionMatrix,
@@ -56,14 +55,6 @@ def test_column_permutation_invariance():
         perm = rng.permutation(6)
         s1 = sharpness_score(AttentionMatrix(w[:, perm]))
         assert s1 == pytest.approx(s0, abs=1e-12)
-
-
-def test_frame_mask_restricts_scoring():
-    w = np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
-    masked = AttentionMatrix(w, frame_mask=np.array([True, False, False]))
-    assert sharpness_score(masked) == pytest.approx(1.0)
-    with pytest.raises(NoValidFrames):
-        sharpness_score(AttentionMatrix(w, frame_mask=np.zeros(3, dtype=bool)))
 
 
 def test_non_stochastic_rejected():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tinytts import curation
 from tinytts.audio import read_melb, write_wav
 from tinytts.cli import main
 from tinytts.evalkit import read_attention
@@ -403,6 +404,71 @@ def test_toy_train_empty_corpus_exits_cleanly(tmp_path, capsys):
     assert code == 1
     assert "no examples" in capsys.readouterr().err
     assert not (run_dir / "model.toym").exists()
+
+
+def _toy_corpus_with_tokens(path, token_lists):
+    """A one-symbol toy corpus file whose examples have the given tokens."""
+    header = {"templates": [[0.0], [0.5]], "emission_counts": [0, 2],
+              "aug_profiles": [], "seed": 0}
+    rows = [{"tokens": t, "aug_id": 0, "frames": [[0.5], [0.5]], "gates": [0, 1]}
+            for t in token_lists]
+    path.write_text("".join(json.dumps(r) + "\n" for r in [header, *rows]))
+
+
+@pytest.mark.parametrize("token_lists", [[[1], []], [[], []]], ids=["one", "all"])
+def test_toy_train_empty_tokens_exit_cleanly(tmp_path, capsys, token_lists):
+    corpus_path = tmp_path / "corpus.jsonl"
+    _toy_corpus_with_tokens(corpus_path, token_lists)
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text("toy.vocab_size = 2\ntoy.feat_dim = 1\ntoy.n_aug_ids = 1\n"
+                   "toy.aug_embed_dim = 0\ntoy.steps = 2\n")
+    run_dir = tmp_path / "run"
+    code = main(["--config", str(cfg), "toy-train", "--corpus", str(corpus_path),
+                 "--out-dir", str(run_dir)])
+    assert code == 1
+    assert "need at least one token" in capsys.readouterr().err
+    assert not (run_dir / "model.toym").exists()
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ("", ["curate", "--mode", "random", "--seed", "-1"]),
+        ("seed = -1\n", ["curate", "--mode", "random"]),
+        ("", ["augment", "--master-seed", "-1"]),
+        ("master_seed = -1\n", ["augment"]),
+        ("", ["toy-gen", "--seed", "-1"]),
+        ("toy.seed = -1\n", ["toy-gen"]),
+        ("", ["mix", "--snr-db", "10", "--seed", "-1"]),
+    ],
+    ids=["curate-flag", "curate-config", "augment-flag", "augment-config",
+         "toy-gen-flag", "toy-gen-config", "mix-flag"],
+)
+def test_negative_seed_exits_before_any_output(tmp_path, capsys, config, argv):
+    clip_path = tmp_path / "corpus" / "wavs" / "u0.wav"
+    write_ljspeech_fixture(tmp_path / "corpus", [("u0", "r", "t")])
+    write_wav(speech_like(0, 1.0), clip_path)
+    manifest = tmp_path / "subset.jsonl"
+    curation.write_subset_manifest(
+        curation.Subset([curation.CorpusEntry("u0", clip_path, "t", 1.0)],
+                        1.0, curation.INFORMED, 1.0),
+        manifest,
+    )
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    inputs = {
+        "curate": ["--corpus-root", str(tmp_path / "corpus"), "--budget-s", "5",
+                   "--out-dir", str(out)],
+        "augment": ["--manifest", str(manifest), "--out-dir", str(out)],
+        "toy-gen": ["--out", str(out)],
+        "mix": ["--in", str(clip_path), "--out", str(out)],
+    }[argv[0]]
+    code = main(["--config", str(cfg), *argv, *inputs])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "seed" in err
+    assert not out.exists()
 
 
 def _jobs_argv(command, tmp_path):

@@ -6,7 +6,6 @@ from tinytts.curation import (
     BUCKETED,
     INFORMED,
     RANDOM_SHUFFLE,
-    BatchPlan,
     CorpusEntry,
     Subset,
     load_ljspeech_manifest,
@@ -138,9 +137,9 @@ def test_random_subset_determinism_and_saturation():
 def test_bucketed_plan_chunks_sorted_durations():
     corpus = make_corpus([1, 2, 3, 4, 5, 6])
     subset = Subset(corpus, 21.0, INFORMED, 21.0)
-    plan = plan_batches(subset, 2, BUCKETED, seed=0)
+    batches = plan_batches(subset, 2, BUCKETED, seed=0)
     durs = {e.id: e.duration_s for e in corpus}
-    batch_sets = {frozenset(durs[i] for i in b) for b in plan.batches}
+    batch_sets = {frozenset(durs[i] for i in b) for b in batches}
     assert batch_sets == {frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6})}
 
 
@@ -149,18 +148,16 @@ def test_plan_partition_property():
     corpus = make_corpus(rng.uniform(1, 8, 23).tolist())
     subset = Subset(corpus, 0.0, INFORMED, 1e9)
     for mode in (BUCKETED, RANDOM_SHUFFLE):
-        plan = plan_batches(subset, 4, mode, seed=3)
-        flat = [i for b in plan.batches for i in b]
+        batches = plan_batches(subset, 4, mode, seed=3)
+        flat = [i for b in batches for i in b]
         assert sorted(flat) == sorted(e.id for e in corpus)
-        assert all(len(b) == 4 for b in plan.batches[:-1])
-        rerun = plan_batches(subset, 4, mode, seed=3)
-        assert rerun.batches == plan.batches
+        assert all(len(b) == 4 for b in batches[:-1])
+        assert plan_batches(subset, 4, mode, seed=3) == batches
 
 
 def test_padding_formula():
     corpus = [entry(0, 2.0), entry(1, 2.0), entry(2, 2.0), entry(3, 1.0), entry(4, 3.0)]
-    plan = BatchPlan([["utt000", "utt001", "utt002"], ["utt003", "utt004"]], 3, BUCKETED, 0)
-    report = padding_stats(plan, corpus)
+    report = padding_stats([["utt000", "utt001", "utt002"], ["utt003", "utt004"]], corpus)
     assert report.per_batch[0][1] == pytest.approx(0.0)
     assert report.per_batch[1][1] == pytest.approx(1.0 / 3.0)
     assert report.per_batch[1][0] == pytest.approx(2.0)
@@ -168,7 +165,7 @@ def test_padding_formula():
 
 def test_padding_unknown_id():
     with pytest.raises(UnknownId):
-        padding_stats(BatchPlan([["nope"]], 1, BUCKETED, 0), make_corpus([1.0]))
+        padding_stats([["nope"]], make_corpus([1.0]))
 
 
 def test_bucketed_beats_shuffle_padding_property():
@@ -206,14 +203,6 @@ def test_symbol_histogram_coverage_tracks_exclusions():
     result = symbol_histogram(subset, full_entries=full)
     assert result["coverage"] == pytest.approx(0.5)
     assert "z" not in result["symbols"]
-
-
-def test_symbol_histogram_lexicon():
-    subset = Subset([entry(0, 1, "hi there hi")], 1, INFORMED, 1)
-    lex = {"hi": ["HH", "AY"], "there": ["DH", "EH", "R"]}
-    result = symbol_histogram(subset, lexicon=lex)
-    assert result["symbols"]["HH"][0] == 2
-    assert result["symbols"]["DH"][0] == 1
 
 
 def test_manifest_round_trip(tmp_path):

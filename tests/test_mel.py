@@ -21,7 +21,7 @@ CFG = MelConfig()
 
 def test_silence_hits_log_floor():
     mel = mel_spectrogram(AudioClip(np.zeros(4096), FS), CFG)
-    assert np.all(mel.frames == np.log(CFG.log_floor))
+    assert np.all(mel == np.log(CFG.log_floor))
 
 
 @pytest.mark.parametrize("band", [15, 30, 45, 60])
@@ -31,7 +31,7 @@ def test_tone_at_band_center_wins_that_band(band):
     center = mel_band_centers(CFG)[band]
     clip = tone(center, 0.3, 0.5)
     mel = mel_spectrogram(clip, CFG)
-    interior = mel.frames[2:-2]
+    interior = mel[2:-2]
     assert np.all(np.argmax(interior, axis=1) == band)
 
 
@@ -71,7 +71,7 @@ def test_filterbank_matches_per_band_loop(cfg, rate):
 
 def test_exact_window_gives_one_frame():
     mel = mel_spectrogram(AudioClip(np.zeros(CFG.win_length), FS), CFG)
-    assert mel.frames.shape == (1, CFG.n_mels)
+    assert mel.shape == (1, CFG.n_mels)
 
 
 def test_frame_count_formula_property():
@@ -79,8 +79,8 @@ def test_frame_count_formula_property():
     for _ in range(50):
         n = int(rng.integers(CFG.win_length, 60000))
         mel = mel_spectrogram(AudioClip(rng.standard_normal(n) * 0.1, FS), CFG)
-        assert mel.frames.shape[0] == 1 + (n - CFG.win_length) // CFG.hop_length
-        assert mel.frames.shape[0] == frame_count(n, CFG)
+        assert mel.shape[0] == 1 + (n - CFG.win_length) // CFG.hop_length
+        assert mel.shape[0] == frame_count(n, CFG)
 
 
 def test_too_short_raises():
@@ -118,7 +118,7 @@ def test_filterbank_rows_positive_and_tiling():
 def test_floor_bounds_every_value():
     rng = np.random.default_rng(9)
     mel = mel_spectrogram(AudioClip(rng.standard_normal(8000) * 0.2, FS), CFG)
-    assert np.all(mel.frames >= np.log(CFG.log_floor) - 1e-12)
+    assert np.all(mel >= np.log(CFG.log_floor) - 1e-12)
 
 
 def test_melb_round_trip(tmp_path):
@@ -127,12 +127,12 @@ def test_melb_round_trip(tmp_path):
     path = tmp_path / "x.melb"
     write_melb(mel, path)
     back = read_melb(path)
-    assert back.shape == mel.frames.shape
-    assert np.allclose(back, mel.frames, atol=1e-4)
+    assert back.shape == mel.shape
+    assert np.allclose(back, mel, atol=1e-4)
     # header layout: magic, T, n_mels, reserved
     raw = path.read_bytes()
     assert raw[:4] == b"MELB"
-    assert int.from_bytes(raw[4:8], "little") == mel.frames.shape[0]
+    assert int.from_bytes(raw[4:8], "little") == mel.shape[0]
     assert int.from_bytes(raw[8:12], "little") == CFG.n_mels
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from functools import lru_cache
 
@@ -29,6 +30,21 @@ def test_identity():
     b = wer(list("abcde"), list("abcde"))
     assert (b.substitutions, b.deletions, b.insertions) == (0, 0, 0)
     assert b.wer_percent == 0.0
+
+
+def test_tie_breaking_is_pinned():
+    # the S/D/I split sus_csv writes: on equal cost the diagonal (match or
+    # substitution) wins, then deletion; hashed over every pair of sequences
+    # over "abc" up to length 4
+    seqs = [list(p) for n in range(5) for p in itertools.product("abc", repeat=n)]
+    h = hashlib.sha256()
+    for ref in seqs[1:]:
+        for hyp in seqs:
+            b = wer(ref, hyp)
+            h.update(bytes([b.substitutions, b.deletions, b.insertions]))
+    assert h.hexdigest() == (
+        "ae3c284120641eb11d1247078e91c6946b9feafd6ac51b5fec9b3b751a1f0c8d"
+    )
 
 
 def test_two_ref_five_hyp():
