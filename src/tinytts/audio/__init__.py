@@ -4,7 +4,6 @@ from .clip import AudioClip
 from .mel import (
     MelConfig,
     frame_count,
-    mel_band_centers,
     mel_filterbank,
     mel_spectrogram,
     read_melb,
@@ -12,19 +11,3 @@ from .mel import (
 )
 from .p56 import ActiveLevelResult, active_speech_level_p56
 from .wav import read_wav, read_wav_info, write_wav
-
-__all__ = [
-    "AudioClip",
-    "ActiveLevelResult",
-    "MelConfig",
-    "active_speech_level_p56",
-    "frame_count",
-    "mel_band_centers",
-    "mel_filterbank",
-    "mel_spectrogram",
-    "read_melb",
-    "read_wav",
-    "read_wav_info",
-    "write_melb",
-    "write_wav",
-]

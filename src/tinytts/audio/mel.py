@@ -69,27 +69,17 @@ def mel_to_hz(m):
     )
 
 
-def _band_edges(cfg: MelConfig) -> np.ndarray:
-    """n_mels + 2 frequencies in Hz, equally spaced in mels: band k spans
-    edges k to k + 2 and peaks at edge k + 1."""
-    return mel_to_hz(
-        np.linspace(hz_to_mel(cfg.fmin_hz), hz_to_mel(cfg.fmax_hz), cfg.n_mels + 2)
-    )
-
-
-def mel_band_centers(cfg: MelConfig) -> np.ndarray:
-    """Center frequency in Hz of each triangular band."""
-    return _band_edges(cfg)[1:-1]
-
-
 def mel_filterbank(cfg: MelConfig, sample_rate_hz: int) -> np.ndarray:
     """(n_mels x n_fft//2+1) area-normalized triangular filters."""
     nyquist = sample_rate_hz / 2.0
     if cfg.fmax_hz > nyquist:
         raise BadConfig(f"fmax_hz {cfg.fmax_hz} above Nyquist {nyquist}")
     fft_freqs = np.linspace(0.0, nyquist, cfg.n_fft // 2 + 1)
-    pts = _band_edges(cfg)
-    # one row per band: edges lo < center < hi
+    # n_mels + 2 edges equally spaced in mels; one row per band, which spans
+    # edges k to k + 2 and peaks at edge k + 1: lo < center < hi
+    pts = mel_to_hz(
+        np.linspace(hz_to_mel(cfg.fmin_hz), hz_to_mel(cfg.fmax_hz), cfg.n_mels + 2)
+    )
     lo, center, hi = pts[:-2, None], pts[1:-1, None], pts[2:, None]
     up = (fft_freqs - lo) / np.maximum(center - lo, 1e-12)
     down = (hi - fft_freqs) / np.maximum(hi - center, 1e-12)

@@ -28,10 +28,11 @@ SECTIONS = {"mel": MelConfig, "toy": ToyConfig}
 
 
 def seed_int(text: str) -> int:
-    """int(text) for a seed, which keys Philox or a hash: negatives raise ValueError."""
+    """int(text) for a seed, which keys Philox or a hash and fills TOYM's 64-bit
+    seed field: a value outside [0, 2**64) raises ValueError."""
     value = int(text)
-    if value < 0:
-        raise ValueError(f"seed {value} is negative")
+    if not 0 <= value < 2**64:
+        raise ValueError(f"seed {value} is outside [0, 2**64)")
     return value
 
 

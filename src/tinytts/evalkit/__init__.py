@@ -16,18 +16,3 @@ from .wer import (
     sus_report,
     wer,
 )
-
-__all__ = [
-    "AttentionMatrix",
-    "SusAggregate",
-    "WERBreakdown",
-    "normalize_text",
-    "read_attention",
-    "sharpness_report",
-    "sharpness_score",
-    "sharpness_stats",
-    "sus_csv",
-    "sus_report",
-    "wer",
-    "write_attention",
-]

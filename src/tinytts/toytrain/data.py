@@ -85,10 +85,6 @@ def gen_synthetic_corpus(
     return corpus
 
 
-def frame_count_of(example: ToyExample) -> int:
-    return example.target_frames.shape[0]
-
-
 def save_corpus(corpus: SyntheticCorpus, path: str | Path) -> None:
     """JSON-lines: one header object, then one object per example."""
     header = {

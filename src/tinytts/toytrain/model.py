@@ -14,6 +14,7 @@ pass keeps.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -514,20 +515,22 @@ def load_model(path: str | Path) -> ToyModel:
             (values[name],) = struct.unpack_from(fmt, raw, pos)
             pos += struct.calcsize(fmt)
         cfg = ToyConfig(**values)
-        model = ToyModel(cfg)
-        for name, shape in _param_shapes(cfg):
+        shapes = _param_shapes(cfg)
+        # the file must hold every block the config claims before any is allocated
+        expect = pos + sum(8 + 8 * math.prod(shape) for _, shape in shapes)
+        if len(raw) != expect:
+            raise MalformedCheckpoint(f"{len(raw)} bytes, config implies {expect}")
+        params: dict[str, np.ndarray] = {}
+        for name, shape in shapes:
             (count,) = struct.unpack_from("<Q", raw, pos)
-            pos += 8
-            expect = int(np.prod(shape)) if shape else 1
-            if count != expect:
-                raise MalformedCheckpoint(f"{name}: {count} values, expected {expect}")
-            if pos + 8 * count > len(raw):
-                raise MalformedCheckpoint(f"{name}: parameter block truncated")
-            data = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(shape)
-            pos += 8 * count
-            model.params[name] = data.copy()
+            size = math.prod(shape)
+            if count != size:
+                raise MalformedCheckpoint(f"{name}: {count} values, expected {size}")
+            data = np.frombuffer(raw, dtype="<f8", count=size, offset=pos + 8)
+            params[name] = data.reshape(shape).copy()
+            pos += 8 + 8 * size
     except (struct.error, ValueError, BadConfig) as exc:
         raise MalformedCheckpoint(f"checkpoint does not parse: {exc}") from exc
-    if pos != len(raw):
-        raise MalformedCheckpoint(f"{len(raw) - pos} trailing bytes")
+    model = ToyModel.__new__(ToyModel)  # the file's parameters, not a random init
+    model.config, model.params = cfg, params
     return model

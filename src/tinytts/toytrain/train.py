@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..curation import BUCKETED, CorpusEntry, Subset, plan_batches
-from .data import SyntheticCorpus, ToyExample, frame_count_of
+from .data import SyntheticCorpus, ToyExample
 from .model import ToyModel, backward, forward, make_batch
 
 ADAM_BETA1 = 0.9
@@ -76,7 +76,7 @@ def _plan_epoch(
 ) -> list[list[int]]:
     """Index batches via the curation planner, durations = frame counts."""
     entries = [
-        CorpusEntry(f"{i:06d}", "", "", float(frame_count_of(e)))
+        CorpusEntry(f"{i:06d}", "", "", float(e.target_frames.shape[0]))
         for i, e in enumerate(examples)
     ]
     subset = Subset(entries, 0.0, "toy", 0.0)
@@ -139,28 +139,3 @@ def train(
         wall_clock_s=time.perf_counter() - started,
         seed=cfg.seed,
     )
-
-
-def grad_check(model: ToyModel, examples: list[ToyExample], eps: float = 1e-5) -> float:
-    """Max relative error of analytic vs central-finite-difference gradients."""
-    batch = make_batch(examples, model.config)
-    analytic = backward(model, forward(model, batch))
-
-    def loss_at() -> float:
-        return forward(model, batch).loss
-
-    worst = 0.0
-    for name, p in model.params.items():
-        flat = p.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + eps
-            up = loss_at()
-            flat[i] = keep - eps
-            down = loss_at()
-            flat[i] = keep
-            numeric = (up - down) / (2.0 * eps)
-            a = analytic[name].reshape(-1)[i]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, rel)
-    return worst

@@ -1,9 +1,15 @@
-"""Shared fixture builders: deterministic tones, gated noise, speech-like clips."""
+"""Shared fixture builders: deterministic tones, gated noise, speech-like clips;
+the output-tree hash the determinism tests compare; the finite-difference
+gradient check of the toy model."""
+
+import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tinytts.audio import AudioClip
+from tinytts.toytrain import ToyModel, backward, forward, make_batch
 
 FS = 22050
 
@@ -57,3 +63,38 @@ def speech_like(seed: int, duration_s: float = 3.0, fs: int = FS) -> AudioClip:
 @pytest.fixture
 def sine_clip() -> AudioClip:
     return tone(1000.0, 0.5, 2.0)
+
+
+def tree_sha256(root: Path) -> str:
+    """SHA-256 over every file under root: relative path, then bytes, sorted."""
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            h.update(str(path.relative_to(root)).encode())
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def grad_check(model: ToyModel, examples: list, eps: float = 1e-5) -> float:
+    """Max relative error of analytic vs central-finite-difference gradients."""
+    batch = make_batch(examples, model.config)
+    analytic = backward(model, forward(model, batch))
+
+    def loss_at() -> float:
+        return forward(model, batch).loss
+
+    worst = 0.0
+    for name, p in model.params.items():
+        flat = p.reshape(-1)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + eps
+            up = loss_at()
+            flat[i] = keep - eps
+            down = loss_at()
+            flat[i] = keep
+            numeric = (up - down) / (2.0 * eps)
+            a = analytic[name].reshape(-1)[i]
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            worst = max(worst, rel)
+    return worst

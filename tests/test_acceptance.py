@@ -6,7 +6,6 @@ real models and dominate the runtime (minutes on one core); everything else
 finishes in seconds.
 """
 
-import hashlib
 import itertools
 import os
 import time
@@ -40,10 +39,10 @@ from tinytts.noisegen import (
     shaped_noise,
     usasi_magnitude,
 )
-from tinytts.toytrain import ToyConfig, ToyModel, gen_synthetic_corpus, grad_check, run_study
+from tinytts.toytrain import ToyConfig, ToyModel, gen_synthetic_corpus, run_study
 from tinytts.toytrain.study import AUG_EMBEDDING, BATCHING, StudyParams
 
-from conftest import gated_noise, speech_like, tone
+from conftest import gated_noise, grad_check, speech_like, tone, tree_sha256
 
 # criterion 11 shows that study outputs do not depend on jobs
 STUDY_JOBS = min(2, os.cpu_count() or 1)
@@ -332,15 +331,6 @@ def test_criterion_10_aug_embedding_study(tmp_path):
     )
 
 
-def _tree_checksum(root: Path) -> str:
-    h = hashlib.sha256()
-    for path in sorted(root.rglob("*")):
-        if path.is_file():
-            h.update(str(path.relative_to(root)).encode())
-            h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 def test_criterion_11_reproducibility(tmp_path):
     started = time.perf_counter()
     # fixture corpus of real WAVs
@@ -357,7 +347,7 @@ def test_criterion_11_reproducibility(tmp_path):
     for variant, jobs in (("serial", 1), ("rerun", 1), ("parallel", 2)):
         out = tmp_path / f"aug_{variant}"
         build_augmented_dataset(subset, specs, out, master_seed=77, jobs=jobs)
-        checksums.append(_tree_checksum(out))
+        checksums.append(tree_sha256(out))
     assert checksums[0] == checksums[1] == checksums[2]
 
     # scaled-down study, rerun serial and parallel: byte-identical outputs
@@ -383,7 +373,7 @@ def test_criterion_11_reproducibility(tmp_path):
     for variant, jobs in (("serial", 1), ("rerun", 1), ("parallel", 2)):
         out = tmp_path / f"study_{variant}"
         run_study(BATCHING, [1, 2, 3], out, jobs=jobs, params=mini)
-        study_sums.append(_tree_checksum(out))
+        study_sums.append(tree_sha256(out))
     assert study_sums[0] == study_sums[1] == study_sums[2]
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0

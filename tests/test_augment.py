@@ -1,4 +1,3 @@
-import hashlib
 import json
 from collections import Counter
 from pathlib import Path
@@ -25,7 +24,7 @@ from tinytts.noisegen import (
     default_noise_specs,
 )
 
-from conftest import speech_like
+from conftest import speech_like, tree_sha256
 
 
 def make_speech_subset(root: Path, n: int, duration_s: float = 1.2) -> Subset:
@@ -40,15 +39,6 @@ def make_speech_subset(root: Path, n: int, duration_s: float = 1.2) -> Subset:
         )
     total = sum(e.duration_s for e in entries)
     return Subset(entries, total, INFORMED, total)
-
-
-def tree_checksum(root: Path) -> str:
-    h = hashlib.sha256()
-    for path in sorted(root.rglob("*")):
-        if path.is_file():
-            h.update(str(path.relative_to(root)).encode())
-            h.update(path.read_bytes())
-    return h.hexdigest()
 
 
 def test_cardinality_and_aug_id_partition(tmp_path):
@@ -95,10 +85,10 @@ def test_rebuild_is_byte_identical(tmp_path):
     specs = default_noise_specs()
     build_augmented_dataset(subset, specs, tmp_path / "a", 42)
     build_augmented_dataset(subset, specs, tmp_path / "b", 42)
-    assert tree_checksum(tmp_path / "a") == tree_checksum(tmp_path / "b")
+    assert tree_sha256(tmp_path / "a") == tree_sha256(tmp_path / "b")
     # a different master seed must change the noise bytes
     build_augmented_dataset(subset, specs, tmp_path / "c", 43)
-    assert tree_checksum(tmp_path / "a") != tree_checksum(tmp_path / "c")
+    assert tree_sha256(tmp_path / "a") != tree_sha256(tmp_path / "c")
 
 
 def test_parallel_build_matches_serial(tmp_path):
@@ -106,7 +96,7 @@ def test_parallel_build_matches_serial(tmp_path):
     specs = default_noise_specs()
     build_augmented_dataset(subset, specs, tmp_path / "serial", 9, jobs=1)
     build_augmented_dataset(subset, specs, tmp_path / "par", 9, jobs=3)
-    assert tree_checksum(tmp_path / "serial") == tree_checksum(tmp_path / "par")
+    assert tree_sha256(tmp_path / "serial") == tree_sha256(tmp_path / "par")
 
 
 def test_derive_seed_stability():

@@ -11,6 +11,7 @@ from tinytts import curation
 from tinytts.audio import read_melb, write_wav
 from tinytts.cli import main
 from tinytts.evalkit import read_attention
+from tinytts.toytrain import gen_synthetic_corpus, save_corpus
 
 from conftest import speech_like, tone
 from test_curation import write_ljspeech_fixture
@@ -440,14 +441,24 @@ def test_toy_train_empty_tokens_exit_cleanly(tmp_path, capsys, token_lists):
         ("", ["toy-gen", "--seed", "-1"]),
         ("toy.seed = -1\n", ["toy-gen"]),
         ("", ["mix", "--snr-db", "10", "--seed", "-1"]),
+        # 2**64 and up: TOYM's seed field, derive_seed's 8 bytes, Philox's key
+        ("toy.steps = 1\n", ["toy-train", "--seed", str(2**64)]),
+        (f"toy.seed = {2**64}\ntoy.steps = 1\n", ["toy-train"]),
+        ("", ["augment", "--master-seed", str(2**64)]),
+        ("", ["toy-gen", "--seed", str(2**128)]),
+        ("", ["mix", "--snr-db", "10", "--seed", str(2**128)]),
     ],
     ids=["curate-flag", "curate-config", "augment-flag", "augment-config",
-         "toy-gen-flag", "toy-gen-config", "mix-flag"],
+         "toy-gen-flag", "toy-gen-config", "mix-flag", "toy-train-flag-2^64",
+         "toy-train-config-2^64", "augment-flag-2^64", "toy-gen-flag-2^128",
+         "mix-flag-2^128"],
 )
 def test_negative_seed_exits_before_any_output(tmp_path, capsys, config, argv):
     clip_path = tmp_path / "corpus" / "wavs" / "u0.wav"
     write_ljspeech_fixture(tmp_path / "corpus", [("u0", "r", "t")])
     write_wav(speech_like(0, 1.0), clip_path)
+    toy_corpus = tmp_path / "toy.jsonl"
+    save_corpus(gen_synthetic_corpus(12, 16, 2, (2, 3), [], seed=0), toy_corpus)
     manifest = tmp_path / "subset.jsonl"
     curation.write_subset_manifest(
         curation.Subset([curation.CorpusEntry("u0", clip_path, "t", 1.0)],
@@ -462,6 +473,7 @@ def test_negative_seed_exits_before_any_output(tmp_path, capsys, config, argv):
                    "--out-dir", str(out)],
         "augment": ["--manifest", str(manifest), "--out-dir", str(out)],
         "toy-gen": ["--out", str(out)],
+        "toy-train": ["--corpus", str(toy_corpus), "--out-dir", str(out)],
         "mix": ["--in", str(clip_path), "--out", str(out)],
     }[argv[0]]
     code = main(["--config", str(cfg), *argv, *inputs])

@@ -1,0 +1,157 @@
+"""Golden SHA-256 pins of small output artefacts.
+
+The determinism tests elsewhere compare two runs of the same code, so a change
+that moves output bytes the same way on every run passes them. These pins
+compare against digests recorded once, so any moved byte shows here.
+
+The pins were recorded with numpy 2.4.6 on x86-64, whose runtime SIMD
+extensions were X86_V3, X86_V4, AVX512_ICL and AVX512_SPR. Another numpy
+build or SIMD path may round some float results differently; the mismatch
+message names both, so that case can be told from a code change. A change
+that moves a pin on purpose updates it here and says in CHANGES.md which
+artefact moved and why.
+"""
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import re
+
+import numpy as np
+import pytest
+
+from tinytts.audio import MelConfig, mel_spectrogram, write_melb, write_wav
+from tinytts.augment import build_augmented_dataset
+from tinytts.cli import main
+from tinytts.curation import INFORMED, CorpusEntry, Subset
+from tinytts.noisegen import default_noise_specs
+from tinytts.toytrain import AUG_EMBEDDING, BATCHING, ToyConfig, run_study
+from tinytts.toytrain.study import AUGEMB_PARAMS, BATCHING_PARAMS
+
+from conftest import speech_like, tree_sha256
+from test_study import MINI_AUGEMB, MINI_BATCHING
+
+RECORDED_WITH = "numpy 2.4.6, SIMD X86_V3, X86_V4, AVX512_ICL, AVX512_SPR"
+
+PINS = {
+    "augment_tree": "41b01a265b45d09757a3fd84c19eb1aefdad3d7fdcf2363a0f4f07085fe9f7df",
+    "melb": "cf0b84ed7a6bd336600318cb0bda5cb1cc84bc739a5160d779e3a494827d9e4a",
+    "toy_train_batching/model.toym": "5b98419c6186d83595e6b78da065c7c640ab0dd795415738de069b7c10258925",
+    "toy_train_batching/train_report.json": "847627089809dc0adf4bc013a925e675177567bc32ea56eac7416b2197a70576",
+    "toy_train_augemb/model.toym": "25bb1ee8a258f55c9acbf8228f996c37d1fd04687f21ecee6480f32a6403e4e8",
+    "toy_train_augemb/train_report.json": "e69ea479ef3f6713e4a983300907968e42296601f93ef280928ee12878163a67",
+    "toy_infer/frames.melb": "1e5fd67603546b91e24e16049e3977ef07835d1473a3b1691f403f910625cdf5",
+    "toy_infer/attn.attn": "af21f6975ffa682a65e15ec81e93edad7e3eaa8db29c66d3ead2a2026c6010d3",
+    "study_batching_tree": "0b21b3b307ec7d13dcb0a98fc15037dde7477ccc140ab5d3a655aee9814ffab9",
+    "study_augemb_tree": "00281b1ae62018086adb12a3195f60299c1fb4b35370e0cb24250f11222ce9f3",
+}
+
+# toy-train at each study's model shape and corpus lengths, on a small corpus
+# and a few steps: (study params, utterances)
+TOY_SHAPES = {"batching": (BATCHING_PARAMS, 24), "augemb": (AUGEMB_PARAMS, 8)}
+TOY_STEPS = 6
+
+
+def _simd_found() -> str:
+    """The 'found' SIMD extensions np.show_runtime() prints, else its output."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        np.show_runtime()
+    found = re.search(r"'found': \[([^\]]*)\]", out.getvalue())
+    return found.group(1).replace("'", "") if found else out.getvalue()
+
+
+def check_pin(name: str, digest: str) -> None:
+    if digest != PINS[name]:
+        pytest.fail(
+            f"{name}: sha256 {digest} does not match its pin {PINS[name]!r}; "
+            f"here numpy {np.__version__}, SIMD {_simd_found()}; "
+            f"pins recorded with {RECORDED_WITH}"
+        )
+
+
+def sha256_file(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_augment_tree_pin(tmp_path):
+    # criterion 11's fixture: three speech-like sources, default specs
+    (tmp_path / "clean").mkdir()
+    entries = []
+    for i in range(3):
+        clip = speech_like(700 + i, duration_s=1.1)
+        path = tmp_path / "clean" / f"utt{i}.wav"
+        write_wav(clip, path)
+        entries.append(CorpusEntry(f"utt{i}", path, f"t{i}", clip.duration_s))
+    subset = Subset(entries, sum(e.duration_s for e in entries), INFORMED, 1e9)
+    out = tmp_path / "aug"
+    build_augmented_dataset(subset, default_noise_specs(), out, master_seed=77)
+    check_pin("augment_tree", tree_sha256(out))
+
+
+def test_melb_pin(tmp_path):
+    path = tmp_path / "clip.melb"
+    write_melb(mel_spectrogram(speech_like(5, duration_s=1.5), MelConfig()), path)
+    check_pin("melb", sha256_file(path))
+
+
+@pytest.fixture(scope="module")
+def toy_runs(tmp_path_factory):
+    """shape -> toy-train output directory, each run through the CLI."""
+    runs = {}
+    for shape, (params, n_utts) in TOY_SHAPES.items():
+        root = tmp_path_factory.mktemp(shape)
+        cfg = params.config
+        profiles = ",".join(f"{shift:g}:{std:g}" for shift, std in params.aug_profiles)
+        lines = [
+            f"toy.{f.name} = {getattr(cfg, f.name)}"
+            for f in dataclasses.fields(ToyConfig)
+            if f.name not in ("steps", "seed")
+        ]
+        lines += [
+            f"toy.n_utts = {n_utts}",
+            f"toy.len_min = {params.len_range[0]}",
+            f"toy.len_max = {params.len_range[1]}",
+            f"toy.aug_profiles = {profiles}",
+        ]
+        config = root / "toy.cfg"
+        config.write_text("\n".join(lines) + "\n")
+        corpus = root / "corpus.jsonl"
+        assert main(["--config", str(config), "toy-gen", "--out", str(corpus),
+                     "--seed", "3"]) == 0
+        run = root / "run"
+        assert main(["--config", str(config), "toy-train", "--corpus", str(corpus),
+                     "--out-dir", str(run), "--seed", "1",
+                     "--steps", str(TOY_STEPS)]) == 0
+        runs[shape] = run
+    return runs
+
+
+@pytest.mark.parametrize("shape", sorted(TOY_SHAPES))
+def test_toy_train_pins(toy_runs, shape):
+    run = toy_runs[shape]
+    check_pin(f"toy_train_{shape}/model.toym", sha256_file(run / "model.toym"))
+    report = json.loads((run / "train_report.json").read_text())
+    del report["wall_clock_s"]
+    digest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+    check_pin(f"toy_train_{shape}/train_report.json", digest)
+
+
+def test_toy_infer_pins(toy_runs, tmp_path):
+    frames, attn = tmp_path / "frames.melb", tmp_path / "attn.attn"
+    assert main(["toy-infer", "--model", str(toy_runs["augemb"] / "model.toym"),
+                 "--tokens", "3,1,4,1,5", "--aug-id", "2",
+                 "--out-frames", str(frames), "--out-attn", str(attn)]) == 0
+    check_pin("toy_infer/frames.melb", sha256_file(frames))
+    check_pin("toy_infer/attn.attn", sha256_file(attn))
+
+
+@pytest.mark.parametrize("name", ["batching", "augemb"])
+def test_study_tree_pins(tmp_path, name):
+    study, params = {
+        "batching": (BATCHING, MINI_BATCHING), "augemb": (AUG_EMBEDDING, MINI_AUGEMB)
+    }[name]
+    run_study(study, [1, 2, 3], tmp_path, params=params)
+    check_pin(f"study_{name}_tree", tree_sha256(tmp_path))

@@ -5,7 +5,6 @@ from tinytts.audio import (
     AudioClip,
     MelConfig,
     frame_count,
-    mel_band_centers,
     mel_filterbank,
     mel_spectrogram,
     read_melb,
@@ -17,6 +16,13 @@ from tinytts.errors import BadConfig, ClipTooShort, MalformedMelb
 from conftest import FS, tone
 
 CFG = MelConfig()
+
+
+def mel_band_centers(cfg: MelConfig) -> np.ndarray:
+    """Center frequency in Hz of each triangular band: the n_mels inner points
+    of n_mels + 2 edges equally spaced in mels."""
+    edges = np.linspace(hz_to_mel(cfg.fmin_hz), hz_to_mel(cfg.fmax_hz), cfg.n_mels + 2)
+    return mel_to_hz(edges[1:-1])
 
 
 def test_silence_hits_log_floor():

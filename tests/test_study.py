@@ -6,7 +6,6 @@ CSV shape, summary math, determinism, ATTN1 dumps.
 """
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +19,8 @@ from tinytts.toytrain.study import (
     BATCHING,
     StudyParams,
 )
+
+from conftest import tree_sha256
 
 MINI_BATCHING = StudyParams(
     config=ToyConfig(
@@ -107,16 +108,6 @@ def test_study_rejects_too_few_seeds(tmp_path):
 
 
 def test_study_rerun_byte_identical(tmp_path):
-    import hashlib
-
-    def checksum(root: Path) -> str:
-        h = hashlib.sha256()
-        for p in sorted(root.rglob("*")):
-            if p.is_file():
-                h.update(str(p.relative_to(root)).encode())
-                h.update(p.read_bytes())
-        return h.hexdigest()
-
     run_study(BATCHING, [1, 2, 3], tmp_path / "a", params=MINI_BATCHING)
     run_study(BATCHING, [1, 2, 3], tmp_path / "b", params=MINI_BATCHING)
-    assert checksum(tmp_path / "a") == checksum(tmp_path / "b")
+    assert tree_sha256(tmp_path / "a") == tree_sha256(tmp_path / "b")

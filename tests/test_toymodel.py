@@ -1,9 +1,11 @@
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tinytts.cli import main
 from tinytts.errors import (
     AugIdOutOfRange,
     BadConfig,
@@ -289,6 +291,27 @@ def test_checkpoint_with_invalid_config_block_rejected(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(MalformedCheckpoint, match="dimensions"):
         load_model(path)
+
+
+def test_checkpoint_claiming_more_than_it_holds_loads_nothing(tmp_path, capsys):
+    # a small file whose header claims enc_hidden = 6000: the parameters at that
+    # size would take hundreds of MB, so the length is checked before any is built
+    path = tmp_path / "model.toym"
+    save_model(ToyModel(TINY), path)
+    raw = bytearray(path.read_bytes())
+    raw[8 + 4 * 3 : 8 + 4 * 4] = struct.pack("<I", 6000)  # enc_hidden, the 4th int
+    path.write_bytes(bytes(raw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedCheckpoint):
+            load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert main(["toy-infer", "--model", str(path), "--tokens", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

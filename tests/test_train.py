@@ -8,7 +8,6 @@ from tinytts.toytrain import (
     ToyConfig,
     ToyModel,
     gen_synthetic_corpus,
-    grad_check,
     make_batch,
     train,
 )
@@ -21,6 +20,8 @@ from tinytts.toytrain.train import (
     clipped,
     mean_corpus_loss,
 )
+
+from conftest import grad_check
 
 TINY = ToyConfig(
     vocab_size=4,
