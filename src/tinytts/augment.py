@@ -17,7 +17,8 @@ import numpy as np
 
 from .audio import AudioClip, active_speech_level_p56, read_wav, write_wav
 from .audio import read_wav_info
-from .curation import CorpusEntry, Subset, read_json_rows, write_json, write_json_rows
+from .curation import NULL, NUMBER, CorpusEntry, Subset, read_json_rows
+from .curation import write_json, write_json_rows
 from .errors import BuildError, ConfigError, MissingFile, TinyTtsError
 from .noisegen import NoiseSpec, mix_at_snr
 from .parallel import map_tasks
@@ -163,8 +164,23 @@ def build_augmented_dataset(
     return manifest
 
 
+# the JSON type of each AugManifestEntry field
+_AUG_ROW_TYPES = {
+    **dict.fromkeys(("id", "source_id", "audio_path", "text", "noise_name"), (str,)),
+    **dict.fromkeys(("duration_s", "mixture_gain"), NUMBER),
+    **dict.fromkeys(("aug_id", "seed"), (int,)),
+    "snr_db": (*NUMBER, NULL),
+}
+
+
+def _aug_row(row: dict) -> AugManifestEntry:
+    if row["snr_db"] is None and row["aug_id"] != CLEAN_AUG_ID:
+        raise ValueError(f"aug_id {row['aug_id']} is a noisy copy but has no snr_db")
+    return AugManifestEntry(**row)
+
+
 def read_aug_manifest(path: str | Path) -> list[AugManifestEntry]:
-    return read_json_rows(path, lambda row: AugManifestEntry(**row), "audio_path")
+    return read_json_rows(path, _AUG_ROW_TYPES, _aug_row, "audio_path")
 
 
 @dataclass

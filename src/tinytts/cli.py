@@ -1,9 +1,10 @@
 """Command-line interface: one subcommand per pipeline operation.
 
 Flag precedence: explicit flags > --config file > built-in defaults. `main`
-parses --config once and hands the RunConfig to the command. Commands
-that create an output directory refuse a non-empty one unless --force is
-given and echo the resolved configuration into it. Exit codes: 0 success,
+parses --config once, sets each given flag whose dest is a config key through
+that key's rule, refuses a non-empty --out-dir without --force, and echoes the
+resolved configuration into it once the command returns; commands create the
+directory when they first write there. Exit codes: 0 success,
 1 validation/usage error, 2 I/O error.
 """
 
@@ -19,6 +20,7 @@ from . import audio as audio_mod
 from . import curation
 from .augment import build_augmented_dataset, read_aug_manifest, verify_augmented_dataset
 from .config import (
+    DEFAULTS,
     RunConfig,
     finite_float,
     load_config_file,
@@ -27,7 +29,7 @@ from .config import (
     parse_spectrum,
     seed_int,
 )
-from .errors import TinyTtsError
+from .errors import TinyTtsError, read_utf8
 from .evalkit import (
     AttentionMatrix,
     read_attention,
@@ -56,27 +58,9 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 
-def _flag(cfg: RunConfig, key: str, value):
-    """A flag's value overrides the config's and is recorded in it, so the
-    snapshot lists what ran; None (flag not given) keeps the config's."""
-    if value is not None:
-        cfg.set(key, value)
-    return cfg.get(key)
-
-
-def _prepare_out_dir(path: str | Path, force: bool) -> Path:
-    out = Path(path)
-    if out.exists() and any(out.iterdir()) and not force:
-        raise TinyTtsError(
-            f"output directory {out} is not empty (use --force to reuse)"
-        )
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _jobs(args, cfg: RunConfig) -> int:
-    """--jobs, else the config's jobs key; at most one worker process per core."""
-    jobs = _flag(cfg, "jobs", args.jobs)
+def _jobs(cfg: RunConfig) -> int:
+    """The jobs key (--jobs or config); at most one worker process per core."""
+    jobs = cfg.get("jobs")
     cores = os.cpu_count() or 1
     if not 1 <= jobs <= cores:
         raise TinyTtsError(f"jobs {jobs} outside [1, {cores}] (the CPU count)")
@@ -103,22 +87,17 @@ def _emit(args, human: str, payload: dict) -> None:
 # --- subcommand implementations ---
 
 def cmd_curate(args, cfg: RunConfig) -> int:
-    root = _flag(cfg, "corpus_root", args.corpus_root)
+    root = cfg.get("corpus_root")
     if not root:
         raise TinyTtsError("no corpus root given (--corpus-root or config)")
-    mode = _flag(cfg, "selection_mode", args.mode)
-    budget = _flag(cfg, "budget_s", args.budget_s)
-    seed = _flag(cfg, "seed", args.seed)
-    out = _prepare_out_dir(args.out_dir, args.force)
+    mode, budget = cfg.get("selection_mode"), cfg.get("budget_s")
 
     entries = curation.load_ljspeech_manifest(root)
     curation.measure_durations(entries)
     if mode == curation.INFORMED:
         subset = curation.select_informed_subset(entries, budget)
-    elif mode == curation.RANDOM:
-        subset = curation.select_random_subset(entries, budget, seed)
     else:
-        raise TinyTtsError(f"unknown selection mode {mode!r}")
+        subset = curation.select_random_subset(entries, budget, cfg.get("seed"))
 
     selected = {e.id for e in subset.entries}
     prefix_ok = True
@@ -128,8 +107,9 @@ def cmd_curate(args, cfg: RunConfig) -> int:
             prefix_ok = max(e.duration_s for e in subset.entries) <= min(
                 e.duration_s for e in excluded
             )
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     curation.write_subset_manifest(subset, out / "subset.jsonl")
-    cfg.write_snapshot(out)
     _emit(
         args,
         f"selected {len(subset.entries)} of {len(entries)} entries, "
@@ -148,13 +128,12 @@ def cmd_curate(args, cfg: RunConfig) -> int:
 
 
 def cmd_augment(args, cfg: RunConfig) -> int:
-    specs = parse_noise_specs(_flag(cfg, "noise_specs", args.noise_specs))
-    master_seed = _flag(cfg, "master_seed", args.master_seed)
-    jobs = _jobs(args, cfg)
-    out = _prepare_out_dir(args.out_dir, args.force)
+    specs = parse_noise_specs(cfg.get("noise_specs"))
+    jobs = _jobs(cfg)
     subset = curation.read_subset_manifest(args.manifest)
-    manifest = build_augmented_dataset(subset, specs, out, master_seed, jobs=jobs)
-    cfg.write_snapshot(out)
+    manifest = build_augmented_dataset(
+        subset, specs, args.out_dir, cfg.get("master_seed"), jobs=jobs
+    )
     _emit(
         args,
         f"wrote {len(manifest)} files for {len(subset.entries)} sources "
@@ -169,7 +148,7 @@ def cmd_augment(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify_aug(args, cfg: RunConfig) -> int:
-    jobs = _jobs(args, cfg)
+    jobs = _jobs(cfg)
     manifest = read_aug_manifest(args.manifest)
     report = verify_augmented_dataset(
         manifest, tolerance_db=args.tolerance_db, jobs=jobs
@@ -211,7 +190,7 @@ def cmd_mix(args, cfg: RunConfig) -> int:
     from .noisegen import mix_at_snr
 
     clip = audio_mod.read_wav(args.infile)
-    result = mix_at_snr(clip, parse_spectrum(args.noise), args.snr_db, args.seed)
+    result = mix_at_snr(clip, parse_spectrum(args.noise), args.snr_db, args.noise_seed)
     audio_mod.write_wav(result.clip, args.outfile)
     _emit(
         args,
@@ -256,7 +235,7 @@ def cmd_sharpness(args, cfg: RunConfig) -> int:
 
 
 def _read_lines(path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    return read_utf8(path, TinyTtsError).splitlines()
 
 
 def _sentence_pairs(args) -> list[tuple[str, str]]:
@@ -270,6 +249,8 @@ def _sentence_pairs(args) -> list[tuple[str, str]]:
                 raise TinyTtsError(f"{args.tsv}:{line_no}: expected 2 TSV fields")
             pairs.append((fields[0], fields[1]))
         return pairs
+    if not (args.ref and args.hyp):
+        raise TinyTtsError("give --tsv, or both --ref and --hyp")
     refs = _read_lines(args.ref)
     hyps = _read_lines(args.hyp)
     if len(refs) != len(hyps):
@@ -313,15 +294,14 @@ def cmd_sus(args, cfg: RunConfig) -> int:
 
 
 def cmd_toy_gen(args, cfg: RunConfig) -> int:
-    seed = _flag(cfg, "toy.seed", args.seed)
-    profiles = parse_aug_profiles(_flag(cfg, "toy.aug_profiles", args.aug_profiles))
+    profiles = parse_aug_profiles(cfg.get("toy.aug_profiles"))
     corpus = gen_synthetic_corpus(
         cfg.get("toy.vocab_size"),
         cfg.get("toy.feat_dim"),
         cfg.get("toy.n_utts"),
         (cfg.get("toy.len_min"), cfg.get("toy.len_max")),
         profiles,
-        seed=seed,
+        seed=cfg.get("toy.seed"),
     )
     save_corpus(corpus, args.out)
     _emit(
@@ -334,14 +314,13 @@ def cmd_toy_gen(args, cfg: RunConfig) -> int:
 
 
 def cmd_toy_train(args, cfg: RunConfig) -> int:
-    _flag(cfg, "toy.seed", args.seed)
-    _flag(cfg, "toy.steps", args.steps)
     toy_cfg = cfg.build("toy")
-    out = _prepare_out_dir(args.out_dir, args.force)
     corpus = load_corpus(args.corpus)
     model = ToyModel(toy_cfg)
     initial_loss = mean_corpus_loss(model, corpus.examples)
     report = train(model, corpus, batch_plan_mode=args.batch_mode)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.toym")
     norms = report.grad_norms
     report_payload = {
@@ -355,7 +334,6 @@ def cmd_toy_train(args, cfg: RunConfig) -> int:
         "grad_norms": norms,
     }
     curation.write_json(out / "train_report.json", report_payload)
-    cfg.write_snapshot(out)
     _emit(
         args,
         f"trained {len(report.loss_curve)} steps: loss "
@@ -384,12 +362,11 @@ def cmd_toy_infer(args, cfg: RunConfig) -> int:
 
 
 def cmd_study(args, cfg: RunConfig) -> int:
-    jobs = _jobs(args, cfg)
+    jobs = _jobs(cfg)
     seeds = _int_list("--seeds", args.seeds)
     check_seeds(seeds)
-    out = _prepare_out_dir(args.out_dir, args.force)
-    summary = run_study(args.study, seeds, out, jobs=jobs)
-    cfg.write_snapshot(out)
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    summary = run_study(args.study, seeds, args.out_dir, jobs=jobs)
     _emit(args, json.dumps(summary, indent=2, sort_keys=True), summary)
     return EXIT_OK
 
@@ -406,12 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="machine-readable summaries on stdout"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # a flag whose dest is a config.DEFAULTS key is parsed by that key's rule in
+    # main, so it carries no type= or choices= of its own
 
     p = sub.add_parser("curate", help="select a training subset from a corpus")
-    p.add_argument("--corpus-root")
-    p.add_argument("--mode", choices=[curation.INFORMED, curation.RANDOM])
-    p.add_argument("--budget-s", type=finite_float)
-    p.add_argument("--seed", type=seed_int)
+    p.add_argument("--corpus-root", dest="corpus_root")
+    p.add_argument("--mode", dest="selection_mode", help="informed|random")
+    p.add_argument("--budget-s", dest="budget_s")
+    p.add_argument("--seed", dest="seed")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_curate)
@@ -419,16 +398,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="build the noise-augmented dataset")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--master-seed", type=seed_int)
-    p.add_argument("--noise-specs")
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--master-seed", dest="master_seed")
+    p.add_argument("--noise-specs", dest="noise_specs")
+    p.add_argument("--jobs", dest="jobs")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("verify-aug", help="re-measure achieved SNRs of a dataset")
     p.add_argument("--manifest", required=True)
     p.add_argument("--tolerance-db", type=finite_float, default=0.5)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", dest="jobs")
     p.set_defaults(func=cmd_verify_aug)
 
     p = sub.add_parser("p56", help="active speech level of one WAV")
@@ -440,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--noise", default="white", help="white|usasi|sensor|<table.csv>")
     p.add_argument("--snr-db", type=finite_float, required=True)
-    p.add_argument("--seed", type=seed_int, default=0)
+    # seeds the noise only; not the config's seed key
+    p.add_argument("--seed", dest="noise_seed", type=seed_int, default=0)
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("mel", help="extract a MELB mel spectrogram")
@@ -465,15 +445,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("toy-gen", help="generate a synthetic toy corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=seed_int)
-    p.add_argument("--aug-profiles", help='e.g. "0:0.1,0.2:0.05,-0.15:0.08"')
+    p.add_argument("--seed", dest="toy.seed")
+    p.add_argument(
+        "--aug-profiles", dest="toy.aug_profiles", help='e.g. "0:0.1,0.2:0.05,-0.15:0.08"'
+    )
     p.set_defaults(func=cmd_toy_gen)
 
     p = sub.add_parser("toy-train", help="train the toy model on a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=seed_int)
-    p.add_argument("--steps", type=int)
+    p.add_argument("--seed", dest="toy.seed")
+    p.add_argument("--steps", dest="toy.steps")
     p.add_argument(
         "--batch-mode",
         choices=[curation.BUCKETED, curation.RANDOM_SHUFFLE],
@@ -494,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--study", choices=[BATCHING, AUG_EMBEDDING], required=True)
     p.add_argument("--seeds", required=True, help="comma-separated seed list")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", dest="jobs")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_study)
 
@@ -510,7 +492,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # parsed once, so unknown keys are rejected before any work
         cfg = load_config_file(args.config) if args.config else RunConfig()
-        return args.func(args, cfg)
+        for key, value in vars(args).items():
+            if key in DEFAULTS and value is not None:
+                cfg.set(key, value)
+        out = Path(args.out_dir) if "out_dir" in vars(args) else None
+        if out is not None and out.exists() and any(out.iterdir()) and not args.force:
+            raise TinyTtsError(
+                f"output directory {out} is not empty (use --force to reuse)"
+            )
+        code = args.func(args, cfg)
+        if out is not None:
+            (out / "resolved_config.txt").write_text(cfg.snapshot(), encoding="utf-8")
+        return code
     except (OSError, TinyTtsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION

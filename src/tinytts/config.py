@@ -4,8 +4,9 @@ Precedence: command-line flags override the config file, which overrides the
 defaults below. Unknown keys are errors so typos cannot silently fall back to
 a default. Every command with an output directory echoes the fully-resolved
 configuration there (minus execution details like job counts, which must not
-change the output bytes). Commands record their flags here before they build
-anything, so that snapshot lists the values that ran.
+change the output bytes). A flag that mirrors a key is set here, through the
+key's parser, before the command runs, so that snapshot lists the values
+that ran.
 
 The `mel.*` and `toy.*` keys are the fields of MelConfig and ToyConfig, with
 the dataclass defaults; no default is written twice.
@@ -18,6 +19,7 @@ import math
 from pathlib import Path
 
 from .audio import MelConfig
+from .curation import INFORMED, RANDOM
 from .errors import ConfigFileError, read_utf8
 from .noisegen import SPECTRA, NoiseSpec, read_psd_table_csv
 from .toytrain import ToyConfig
@@ -36,11 +38,17 @@ def seed_int(text: str) -> int:
     return value
 
 
+def selection_mode(text: str) -> str:
+    if text not in (INFORMED, RANDOM):
+        raise ValueError(f"expected {INFORMED} or {RANDOM}")
+    return text
+
+
 # every known key with its default and parser
 DEFAULTS: dict[str, tuple[object, type]] = {
     "corpus_root": ("", str),
     "budget_s": (7200.0, float),
-    "selection_mode": ("informed", str),
+    "selection_mode": (INFORMED, selection_mode),
     "seed": (0, seed_int),
     "master_seed": (0, seed_int),
     "jobs": (1, int),
@@ -84,7 +92,7 @@ class RunConfig:
             try:
                 raw = parser(raw)
             except ValueError as exc:
-                raise ConfigFileError(f"{key}: cannot parse {raw!r}") from exc
+                raise ConfigFileError(f"{key}: cannot parse {raw!r}: {exc}") from exc
         if isinstance(raw, float) and not math.isfinite(raw):
             raise ConfigFileError(f"{key}: {raw!r} is not a finite number")
         self.values[key] = raw
@@ -102,11 +110,6 @@ class RunConfig:
             if k not in _VOLATILE_KEYS
         ]
         return "\n".join(lines) + "\n"
-
-    def write_snapshot(self, out_dir: str | Path) -> None:
-        Path(out_dir, "resolved_config.txt").write_text(
-            self.snapshot(), encoding="utf-8"
-        )
 
 
 def load_config_file(path: str | Path) -> RunConfig:

@@ -247,13 +247,21 @@ def write_json_rows(path: str | Path, rows, audio_key: str | None = None) -> Non
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
-def read_json_rows(path: str | Path, build, audio_key: str) -> list:
+# JSON types of a row field: a number is an int or a float (never a bool)
+NUMBER = (int, float)
+NULL = type(None)
+
+
+def read_json_rows(
+    path: str | Path, types: dict[str, tuple[type, ...]], build, audio_key: str
+) -> list:
     """build(row) for each JSON object of a JSON-lines file, blank lines skipped.
 
-    A relative `audio_key` path is made absolute against the file's directory.
-    Bad UTF-8 or JSON, a row that is not an object, and a KeyError, TypeError
-    or ValueError from build (a missing or mistyped field) raise MalformedRow
-    naming path:line.
+    Each field named in `types` must hold one of its types, and the
+    `audio_key` path, if relative, is made absolute against the file's
+    directory. Bad UTF-8 or JSON, a row that is not an object, a missing or
+    mistyped field, and a KeyError, TypeError or ValueError from build raise
+    MalformedRow naming path:line.
     """
     base = Path(path).resolve().parent
     out = []
@@ -265,6 +273,11 @@ def read_json_rows(path: str | Path, build, audio_key: str) -> list:
                 row = json.loads(raw.decode("utf-8"))
                 if not isinstance(row, dict):
                     raise ValueError("expected a JSON object")
+                for key, accepted in types.items():
+                    value = row[key]
+                    if isinstance(value, bool) or not isinstance(value, accepted):
+                        names = "/".join(t.__name__ for t in accepted)
+                        raise ValueError(f"{key} {value!r}: not {names}")
                 row[audio_key] = str(base / row[audio_key])
                 out.append(build(row))
             except (KeyError, TypeError, ValueError) as exc:
@@ -275,11 +288,13 @@ def read_json_rows(path: str | Path, build, audio_key: str) -> list:
 def read_subset_manifest(manifest_path: str | Path) -> Subset:
     path = Path(manifest_path)
 
+    types = {"id": (str,), "audio": (str,), "text": (str,), "duration_s": NUMBER}
+
     def entry(row: dict) -> CorpusEntry:
         audio = Path(row["audio"])
         return CorpusEntry(row["id"], audio, row["text"], row["duration_s"])
 
-    entries = read_json_rows(path, entry, "audio")
+    entries = read_json_rows(path, types, entry, "audio")
     summary_path = path.with_suffix(path.suffix + ".summary.json")
     if summary_path.exists():
         try:

@@ -1,5 +1,7 @@
 import json
+import re
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +11,14 @@ import tinytts.augment
 import tinytts.noisegen
 from tinytts.audio import AudioClip, write_wav
 from tinytts.augment import (
+    AugManifestEntry,
     build_augmented_dataset,
     derive_seed,
     read_aug_manifest,
     verify_augmented_dataset,
 )
 from tinytts.curation import INFORMED, CorpusEntry, Subset
-from tinytts.errors import BuildError, ConfigError, MissingFile
+from tinytts.errors import BuildError, ConfigError, MalformedRow, MissingFile
 from tinytts.noisegen import (
     PSD_TABLE,
     WHITE,
@@ -154,6 +157,20 @@ def test_manifest_round_trip(tmp_path):
     summary = json.loads((tmp_path / "out" / "build_summary.json").read_text())
     assert summary["n_outputs"] == len(manifest)
     assert [s["aug_id"] for s in summary["specs"]] == [1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("mixture_gain", "1.0"), ("snr_db", None), ("aug_id", "0"), ("aug_id", True)],
+)
+def test_manifest_mistyped_field_names_the_line(tmp_path, field, value):
+    clean = AugManifestEntry("u__aug0", "u", "u__aug0.wav", "t", 1.0, 0, "clean", None, 1.0, 5)
+    noisy = AugManifestEntry("u__aug1", "u", "u__aug1.wav", "t", 1.0, 1, "white", 20.0, 1.0, 6)
+    path = tmp_path / "manifest.jsonl"
+    rows = [asdict(clean), {**asdict(noisy), field: value}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(MalformedRow, match=re.escape(f"{path}:2:") + f".*{field}"):
+        read_aug_manifest(path)
 
 
 def _record_calls(monkeypatch, module, name) -> list:

@@ -187,6 +187,25 @@ def test_wer_tsv_input(tmp_path, capsys):
     assert payload["ref_words"] == 4
 
 
+@pytest.mark.parametrize("command", ["wer", "sus"])
+@pytest.mark.parametrize(
+    "inputs, message",
+    [([], "--ref"), (["--ref", "{good}"], "--ref"),
+     (["--ref", "{bad}", "--hyp", "{good}"], "UTF-8"),
+     (["--ref", "{good}", "--hyp", "{bad}"], "UTF-8"), (["--tsv", "{bad}"], "UTF-8")],
+    ids=["no-input", "ref-only", "bad-utf8-ref", "bad-utf8-hyp", "bad-utf8-tsv"],
+)
+def test_wer_bad_input_exits_cleanly(tmp_path, capsys, command, inputs, message):
+    good = tmp_path / "good.txt"
+    good.write_text("a b\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"a\tb\xff\n")
+    argv = [a.format(good=good, bad=bad) for a in inputs]
+    assert main([command, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def _curated_subset(tmp_path, capsys) -> str:
     """Curate a two-utterance speech corpus; the subset manifest's path."""
     (tmp_path / "corpus" / "wavs").mkdir(parents=True)
@@ -266,6 +285,43 @@ def test_study_cli_wiring(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert calls == {"study": "batching", "seeds": [1, 2, 3], "jobs": 2}
     assert (tmp_path / "out" / "resolved_config.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["curate", "--corpus-root", "{tmp}", "--budget-s", "5"], 1),
+        (["augment", "--manifest", "{tmp}/none.jsonl"], 2),
+        (["augment", "--manifest", "{tmp}/bad.jsonl"], 1),
+        (["toy-train", "--corpus", "{tmp}/none.jsonl"], 2),
+        (["toy-train", "--corpus", "{tmp}/toy.jsonl"], 1),
+    ],
+    ids=["curate-no-metadata", "augment-missing-manifest", "augment-bad-manifest",
+         "toy-train-missing-corpus", "toy-train-feat-dim"],
+)
+def test_failed_run_leaves_no_out_dir(tmp_path, capsys, argv, code):
+    (tmp_path / "bad.jsonl").write_text("not json\n")
+    # feature dim 3 against toy.feat_dim's default 16
+    save_corpus(gen_synthetic_corpus(12, 3, 2, (2, 3), [], seed=0), tmp_path / "toy.jsonl")
+    out = tmp_path / "out"
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main([*argv, "--out-dir", str(out)]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_unknown_selection_mode_exits_before_reading_the_corpus(tmp_path, capsys):
+    cfg = tmp_path / "mode.cfg"
+    cfg.write_text("selection_mode = bogus\n")
+    out = tmp_path / "out"
+    # no metadata.csv under the corpus root: reading it would fail with another error
+    argv = ["curate", "--corpus-root", str(tmp_path), "--budget-s", "5", "--out-dir", str(out)]
+    assert main(["--config", str(cfg), *argv]) == 1
+    assert main([*argv, "--mode", "bogus"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("selection_mode: cannot parse 'bogus'") == 2
+    assert "metadata" not in err
+    assert not out.exists()
 
 
 def test_study_bad_seeds_exit_cleanly(tmp_path, capsys, monkeypatch):
@@ -374,7 +430,7 @@ def test_toy_train_malformed_corpus_exits_cleanly(tmp_path, capsys):
     code = main(["toy-train", "--corpus", str(corpus_path), "--out-dir", str(run_dir)])
     assert code == 1
     assert "emission_counts" in capsys.readouterr().err
-    assert not (run_dir / "model.toym").exists()
+    assert not run_dir.exists()
 
 
 @pytest.mark.parametrize(

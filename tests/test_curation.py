@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -226,4 +229,16 @@ def test_manifest_bad_summary_names_the_file(tmp_path, summary):
     write_subset_manifest(select_informed_subset(make_corpus([1.5, 2.0]), 3.0), path)
     (tmp_path / "subset.jsonl.summary.json").write_bytes(summary)
     with pytest.raises(MalformedRow, match="summary.json"):
+        read_subset_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("id", 7), ("duration_s", "2"), ("duration_s", True), ("text", None)],
+)
+def test_manifest_mistyped_field_names_the_line(tmp_path, field, value):
+    row = {"id": "u0", "audio": "u0.wav", "text": "t", "duration_s": 1.0}
+    path = tmp_path / "subset.jsonl"  # no summary sidecar: durations are summed
+    path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field: value}) + "\n")
+    with pytest.raises(MalformedRow, match=re.escape(f"{path}:2:") + f".*{field}"):
         read_subset_manifest(path)

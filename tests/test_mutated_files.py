@@ -1,0 +1,117 @@
+"""Byte-mutation property tests of every file reader but WAV's (test_wav.py
+has those): a valid file with one byte flipped, its tail cut off, or one byte
+inserted either loads or raises a TinyTtsError subclass, never anything else."""
+
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tinytts.audio import read_melb, write_melb
+from tinytts.augment import AugManifestEntry, read_aug_manifest
+from tinytts.config import load_config_file
+from tinytts.curation import (
+    INFORMED,
+    CorpusEntry,
+    Subset,
+    read_subset_manifest,
+    write_json_rows,
+    write_subset_manifest,
+)
+from tinytts.errors import TinyTtsError
+from tinytts.evalkit import AttentionMatrix, read_attention, write_attention
+from tinytts.noisegen import read_psd_table_csv
+from tinytts.toytrain import (
+    ToyConfig,
+    ToyModel,
+    gen_synthetic_corpus,
+    load_corpus,
+    load_model,
+    save_corpus,
+    save_model,
+)
+
+TINY_MODEL = ToyConfig(
+    vocab_size=3, feat_dim=2, embed_dim=2, enc_hidden=2, aug_embed_dim=1,
+    dec_hidden=2, attn_dim=2, n_aug_ids=2, max_decode_frames=4,
+)
+
+
+def _subset(path):
+    wavs = path.parent / "wavs"
+    entries = [CorpusEntry("u0", wavs / "u0.wav", "one", 1.0),
+               CorpusEntry("u1", wavs / "u1.wav", "two words", 1.5)]
+    write_subset_manifest(Subset(entries, 2.5, INFORMED, 3.0), path)
+
+
+def _aug_manifest(path):
+    rows = [
+        AugManifestEntry("u__aug0", "u", str(path.parent / "a0.wav"), "t", 1.0, 0,
+                         "clean", None, 1.0, 5),
+        AugManifestEntry("u__aug1", "u", str(path.parent / "a1.wav"), "t", 1.0, 1,
+                         "white", 20.0, 0.98, 6),
+    ]
+    write_json_rows(path, [asdict(r) for r in rows], "audio_path")
+
+
+def _text(content: str):
+    return lambda path: path.write_text(content, encoding="utf-8")
+
+
+# name -> (write a valid file at a path, the reader under test)
+FORMATS = {
+    "melb": (lambda p: write_melb(np.arange(12.0).reshape(3, 4), p), read_melb),
+    "attn1": (
+        lambda p: write_attention(
+            AttentionMatrix(np.array([[0.25] * 4, [0.5, 0.5, 0.0, 0.0]])), p
+        ),
+        read_attention,
+    ),
+    "toym": (lambda p: save_model(ToyModel(TINY_MODEL), p), load_model),
+    "toy-corpus": (
+        lambda p: save_corpus(gen_synthetic_corpus(3, 2, 2, (2, 3), [(0.1, 0.05)], 0), p),
+        load_corpus,
+    ),
+    "subset-manifest": (_subset, read_subset_manifest),
+    "aug-manifest": (_aug_manifest, read_aug_manifest),
+    "psd-csv": (_text("freq_hz,power_db\n100,6\n1000,0\n4000,-3\n"), read_psd_table_csv),
+    "config": (
+        _text("# run\nbudget_s = 60\nselection_mode = random\ntoy.seed = 3\n"
+              "noise_specs = white:25:1\nmel.n_mels = 40\n"),
+        load_config_file,
+    ),
+}
+
+
+@st.composite
+def mutations(draw, raw: bytes) -> bytes:
+    """raw with one byte flipped, its tail cut off, or one byte inserted."""
+    pos = draw(st.integers(0, len(raw) - 1))
+    kind = draw(st.sampled_from(["flip", "truncate", "insert"]))
+    if kind == "truncate":
+        return raw[:pos]
+    if kind == "flip":
+        return raw[:pos] + bytes([raw[pos] ^ draw(st.integers(1, 255))]) + raw[pos + 1:]
+    return raw[:pos] + bytes([draw(st.integers(0, 255))]) + raw[pos:]
+
+
+@pytest.mark.parametrize("name", FORMATS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_file_loads_or_raises_a_typed_error(tmp_path_factory, name, data):
+    write, read = FORMATS[name]
+    base = tmp_path_factory.getbasetemp()
+    valid = base / f"valid-{name}" / "file"
+    if not valid.exists():
+        valid.parent.mkdir()
+        write(valid)
+    # its own directory: a subset manifest's summary sidecar stays behind
+    mutated = base / f"mutated-{name}" / "file"
+    mutated.parent.mkdir(exist_ok=True)
+    mutated.write_bytes(data.draw(mutations(valid.read_bytes())))
+    try:
+        read(mutated)
+    except TinyTtsError:
+        pass
