@@ -25,6 +25,8 @@ from .parallel import map_tasks
 
 CLEAN_NAME = "clean"
 CLEAN_AUG_ID = 0
+# verify flags a noisy copy whose re-measured SNR is further than this from its target
+SNR_TOLERANCE_DB = 0.5
 
 
 @dataclass
@@ -216,7 +218,7 @@ def _verify_source(source: tuple[str, list[AugManifestEntry]]) -> list[float]:
 
 
 def verify_augmented_dataset(
-    manifest: list[AugManifestEntry], tolerance_db: float = 0.5, jobs: int = 1
+    manifest: list[AugManifestEntry], jobs: int = 1
 ) -> VerifyReport:
     """Re-measure the achieved active-speech SNR of every noisy file."""
     clean = [m for m in manifest if m.aug_id == CLEAN_AUG_ID]
@@ -238,6 +240,6 @@ def verify_augmented_dataset(
     for idx, devs in zip(by_source.values(), per_source):
         for i, dev in zip(idx, devs):
             deviations[i] = dev
-    flagged = [m.id for m, dev in zip(noisy, deviations) if dev > tolerance_db]
+    flagged = [m.id for m, dev in zip(noisy, deviations) if dev > SNR_TOLERANCE_DB]
     max_dev = max(deviations, default=0.0)
     return VerifyReport(len(noisy), len(clean), max_dev, len(flagged), flagged)

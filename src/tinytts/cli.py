@@ -4,8 +4,10 @@ Flag precedence: explicit flags > --config file > built-in defaults. `main`
 parses --config once, sets each given flag whose dest is a config key through
 that key's rule, refuses a non-empty --out-dir without --force, and echoes the
 resolved configuration into it once the command returns; commands create the
-directory when they first write there. Exit codes: 0 success,
-1 validation/usage error, 2 I/O error.
+directory when they first write there. Each command returns its result as one
+payload, which `main` prints once: as JSON under --json, else as sorted
+`key: value` lines. A command whose output is a CSV document prints only that.
+Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ from .evalkit import (
     sharpness_report,
     sus_csv,
     sus_report,
+    write_attention,
 )
+from .noisegen import mix_at_snr
 from .toytrain import (
     AUG_EMBEDDING,
     BATCHING,
@@ -77,16 +81,14 @@ def _int_list(flag: str, text: str) -> list[int]:
         ) from exc
 
 
-def _emit(args, human: str, payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(human)
-
-
 # --- subcommand implementations ---
 
-def cmd_curate(args, cfg: RunConfig) -> int:
+# (exit code, payload): main prints the payload, the one statement of a
+# command's result; a command whose output is a CSV document returns None
+Result = tuple[int, dict | None]
+
+
+def cmd_curate(args, cfg: RunConfig) -> Result:
     root = cfg.get("corpus_root")
     if not root:
         raise TinyTtsError("no corpus root given (--corpus-root or config)")
@@ -110,114 +112,78 @@ def cmd_curate(args, cfg: RunConfig) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     curation.write_subset_manifest(subset, out / "subset.jsonl")
-    _emit(
-        args,
-        f"selected {len(subset.entries)} of {len(entries)} entries, "
-        f"{subset.total_duration_s:.1f} s of {budget:.1f} s budget, "
-        f"prefix property {'holds' if prefix_ok else 'VIOLATED'}",
-        {
-            "n_selected": len(subset.entries),
-            "n_corpus": len(entries),
-            "total_s": subset.total_duration_s,
-            "budget_s": budget,
-            "mode": mode,
-            "prefix_property": prefix_ok,
-        },
-    )
-    return EXIT_OK if prefix_ok else EXIT_VALIDATION
+    return EXIT_OK if prefix_ok else EXIT_VALIDATION, {
+        "n_selected": len(subset.entries),
+        "n_corpus": len(entries),
+        "total_s": subset.total_duration_s,
+        "budget_s": budget,
+        "mode": mode,
+        "prefix_property": prefix_ok,
+    }
 
 
-def cmd_augment(args, cfg: RunConfig) -> int:
+def cmd_augment(args, cfg: RunConfig) -> Result:
     specs = parse_noise_specs(cfg.get("noise_specs"))
     jobs = _jobs(cfg)
     subset = curation.read_subset_manifest(args.manifest)
     manifest = build_augmented_dataset(
         subset, specs, args.out_dir, cfg.get("master_seed"), jobs=jobs
     )
-    _emit(
-        args,
-        f"wrote {len(manifest)} files for {len(subset.entries)} sources "
-        f"({len(specs)} noise specs + clean)",
-        {
-            "n_outputs": len(manifest),
-            "n_sources": len(subset.entries),
-            "aug_ids": sorted({m.aug_id for m in manifest}),
-        },
-    )
-    return EXIT_OK
+    return EXIT_OK, {
+        "n_outputs": len(manifest),
+        "n_sources": len(subset.entries),
+        "aug_ids": sorted({m.aug_id for m in manifest}),
+    }
 
 
-def cmd_verify_aug(args, cfg: RunConfig) -> int:
+def cmd_verify_aug(args, cfg: RunConfig) -> Result:
     jobs = _jobs(cfg)
-    manifest = read_aug_manifest(args.manifest)
-    report = verify_augmented_dataset(
-        manifest, tolerance_db=args.tolerance_db, jobs=jobs
-    )
-    _emit(
-        args,
-        f"{report.n_noisy} noisy files (+{report.n_clean} clean skipped): "
-        f"max deviation {report.max_deviation_db:.3f} dB, "
-        f"{report.n_exceeding_half_db} over {args.tolerance_db} dB",
-        {
-            "n_noisy": report.n_noisy,
-            "n_clean": report.n_clean,
-            "max_deviation_db": report.max_deviation_db,
-            "n_flagged": report.n_exceeding_half_db,
-            "flagged_ids": report.flagged_ids,
-        },
-    )
-    return EXIT_OK if report.n_exceeding_half_db == 0 else EXIT_VALIDATION
+    report = verify_augmented_dataset(read_aug_manifest(args.manifest), jobs=jobs)
+    return EXIT_OK if report.n_exceeding_half_db == 0 else EXIT_VALIDATION, {
+        "n_noisy": report.n_noisy,
+        "n_clean": report.n_clean,
+        "max_deviation_db": report.max_deviation_db,
+        "n_flagged": report.n_exceeding_half_db,
+        "flagged_ids": report.flagged_ids,
+    }
 
 
-def cmd_p56(args, cfg: RunConfig) -> int:
-    clip = audio_mod.read_wav(args.infile)
-    result = audio_mod.active_speech_level_p56(clip)
-    _emit(
-        args,
-        f"active {result.active_level_db:.2f} dBFS, "
-        f"long-term {result.long_term_level_db:.2f} dBFS, "
-        f"activity {result.activity_factor:.3f}",
-        {
-            "active_level_db": result.active_level_db,
-            "long_term_level_db": result.long_term_level_db,
-            "activity_factor": result.activity_factor,
-        },
-    )
-    return EXIT_OK
+def cmd_p56(args, cfg: RunConfig) -> Result:
+    result = audio_mod.active_speech_level_p56(audio_mod.read_wav(args.infile))
+    return EXIT_OK, {
+        "active_level_db": result.active_level_db,
+        "long_term_level_db": result.long_term_level_db,
+        "activity_factor": result.activity_factor,
+    }
 
 
-def cmd_mix(args, cfg: RunConfig) -> int:
-    from .noisegen import mix_at_snr
-
+def cmd_mix(args, cfg: RunConfig) -> Result:
     clip = audio_mod.read_wav(args.infile)
     result = mix_at_snr(clip, parse_spectrum(args.noise), args.snr_db, args.noise_seed)
     audio_mod.write_wav(result.clip, args.outfile)
-    _emit(
-        args,
-        f"mixed {args.noise} at {args.snr_db} dB: noise gain {result.noise_gain:.6f}, "
-        f"mixture gain {result.mixture_gain:.6f}",
-        {
-            "noise_gain": result.noise_gain,
-            "mixture_gain": result.mixture_gain,
-            "out": str(args.outfile),
-        },
-    )
-    return EXIT_OK
+    return EXIT_OK, {
+        "noise_gain": result.noise_gain,
+        "mixture_gain": result.mixture_gain,
+        "out": str(args.outfile),
+    }
 
 
-def cmd_mel(args, cfg: RunConfig) -> int:
+def cmd_mel(args, cfg: RunConfig) -> Result:
     clip = audio_mod.read_wav(args.infile)
     mel = audio_mod.mel_spectrogram(clip, cfg.build("mel"))
     audio_mod.write_melb(mel, args.outfile)
-    _emit(
-        args,
-        f"wrote {mel.shape[0]} x {mel.shape[1]} mel frames",
-        {"frames": mel.shape[0], "n_mels": mel.shape[1]},
-    )
-    return EXIT_OK
+    return EXIT_OK, {"frames": mel.shape[0], "n_mels": mel.shape[1]}
 
 
-def cmd_sharpness(args, cfg: RunConfig) -> int:
+def _write_csv(out, csv: str) -> None:
+    """A CSV document to the --out file, else to stdout."""
+    if out:
+        Path(out).write_text(csv, encoding="utf-8")
+    else:
+        sys.stdout.write(csv)
+
+
+def cmd_sharpness(args, cfg: RunConfig) -> Result:
     if len(args.attn_dir) != len(args.label):
         raise TinyTtsError("need one --label per --attn-dir")
     by_label: dict[str, list[AttentionMatrix]] = {}
@@ -226,12 +192,8 @@ def cmd_sharpness(args, cfg: RunConfig) -> int:
         if not files:
             raise TinyTtsError(f"no .attn files under {directory}")
         by_label.setdefault(label, []).extend(read_attention(f) for f in files)
-    csv = sharpness_report(by_label)
-    if args.out:
-        Path(args.out).write_text(csv, encoding="utf-8")
-    else:
-        sys.stdout.write(csv)
-    return EXIT_OK
+    _write_csv(args.out, sharpness_report(by_label))
+    return EXIT_OK, None
 
 
 def _read_lines(path) -> list[str]:
@@ -260,60 +222,40 @@ def _sentence_pairs(args) -> list[tuple[str, str]]:
     return list(zip(refs, hyps))
 
 
-def cmd_wer(args, cfg: RunConfig) -> int:
+def cmd_wer(args, cfg: RunConfig) -> Result:
     agg = sus_report(_sentence_pairs(args))
-    _emit(
-        args,
-        f"pooled WER {agg.pooled_wer_percent:.2f}% "
-        f"({agg.total_errors} errors / {agg.total_ref_words} reference words)",
-        {
-            "pooled_wer_percent": agg.pooled_wer_percent,
-            "errors": agg.total_errors,
-            "ref_words": agg.total_ref_words,
-        },
-    )
-    return EXIT_OK
+    return EXIT_OK, {
+        "pooled_wer_percent": agg.pooled_wer_percent,
+        "errors": agg.total_errors,
+        "ref_words": agg.total_ref_words,
+    }
 
 
-def cmd_sus(args, cfg: RunConfig) -> int:
+def cmd_sus(args, cfg: RunConfig) -> Result:
     agg = sus_report(_sentence_pairs(args))
-    csv = sus_csv(agg)
-    if args.out:
-        Path(args.out).write_text(csv, encoding="utf-8")
-    else:
-        sys.stdout.write(csv)
-    _emit(
-        args,
-        f"pooled WER {agg.pooled_wer_percent:.2f}% over {len(agg.per_sentence)} sentences",
-        {
-            "pooled_wer_percent": agg.pooled_wer_percent,
-            "n_sentences": len(agg.per_sentence),
-        },
-    )
-    return EXIT_OK
+    _write_csv(args.out, sus_csv(agg))
+    if not args.out:  # stdout holds the CSV alone
+        return EXIT_OK, None
+    return EXIT_OK, {
+        "pooled_wer_percent": agg.pooled_wer_percent,
+        "n_sentences": len(agg.per_sentence),
+    }
 
 
-def cmd_toy_gen(args, cfg: RunConfig) -> int:
-    profiles = parse_aug_profiles(cfg.get("toy.aug_profiles"))
+def cmd_toy_gen(args, cfg: RunConfig) -> Result:
     corpus = gen_synthetic_corpus(
         cfg.get("toy.vocab_size"),
         cfg.get("toy.feat_dim"),
         cfg.get("toy.n_utts"),
         (cfg.get("toy.len_min"), cfg.get("toy.len_max")),
-        profiles,
+        parse_aug_profiles(cfg.get("toy.aug_profiles")),
         seed=cfg.get("toy.seed"),
     )
     save_corpus(corpus, args.out)
-    _emit(
-        args,
-        f"wrote {len(corpus.examples)} examples "
-        f"({cfg.get('toy.n_utts')} utterances x {len(profiles) + 1} copies)",
-        {"n_examples": len(corpus.examples), "n_utts": cfg.get("toy.n_utts")},
-    )
-    return EXIT_OK
+    return EXIT_OK, {"n_examples": len(corpus.examples), "n_utts": cfg.get("toy.n_utts")}
 
 
-def cmd_toy_train(args, cfg: RunConfig) -> int:
+def cmd_toy_train(args, cfg: RunConfig) -> Result:
     toy_cfg = cfg.build("toy")
     corpus = load_corpus(args.corpus)
     model = ToyModel(toy_cfg)
@@ -334,41 +276,26 @@ def cmd_toy_train(args, cfg: RunConfig) -> int:
         "grad_norms": norms,
     }
     curation.write_json(out / "train_report.json", report_payload)
-    _emit(
-        args,
-        f"trained {len(report.loss_curve)} steps: loss "
-        f"{initial_loss:.4f} -> {report.final_loss:.4f}",
-        {k: v for k, v in report_payload.items() if not isinstance(v, list)},
-    )
-    return EXIT_OK
+    return EXIT_OK, {k: v for k, v in report_payload.items() if not isinstance(v, list)}
 
 
-def cmd_toy_infer(args, cfg: RunConfig) -> int:
+def cmd_toy_infer(args, cfg: RunConfig) -> Result:
     tokens = _int_list("--tokens", args.tokens)
     model = load_model(args.model)
     frames, gates, attn = infer(model, tokens, args.aug_id)
     if args.out_frames:
         audio_mod.write_melb(frames, args.out_frames)
     if args.out_attn:
-        from .evalkit import write_attention
-
         write_attention(AttentionMatrix(attn), args.out_attn)
-    _emit(
-        args,
-        f"emitted {frames.shape[0]} frames (gate max {gates.max():.3f})",
-        {"n_frames": int(frames.shape[0]), "gate_max": float(gates.max())},
-    )
-    return EXIT_OK
+    return EXIT_OK, {"n_frames": int(frames.shape[0]), "gate_max": float(gates.max())}
 
 
-def cmd_study(args, cfg: RunConfig) -> int:
+def cmd_study(args, cfg: RunConfig) -> Result:
     jobs = _jobs(cfg)
     seeds = _int_list("--seeds", args.seeds)
     check_seeds(seeds)
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-    summary = run_study(args.study, seeds, args.out_dir, jobs=jobs)
-    _emit(args, json.dumps(summary, indent=2, sort_keys=True), summary)
-    return EXIT_OK
+    return EXIT_OK, run_study(args.study, seeds, args.out_dir, jobs=jobs)
 
 
 # --- argument parser ---
@@ -380,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument(
-        "--json", action="store_true", help="machine-readable summaries on stdout"
+        "--json", action="store_true", help="print the result as one JSON object"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # a flag whose dest is a config.DEFAULTS key is parsed by that key's rule in
@@ -406,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-aug", help="re-measure achieved SNRs of a dataset")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--tolerance-db", type=finite_float, default=0.5)
     p.add_argument("--jobs", dest="jobs")
     p.set_defaults(func=cmd_verify_aug)
 
@@ -500,13 +426,19 @@ def main(argv: list[str] | None = None) -> int:
             raise TinyTtsError(
                 f"output directory {out} is not empty (use --force to reuse)"
             )
-        code = args.func(args, cfg)
+        code, payload = args.func(args, cfg)
         if out is not None:
             (out / "resolved_config.txt").write_text(cfg.snapshot(), encoding="utf-8")
-        return code
     except (OSError, TinyTtsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
+    if args.json and payload is not None:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        # one line per key, each value in its JSON form
+        for key in sorted(payload or {}):
+            print(f"{key}: {json.dumps(payload[key], sort_keys=True)}")
+    return code
 
 
 if __name__ == "__main__":

@@ -252,6 +252,33 @@ NUMBER = (int, float)
 NULL = type(None)
 
 
+def check_fields(row: dict, types: dict) -> dict:
+    """row, once each field named in `types` is found to hold one of its types.
+
+    A type is a tuple of types, matched exactly so that a bool is never an
+    int, or [type]: a list whose every item has that type. A missing field
+    raises KeyError and a mistyped one ValueError.
+    """
+    for key, accepted in types.items():
+        _check_value(key, row[key], accepted)
+    return row
+
+
+def _check_value(key: str, value, accepted) -> None:
+    if isinstance(accepted, list):
+        if type(value) is not list:
+            raise ValueError(f"{key} {value!r}: not a list")
+        item_types = accepted[0]
+        # a list of plain values is checked in one pass; a mismatch, or a list
+        # of lists, is walked item by item
+        if isinstance(item_types, list) or not set(map(type, value)) <= set(item_types):
+            for item in value:
+                _check_value(key, item, item_types)
+    elif type(value) not in accepted:
+        names = "/".join(t.__name__ for t in accepted)
+        raise ValueError(f"{key} {value!r}: not {names}")
+
+
 def read_json_rows(
     path: str | Path, types: dict[str, tuple[type, ...]], build, audio_key: str
 ) -> list:
@@ -273,11 +300,7 @@ def read_json_rows(
                 row = json.loads(raw.decode("utf-8"))
                 if not isinstance(row, dict):
                     raise ValueError("expected a JSON object")
-                for key, accepted in types.items():
-                    value = row[key]
-                    if isinstance(value, bool) or not isinstance(value, accepted):
-                        names = "/".join(t.__name__ for t in accepted)
-                        raise ValueError(f"{key} {value!r}: not {names}")
+                check_fields(row, types)
                 row[audio_key] = str(base / row[audio_key])
                 out.append(build(row))
             except (KeyError, TypeError, ValueError) as exc:

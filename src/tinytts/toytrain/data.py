@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..curation import write_json_rows
+from ..curation import NUMBER, check_fields, write_json_rows
 from ..errors import BadRange, MalformedCorpus
 
 MIN_EMIT = 2
@@ -105,15 +105,28 @@ def save_corpus(corpus: SyntheticCorpus, path: str | Path) -> None:
     write_json_rows(path, [header, *examples])
 
 
+# the JSON types of the header's and each example's fields (curation.check_fields)
+HEADER_TYPES = {
+    "templates": [[NUMBER]],
+    "emission_counts": [(int,)],
+    "aug_profiles": [[NUMBER]],
+    "seed": (int,),
+}
+EXAMPLE_TYPES = {
+    "tokens": [(int,)],
+    "aug_id": (int,),
+    "frames": [[NUMBER]],
+    "gates": [(int,)],
+}
+
+
 def _example_from(row: dict) -> ToyExample:
-    tokens = row["tokens"]
-    if not isinstance(tokens, list) or not all(isinstance(t, int) for t in tokens):
-        raise ValueError("tokens must be a list of integers")
+    row = check_fields(row, EXAMPLE_TYPES)
     frames = np.asarray(row["frames"], dtype=np.float64)
     gates = np.asarray(row["gates"], dtype=bool)
     if frames.ndim != 2 or gates.shape != frames.shape[:1]:
         raise ValueError("frames must be T x M with one gate per frame")
-    return ToyExample(tokens, int(row["aug_id"]), frames, gates)
+    return ToyExample(row["tokens"], row["aug_id"], frames, gates)
 
 
 def load_corpus(path: str | Path) -> SyntheticCorpus:
@@ -121,7 +134,7 @@ def load_corpus(path: str | Path) -> SyntheticCorpus:
     line_no = 1
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            header = json.loads(fh.readline())
+            header = check_fields(json.loads(fh.readline()), HEADER_TYPES)
             corpus = SyntheticCorpus(
                 [],
                 np.asarray(header["templates"]),

@@ -458,19 +458,20 @@ def infer(model: ToyModel, tokens: list[int], aug_id: int):
     prev = np.zeros((1, cfg.feat_dim))
     dec_in = np.empty((1, cfg.feat_dim + cfg.memory_dim))
     head_in = np.empty((1, cfg.dec_hidden + cfg.memory_dim))
-    attention = np.empty((cfg.max_decode_frames, len(tokens)))
-    frames, gate_probs = [], []
-    for t in range(cfg.max_decode_frames):
-        step = _decoder_step(
-            p, scratch, prev, state, context, dec_in, attention[t : t + 1], head_in
-        )
+    # grown one row per decoded step, so memory follows the frames decoded,
+    # not the max_decode_frames a checkpoint claims
+    frames, gate_probs, attention = [], [], []
+    for _ in range(cfg.max_decode_frames):
+        alpha = np.empty((1, len(tokens)))
+        step = _decoder_step(p, scratch, prev, state, context, dec_in, alpha, head_in)
         state, context, prev = step.state, step.context, step.frame
         gate_prob = 1.0 / (1.0 + np.exp(-float(step.gate[0])))
         frames.append(step.frame[0])
         gate_probs.append(gate_prob)
+        attention.append(alpha[0])
         if gate_prob > GATE_THRESHOLD:
             break
-    return np.array(frames), np.array(gate_probs), attention[: len(frames)].copy()
+    return np.array(frames), np.array(gate_probs), np.array(attention)
 
 
 # --- TOYM checkpoint: magic, version, config block, parameter blocks ---

@@ -11,7 +11,7 @@ from tinytts import curation
 from tinytts.audio import read_melb, write_wav
 from tinytts.cli import main
 from tinytts.evalkit import read_attention
-from tinytts.toytrain import gen_synthetic_corpus, save_corpus
+from tinytts.toytrain import ToyConfig, ToyModel, gen_synthetic_corpus, save_corpus, save_model
 
 from conftest import speech_like, tone
 from test_curation import write_ljspeech_fixture
@@ -345,15 +345,18 @@ def test_study_too_few_seeds_leaves_no_output_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+TOY_CFG = (
+    "toy.vocab_size = 4\ntoy.feat_dim = 3\ntoy.embed_dim = 4\n"
+    "toy.enc_hidden = 5\ntoy.aug_embed_dim = 2\ntoy.dec_hidden = 5\n"
+    "toy.attn_dim = 4\ntoy.n_aug_ids = 2\ntoy.max_decode_frames = 25\n"
+    "toy.batch_size = 4\ntoy.steps = 5\ntoy.n_utts = 6\n"
+    "toy.len_min = 2\ntoy.len_max = 4\ntoy.aug_profiles = 0.1:0.05\n"
+)
+
+
 def test_toy_pipeline_gen_train_infer(tmp_path, capsys):
     cfg = tmp_path / "toy.cfg"
-    cfg.write_text(
-        "toy.vocab_size = 4\ntoy.feat_dim = 3\ntoy.embed_dim = 4\n"
-        "toy.enc_hidden = 5\ntoy.aug_embed_dim = 2\ntoy.dec_hidden = 5\n"
-        "toy.attn_dim = 4\ntoy.n_aug_ids = 2\ntoy.max_decode_frames = 25\n"
-        "toy.batch_size = 4\ntoy.steps = 5\ntoy.n_utts = 6\n"
-        "toy.len_min = 2\ntoy.len_max = 4\ntoy.aug_profiles = 0.1:0.05\n"
-    )
+    cfg.write_text(TOY_CFG)
     corpus_path = tmp_path / "corpus.jsonl"
     code, out = run_cli(
         capsys,
@@ -414,8 +417,6 @@ def test_toy_pipeline_gen_train_infer(tmp_path, capsys):
 
 @pytest.mark.parametrize("tokens", ["", "1,x", "1.5"])
 def test_toy_infer_bad_tokens_exit_cleanly(tmp_path, capsys, tokens):
-    from tinytts.toytrain import ToyConfig, ToyModel, save_model
-
     model_path = tmp_path / "model.toym"
     save_model(ToyModel(ToyConfig(vocab_size=4, max_decode_frames=5)), model_path)
     code = main(["toy-infer", "--model", str(model_path), "--tokens", tokens])
@@ -654,8 +655,6 @@ def test_non_finite_flag_exits_before_output(tmp_path, capsys, value):
     argv = ["curate", "--corpus-root", str(tmp_path), f"--budget-s={value}", "--out-dir", str(out)]
     assert main(argv) == 1
     assert not out.exists()
-    argv = ["verify-aug", "--manifest", str(tmp_path / "none.jsonl"), f"--tolerance-db={value}"]
-    assert main(argv) == 1
 
 
 def test_non_finite_config_value_exits_before_output(tmp_path, capsys):
@@ -753,3 +752,185 @@ def test_config_file_is_read_once(tmp_path, capsys, monkeypatch):
     assert main(["--config", str(cfg), "mel", "--in", str(src), "--out", str(out)]) == 0
     assert len(opened) == 1
     assert read_melb(out).shape[1] == 40
+
+
+# --- one report per command: stdout holds a single document ---
+
+def test_every_command_prints_one_json_object(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        "tinytts.cli.run_study",
+        lambda study, seeds, out_dir, jobs=1: {"study": study, "medians": {}},
+    )
+    subset = _curated_subset(tmp_path, capsys)
+    wav = tmp_path / "speech.wav"
+    write_wav(speech_like(3, duration_s=1.1), wav)
+    refs = tmp_path / "refs.txt"
+    refs.write_text("one two three\nfour five\n")
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(TOY_CFG)
+    corpus, run = tmp_path / "toy.jsonl", tmp_path / "run"
+    commands = [
+        ["curate", "--corpus-root", tmp_path / "corpus", "--budget-s", "100",
+         "--out-dir", tmp_path / "subset2"],
+        ["augment", "--manifest", subset, "--out-dir", tmp_path / "aug",
+         "--noise-specs", "white:25:1"],
+        ["verify-aug", "--manifest", tmp_path / "aug" / "manifest.jsonl"],
+        ["p56", "--in", wav],
+        ["mix", "--in", wav, "--out", tmp_path / "noisy.wav", "--snr-db", "15"],
+        ["mel", "--in", wav, "--out", tmp_path / "speech.melb"],
+        ["wer", "--ref", refs, "--hyp", refs],
+        ["sus", "--ref", refs, "--hyp", refs, "--out", tmp_path / "sus.csv"],
+        ["--config", cfg, "toy-gen", "--out", corpus],
+        ["--config", cfg, "toy-train", "--corpus", corpus, "--out-dir", run],
+        ["toy-infer", "--model", run / "model.toym", "--tokens", "1,2,3"],
+        ["study", "--study", "batching", "--seeds", "1,2,3", "--out-dir", tmp_path / "study"],
+    ]
+    for argv in commands:
+        code, out = run_cli(capsys, "--json", *map(str, argv))
+        assert code == 0, argv
+        assert isinstance(json.loads(out), dict), argv  # extra text fails to parse
+
+    # sus without --out: stdout is its CSV alone, under --json too
+    code, out = run_cli(capsys, "--json", "sus", "--ref", str(refs), "--hyp", str(refs))
+    assert code == 0
+    assert out == (tmp_path / "sus.csv").read_text()
+
+
+def test_plain_output_is_the_payload_as_key_value_lines(tmp_path, capsys):
+    wav = tmp_path / "speech.wav"
+    write_wav(speech_like(3, duration_s=1.1), wav)
+    argv = ["mix", "--in", str(wav), "--out", str(tmp_path / "noisy.wav"), "--snr-db", "15"]
+    payload = json.loads(run_cli(capsys, "--json", *argv)[1])
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines == sorted(lines)
+    assert {k: json.loads(v) for k, v in (line.split(": ", 1) for line in lines)} == payload
+
+
+def test_verify_aug_has_no_tolerance_flag(tmp_path, capsys):
+    # the tolerance is augment.SNR_TOLERANCE_DB
+    argv = ["verify-aug", "--manifest", str(tmp_path / "none.jsonl"), "--tolerance-db=1"]
+    assert main(argv) == 1
+    assert "--tolerance-db" in capsys.readouterr().err
+
+
+# --- one mutated input per file reader: a typed error, never a traceback ---
+
+def _flip(raw: bytes, pos: int) -> bytes:
+    return raw[:pos] + bytes([raw[pos] ^ 0x01]) + raw[pos + 1:]
+
+
+def _speech_wavs(directory: Path, n: int = 2) -> list[Path]:
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = [directory / f"u{i}.wav" for i in range(n)]
+    for i, path in enumerate(paths):
+        write_wav(speech_like(40 + i, duration_s=1.1), path)
+    return paths
+
+
+def _subset_manifest(tmp_path) -> Path:
+    entries = [curation.CorpusEntry(p.stem, p, "text", 1.1)
+               for p in _speech_wavs(tmp_path / "wavs")]
+    manifest = tmp_path / "subset.jsonl"
+    curation.write_subset_manifest(
+        curation.Subset(entries, 2.2, curation.INFORMED, 10.0), manifest
+    )
+    return manifest
+
+
+def _reader_input(reader: str, tmp_path) -> tuple[Path, list[str]]:
+    """A valid input file of the reader and a command that reads it."""
+    if reader == "config":
+        (wav,) = _speech_wavs(tmp_path, 1)
+        path = tmp_path / "run.cfg"
+        path.write_text("budget_s = 60\nselection_mode = random\n")
+        return path, ["--config", str(path), "p56", "--in", str(wav)]
+    if reader == "metadata":
+        _speech_wavs(tmp_path / "corpus" / "wavs")
+        path = tmp_path / "corpus" / "metadata.csv"
+        path.write_text("u0|r|text 0\nu1|r|text 1\n")
+        return path, ["curate", "--corpus-root", str(path.parent), "--budget-s", "100",
+                      "--out-dir", str(tmp_path / "out")]
+    if reader == "subset-manifest":
+        path = _subset_manifest(tmp_path)
+        return path, ["augment", "--manifest", str(path), "--out-dir", str(tmp_path / "out"),
+                      "--noise-specs", "white:25:1"]
+    if reader == "aug-manifest":
+        aug = tmp_path / "aug"
+        assert main(["augment", "--manifest", str(_subset_manifest(tmp_path)),
+                     "--out-dir", str(aug), "--noise-specs", "white:25:1"]) == 0
+        return aug / "manifest.jsonl", ["verify-aug", "--manifest", str(aug / "manifest.jsonl")]
+    if reader == "wav":
+        (path,) = _speech_wavs(tmp_path, 1)
+        return path, ["p56", "--in", str(path)]
+    if reader == "psd-csv":
+        (wav,) = _speech_wavs(tmp_path, 1)
+        path = tmp_path / "mic.csv"
+        path.write_text("freq_hz,power_db\n100,6\n1000,0\n4000,-3\n")
+        return path, ["mix", "--in", str(wav), "--out", str(tmp_path / "noisy.wav"),
+                      "--noise", str(path), "--snr-db", "10"]
+    if reader == "attn1":
+        path = tmp_path / "attn" / "u.attn"
+        path.parent.mkdir()
+        path.write_text("ATTN1 2 4\n0.25 0.25 0.25 0.25\n0.5 0.5 0.0 0.0\n")
+        return path, ["sharpness", "--attn-dir", str(path.parent), "--label", "x"]
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(TOY_CFG)
+    if reader == "toy-corpus":
+        path = tmp_path / "toy.jsonl"
+        save_corpus(gen_synthetic_corpus(4, 3, 3, (2, 4), [(0.1, 0.05)], seed=0), path)
+        return path, ["--config", str(cfg), "toy-train", "--corpus", str(path),
+                      "--out-dir", str(tmp_path / "run")]
+    path = tmp_path / "model.toym"
+    save_model(ToyModel(ToyConfig(vocab_size=4, max_decode_frames=5)), path)
+    return path, ["toy-infer", "--model", str(path), "--tokens", "1,2,3"]
+
+
+READERS = ["config", "metadata", "subset-manifest", "aug-manifest", "wav", "psd-csv",
+           "attn1", "toy-corpus", "toym"]
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_unmutated_reader_input_runs(tmp_path, capsys, reader):
+    # so that a mutated run can fail only on its mutated file
+    assert main(_reader_input(reader, tmp_path)[1]) == 0
+
+
+@pytest.mark.parametrize(
+    "reader, mutate",
+    [
+        ("config", lambda raw: raw[:19]),  # "budget_s = 60\nselec"
+        ("config", lambda raw: _flip(raw, raw.index(b"="))),  # "budget_s < 60"
+        ("metadata", lambda raw: raw[:4]),  # "u0|r"
+        ("metadata", lambda raw: _flip(raw, raw.index(b"|"))),  # "u0}r|text 0"
+        ("subset-manifest", lambda raw: raw[:-10]),  # the last row cut mid-JSON
+        ("subset-manifest", lambda raw: _flip(raw, 0)),  # "z" for "{"
+        ("aug-manifest", lambda raw: raw[:-10]),
+        ("aug-manifest", lambda raw: _flip(raw, 0)),
+        ("wav", lambda raw: raw[:-1]),  # the data chunk runs past the end
+        ("wav", lambda raw: _flip(raw, 0)),  # "SIFF"
+        ("psd-csv", lambda raw: raw[:-2]),  # "4000,-"
+        ("psd-csv", lambda raw: _flip(raw, raw.index(b"100,") + 3)),  # "100-6"
+        ("attn1", lambda raw: raw[: len(raw) // 2]),  # one row and a half missing
+        ("attn1", lambda raw: _flip(raw, 0)),  # "@TTN1"
+        ("toy-corpus", lambda raw: raw[:-10]),
+        ("toy-corpus", lambda raw: _flip(raw, 0)),
+        # TOYM is truncated only: a flipped max_decode_frames whose gate never
+        # fires decodes for a long time
+        ("toym", lambda raw: raw[:20]),  # inside the config block
+        ("toym", lambda raw: raw[:-8]),  # the last parameter block
+    ],
+    ids=["config-truncate", "config-flip", "metadata-truncate", "metadata-flip",
+         "subset-manifest-truncate", "subset-manifest-flip", "aug-manifest-truncate",
+         "aug-manifest-flip", "wav-truncate", "wav-flip", "psd-csv-truncate", "psd-csv-flip",
+         "attn1-truncate", "attn1-flip", "toy-corpus-truncate", "toy-corpus-flip",
+         "toym-truncate-config", "toym-truncate-params"],
+)
+def test_mutated_input_file_exits_with_a_typed_error(tmp_path, capsys, reader, mutate):
+    path, argv = _reader_input(reader, tmp_path)
+    capsys.readouterr()
+    path.write_bytes(mutate(path.read_bytes()))
+    assert main(argv) in (1, 2)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -1,3 +1,4 @@
+import json
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -120,6 +121,32 @@ def test_malformed_corpus_file_rejected(tmp_path, line, old, new):
         load_corpus(path)
 
 
+@pytest.mark.parametrize(
+    "line, key, mistyped",
+    [
+        (1, "aug_id", lambda v: 1.7),
+        (1, "aug_id", lambda v: "0"),
+        (1, "aug_id", lambda v: True),
+        (1, "gates", lambda v: ["x", *v[1:]]),
+        (1, "frames", lambda v: [[str(x) for x in row] for row in v]),
+        (1, "tokens", lambda v: [True, *v[1:]]),
+        (0, "seed", lambda v: "abc"),
+        (0, "emission_counts", lambda v: [1.5, *v[1:]]),
+    ],
+    ids=["aug-id-float", "aug-id-string", "aug-id-bool", "gate-string", "frame-string",
+         "token-bool", "seed-string", "count-float"],
+)
+def test_mistyped_corpus_field_names_the_line(tmp_path, line, key, mistyped):
+    # each of these used to be coerced (1.7 -> 1, "0" -> 0, "x" -> True) or kept
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(tiny_corpus(), path)
+    rows = [json.loads(r) for r in path.read_text(encoding="utf-8").splitlines()]
+    rows[line][key] = mistyped(rows[line][key])
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    with pytest.raises(MalformedCorpus, match=f"{path}:{line + 1}:"):
+        load_corpus(path)
+
+
 # --- forward pass ---
 
 def test_attention_rows_stochastic_over_valid_tokens():
@@ -229,6 +256,20 @@ def test_infer_deterministic():
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
     assert np.array_equal(a[2], b[2])
+
+
+def test_infer_memory_follows_decoded_frames_not_the_cap():
+    # a TOYM's max_decode_frames is any u32; the gate fires at the first frame
+    model = ToyModel(replace(TINY, max_decode_frames=10**7))
+    model.params["gate_b"][:] = 50.0
+    tracemalloc.start()
+    try:
+        frames, _, attn = infer(model, [1, 2, 3], 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frames.shape[0] == 1 and attn.shape == (1, 3)
+    assert peak < 1_000_000
 
 
 def test_infer_rejects_bad_aug_id():
