@@ -24,6 +24,3 @@ class AudioClip:
     @property
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate_hz
-
-    def scaled(self, gain: float) -> "AudioClip":
-        return AudioClip(self.samples * gain, self.sample_rate_hz)

@@ -8,6 +8,7 @@ magnitude STFT, then a floored natural log.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,7 @@ from .clip import AudioClip
 _MEL_BREAK_HZ = 1000.0
 _MEL_BELOW_BREAK = 3.0 / 200.0  # mels per Hz in the linear region
 _MEL_LOG_STEP = np.log(6.4) / 27.0
+STFT_BLOCK = 64  # frames per rfft call of the STFT
 
 
 @dataclass(frozen=True)
@@ -91,11 +93,25 @@ def frame_count(n_samples: int, cfg: MelConfig) -> int:
     return 1 + (n_samples - cfg.win_length) // cfg.hop_length
 
 
-def _stft_magnitude(x: np.ndarray, cfg: MelConfig) -> np.ndarray:
-    t = frame_count(len(x), cfg)
+@functools.lru_cache(maxsize=8)
+def _mel_basis(cfg: MelConfig, sample_rate_hz: int) -> tuple[np.ndarray, np.ndarray]:
+    """The periodic Hann window and the filterbank, as read-only arrays."""
     window = 0.5 - 0.5 * np.cos(
         2.0 * np.pi * np.arange(cfg.win_length) / cfg.win_length
     )
+    fb = mel_filterbank(cfg, sample_rate_hz)
+    window.flags.writeable = False
+    fb.flags.writeable = False
+    return window, fb
+
+
+def _stft_magnitude(x: np.ndarray, cfg: MelConfig, window: np.ndarray) -> np.ndarray:
+    """(T, n_fft//2+1) STFT magnitudes, transformed STFT_BLOCK frames at a time.
+
+    Each row of a blocked rfft equals that row of one whole call, so only the
+    windowed frames and spectra of one block are held beside the result.
+    """
+    t = frame_count(len(x), cfg)
     stride = x.strides[0]
     frames = np.lib.stride_tricks.as_strided(
         x,
@@ -103,7 +119,11 @@ def _stft_magnitude(x: np.ndarray, cfg: MelConfig) -> np.ndarray:
         strides=(cfg.hop_length * stride, stride),
         writeable=False,
     )
-    return np.abs(np.fft.rfft(frames * window, n=cfg.n_fft, axis=1))
+    mag = np.empty((t, cfg.n_fft // 2 + 1))
+    for start in range(0, t, STFT_BLOCK):
+        rows = slice(start, start + STFT_BLOCK)
+        np.abs(np.fft.rfft(frames[rows] * window, n=cfg.n_fft, axis=1), out=mag[rows])
+    return mag
 
 
 def mel_spectrogram(clip: AudioClip, cfg: MelConfig = MelConfig()) -> np.ndarray:
@@ -112,8 +132,8 @@ def mel_spectrogram(clip: AudioClip, cfg: MelConfig = MelConfig()) -> np.ndarray
         raise ClipTooShort(
             f"{len(clip.samples)} samples < win_length {cfg.win_length}"
         )
-    fb = mel_filterbank(cfg, clip.sample_rate_hz)
-    mel = _stft_magnitude(clip.samples, cfg) @ fb.T
+    window, fb = _mel_basis(cfg, clip.sample_rate_hz)
+    mel = _stft_magnitude(clip.samples, cfg, window) @ fb.T
     return np.log(np.maximum(mel, cfg.log_floor))
 
 

@@ -108,12 +108,14 @@ def _active_counts(env: np.ndarray, thresholds: np.ndarray, hang: int) -> np.nda
 
     Sample i is active at threshold c when env[k] >= c for some k in
     [i - hang, i], i.e. when the trailing max of the last hang + 1 envelope
-    samples reaches c. The thresholds must be powers of two; env >= 0.
+    samples reaches c. The thresholds must be powers of two; env >= 0. env is
+    overwritten: its buffer holds each sample's rung.
     """
     t_exp = thresholds.view(np.int64) >> 52
     base = int(t_exp.min()) - 1  # rung 0: below every threshold
     top = int(t_exp.max()) - base
-    bits = env.view(np.int64) >> 52  # env >= 0: the biased exponent
+    bits = env.view(np.int64)
+    bits >>= 52  # env >= 0: the biased exponent
     bits -= base
     np.clip(bits, 0, top, out=bits)
     # trailing windows reach hang samples before the start

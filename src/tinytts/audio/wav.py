@@ -76,8 +76,9 @@ def read_wav(path: str | Path) -> AudioClip:
         rate, offset, n_bytes = _read_header(fh)
         fh.seek(offset)
         data = fh.read(n_bytes)
-    ints = np.frombuffer(data, dtype="<i2")
-    return AudioClip(ints.astype(np.float64) / 32768.0, rate)
+    samples = np.frombuffer(data, dtype="<i2").astype(np.float64)
+    samples /= 32768.0
+    return AudioClip(samples, rate)
 
 
 def read_wav_info(path: str | Path) -> tuple[int, int]:
@@ -88,13 +89,20 @@ def read_wav_info(path: str | Path) -> tuple[int, int]:
 
 
 def write_wav(clip: AudioClip, path: str | Path) -> None:
-    """Write mono 16-bit PCM; values outside [-1, 1] clamp to full scale."""
-    q = np.round(clip.samples * 32768.0)
-    q = np.clip(q, -32768, 32767).astype("<i2")
-    data = q.tobytes()
+    """Write mono 16-bit PCM; values outside [-1, 1] clamp to full scale.
+
+    One float buffer is scaled, rounded and clamped in place; the header and
+    the int16 samples are written one after the other.
+    """
+    q = clip.samples * 32768.0
+    np.round(q, out=q)
+    np.clip(q, -32768, 32767, out=q)
+    data = q.astype("<i2")
     rate = clip.sample_rate_hz
-    header = b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
+    header = b"RIFF" + struct.pack("<I", 36 + data.nbytes) + b"WAVE"
     header += b"fmt " + struct.pack("<I", _FMT.size)
     header += _FMT.pack(_FMT_PCM, 1, rate, 2 * rate, 2, 16)
-    header += b"data" + struct.pack("<I", len(data))
-    Path(path).write_bytes(header + data)
+    header += b"data" + struct.pack("<I", data.nbytes)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(data)

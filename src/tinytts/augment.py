@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioClip, active_speech_level_p56, read_wav, write_wav
-from .audio import read_wav_info
+from .audio import ActiveLevelResult, AudioClip, active_speech_level_p56, read_wav
+from .audio import read_wav_info, write_wav
 from .curation import NULL, NUMBER, CorpusEntry, Subset, read_json_rows
 from .curation import write_json, write_json_rows
 from .errors import BuildError, ConfigError, MissingFile, TinyTtsError
@@ -67,42 +67,56 @@ def _check_rate(entry: CorpusEntry, specs: list[NoiseSpec]) -> None:
         spec.spectrum.check_rate(rate)
 
 
+def _write_copy(
+    entry: CorpusEntry,
+    clip: AudioClip,
+    level: ActiveLevelResult | None,
+    spec: NoiseSpec | None,
+    wav_dir: Path,
+    master_seed: int,
+) -> AugManifestEntry:
+    """Render one copy of a source (the clean one when spec is None), write it
+    and return its manifest row; the rendered samples die with the call."""
+    aug_id = spec.aug_id if spec else CLEAN_AUG_ID
+    seed = derive_seed(master_seed, entry.id, aug_id)
+    out_clip, mixture_gain = clip, 1.0
+    if spec is not None:
+        mix = mix_at_snr(clip, spec.spectrum, spec.snr_db, seed, level=level)
+        out_clip, mixture_gain = mix.clip, mix.mixture_gain
+    out_id = f"{entry.id}__aug{aug_id}"
+    row = AugManifestEntry(
+        id=out_id,
+        source_id=entry.id,
+        audio_path=str(wav_dir / f"{out_id}.wav"),
+        text=entry.text,
+        duration_s=entry.duration_s,
+        aug_id=aug_id,
+        noise_name=spec.name if spec else CLEAN_NAME,
+        snr_db=spec.snr_db if spec else None,
+        mixture_gain=mixture_gain,
+        seed=seed,
+    )
+    write_wav(out_clip, row.audio_path)
+    return row
+
+
 def _build_source(
     entry: CorpusEntry, specs: list[NoiseSpec], wav_dir: Path, master_seed: int
 ) -> list[AugManifestEntry]:
     """Write the clean copy and one noisy copy per spec of one source utterance.
 
-    The source is read once and its P.56 level measured once. Every copy is
-    rendered before any is written, so a source that fails (silent or too
-    short) writes none of its copies.
+    The source is read once and its P.56 level measured once. Each copy is
+    written as soon as it is rendered, so no more than one copy is held. After
+    the rate pre-check, P.56 (SignalTooShort, SilentSignal) is the only step
+    that refuses a source, and it runs before the first write: a source that
+    fails writes none of its copies.
     """
     clip = read_wav(entry.audio_path)
     level = active_speech_level_p56(clip) if specs else None
-    rendered = []
-    for spec in [None, *specs]:
-        aug_id = spec.aug_id if spec else CLEAN_AUG_ID
-        seed = derive_seed(master_seed, entry.id, aug_id)
-        out_clip, mixture_gain = clip, 1.0
-        if spec is not None:
-            mix = mix_at_snr(clip, spec.spectrum, spec.snr_db, seed, level=level)
-            out_clip, mixture_gain = mix.clip, mix.mixture_gain
-        out_id = f"{entry.id}__aug{aug_id}"
-        row = AugManifestEntry(
-            id=out_id,
-            source_id=entry.id,
-            audio_path=str(wav_dir / f"{out_id}.wav"),
-            text=entry.text,
-            duration_s=entry.duration_s,
-            aug_id=aug_id,
-            noise_name=spec.name if spec else CLEAN_NAME,
-            snr_db=spec.snr_db if spec else None,
-            mixture_gain=mixture_gain,
-            seed=seed,
-        )
-        rendered.append((row, out_clip))
-    for row, out_clip in rendered:
-        write_wav(out_clip, row.audio_path)
-    return [row for row, _ in rendered]
+    return [
+        _write_copy(entry, clip, level, spec, wav_dir, master_seed)
+        for spec in [None, *specs]
+    ]
 
 
 def _failure_of(task, entry: CorpusEntry):
@@ -199,7 +213,8 @@ def _verify_source(source: tuple[str, list[AugManifestEntry]]) -> list[float]:
     noisy copies of one source, given as (clean path, noisy rows).
 
     The clean file is read once, and P.56 is measured once per distinct
-    mixture gain; each noisy copy's noise is taken from its own file.
+    mixture gain (on the clean samples themselves at gain 1.0); each noisy
+    copy's noise is taken from its own file, in that file's buffer.
     """
     clean_path, noisy = source
     clean = read_wav(clean_path)
@@ -207,12 +222,16 @@ def _verify_source(source: tuple[str, list[AugManifestEntry]]) -> list[float]:
     deviations = []
     for m in noisy:
         if m.mixture_gain not in by_gain:
-            scaled = clean.samples * m.mixture_gain
+            scaled = clean.samples
+            if m.mixture_gain != 1.0:
+                scaled = scaled * m.mixture_gain
             level = active_speech_level_p56(AudioClip(scaled, clean.sample_rate_hz))
             by_gain[m.mixture_gain] = scaled, level.active_level_db
         scaled_clean, active_db = by_gain[m.mixture_gain]
-        noise = read_wav(m.audio_path).samples - scaled_clean
-        achieved = active_db - 10.0 * np.log10(np.mean(noise**2))
+        noise = read_wav(m.audio_path).samples
+        noise -= scaled_clean
+        noise *= noise
+        achieved = active_db - 10.0 * np.log10(np.mean(noise))
         deviations.append(abs(achieved - m.snr_db))
     return deviations
 

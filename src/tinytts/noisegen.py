@@ -133,23 +133,29 @@ def _table_magnitude(
     return 10.0 ** (out / 20.0)
 
 
+def _magnitude(spectrum: SpectrumSpec, n: int, sample_rate_hz: int) -> np.ndarray:
+    """The spectrum's magnitude response at the rfft bins of n samples."""
+    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate_hz)
+    if spectrum.kind == USASI:
+        return usasi_magnitude(freqs)
+    spectrum.check_rate(sample_rate_hz)
+    return _table_magnitude(spectrum.psd_points, freqs)
+
+
 def shaped_noise(
     n: int, spectrum: SpectrumSpec, sample_rate_hz: int, seed: int
 ) -> np.ndarray:
     """Unit-RMS Gaussian noise with the spectrum's long-term magnitude shape."""
     if n < sample_rate_hz:
         raise TooShort(f"need at least 1 s ({sample_rate_hz} samples), got {n}")
-    white = white_gaussian(n, seed)
     if spectrum.kind == WHITE:
-        return white / np.sqrt(np.mean(white**2))
-    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate_hz)
-    if spectrum.kind == USASI:
-        mag = usasi_magnitude(freqs)
+        shaped = white_gaussian(n, seed)
     else:
-        spectrum.check_rate(sample_rate_hz)
-        mag = _table_magnitude(spectrum.psd_points, freqs)
-    shaped = np.fft.irfft(np.fft.rfft(white) * mag, n=n)
-    return shaped / np.sqrt(np.mean(shaped**2))
+        spec = np.fft.rfft(white_gaussian(n, seed))
+        spec *= _magnitude(spectrum, n, sample_rate_hz)
+        shaped = np.fft.irfft(spec, n=n)
+    shaped /= np.sqrt(np.mean(shaped * shaped))
+    return shaped
 
 
 @dataclass(frozen=True)
@@ -183,14 +189,18 @@ def mix_at_snr(
     gen_n = max(n, speech.sample_rate_hz)
     noise = shaped_noise(gen_n, spectrum, speech.sample_rate_hz, seed)[:n]
     active_power = 10.0 ** (level.active_level_db / 10.0)
-    noise_power = float(np.mean(noise**2))
+    noise_power = float(np.mean(noise * noise))
     gain = float(np.sqrt(active_power / (noise_power * 10.0 ** (snr_db / 10.0))))
-    mix = speech.samples + gain * noise
-    peak = float(np.max(np.abs(mix)))
-    mixture_gain = 1.0 if peak <= 1.0 else 0.99 / peak
-    return MixResult(
-        AudioClip(mix * mixture_gain, speech.sample_rate_hz), gain, mixture_gain
-    )
+    # the mix is built in the noise buffer, which this call owns
+    mix = noise
+    mix *= gain
+    mix += speech.samples
+    peak = float(max(mix.max(), -mix.min()))
+    mixture_gain = 1.0
+    if peak > 1.0:
+        mixture_gain = 0.99 / peak
+        mix *= mixture_gain
+    return MixResult(AudioClip(mix, speech.sample_rate_hz), gain, mixture_gain)
 
 
 def read_psd_table_csv(path) -> SpectrumSpec:

@@ -120,8 +120,28 @@ EXAMPLE_TYPES = {
 }
 
 
-def _example_from(row: dict) -> ToyExample:
+def _header_from(row: dict) -> SyntheticCorpus:
+    """The corpus a header row describes, still without examples."""
+    from ..config import seed_int  # config imports this package
+
+    row = check_fields(row, HEADER_TYPES)
+    if any(len(p) != 2 for p in row["aug_profiles"]):
+        raise ValueError("each aug profile must be a (shift, std) pair")
+    if len(row["emission_counts"]) != len(row["templates"]):
+        raise ValueError("need one emission count per template row")
+    return SyntheticCorpus(
+        [],
+        np.asarray(row["templates"]),
+        np.asarray(row["emission_counts"]),
+        [tuple(p) for p in row["aug_profiles"]],
+        seed_int(row["seed"]),
+    )
+
+
+def _example_from(row: dict, n_aug_profiles: int) -> ToyExample:
     row = check_fields(row, EXAMPLE_TYPES)
+    if not 0 <= row["aug_id"] <= n_aug_profiles:
+        raise ValueError(f"aug_id {row['aug_id']} outside [0, {n_aug_profiles}]")
     frames = np.asarray(row["frames"], dtype=np.float64)
     gates = np.asarray(row["gates"], dtype=bool)
     if frames.ndim != 2 or gates.shape != frames.shape[:1]:
@@ -130,21 +150,16 @@ def _example_from(row: dict) -> ToyExample:
 
 
 def load_corpus(path: str | Path) -> SyntheticCorpus:
-    """Read a save_corpus file; MalformedCorpus names the line that does not parse."""
+    """Read a save_corpus file; MalformedCorpus names the line that does not parse
+    or holds a value out of range."""
     line_no = 1
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            header = check_fields(json.loads(fh.readline()), HEADER_TYPES)
-            corpus = SyntheticCorpus(
-                [],
-                np.asarray(header["templates"]),
-                np.asarray(header["emission_counts"]),
-                [tuple(p) for p in header["aug_profiles"]],
-                header["seed"],
-            )
+            corpus = _header_from(json.loads(fh.readline()))
+            n_profiles = len(corpus.aug_profiles)
             for line_no, line in enumerate(fh, start=2):
                 if line.strip():
-                    corpus.examples.append(_example_from(json.loads(line)))
+                    corpus.examples.append(_example_from(json.loads(line), n_profiles))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedCorpus(f"{path}:{line_no}: {exc!r}") from exc
     if not corpus.examples:

@@ -1,8 +1,21 @@
 """Shared fixture builders: deterministic tones, gated noise, speech-like clips;
 the output-tree hash the determinism tests compare; the finite-difference
-gradient check of the toy model."""
+gradient check of the toy model; the tracemalloc peak of the memory tests.
+
+The BLAS thread count is fixed here, before numpy loads: OpenBLAS splits some
+long weight-gradient reductions across its threads, so the count moves the
+bits of a trained model, and the golden pins were recorded with two threads.
+"""
+
+import os
+
+BLAS_THREADS = "2"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ[_var] = BLAS_THREADS
 
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +73,10 @@ def speech_like(seed: int, duration_s: float = 3.0, fs: int = FS) -> AudioClip:
     return AudioClip(0.5 * x / peak, fs)
 
 
+def scaled(clip: AudioClip, gain: float) -> AudioClip:
+    return AudioClip(clip.samples * gain, clip.sample_rate_hz)
+
+
 @pytest.fixture
 def sine_clip() -> AudioClip:
     return tone(1000.0, 0.5, 2.0)
@@ -98,3 +115,13 @@ def grad_check(model: ToyModel, examples: list, eps: float = 1e-5) -> float:
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, rel)
     return worst
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while fn runs, over what was held before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

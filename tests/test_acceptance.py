@@ -42,7 +42,7 @@ from tinytts.noisegen import (
 from tinytts.toytrain import ToyConfig, ToyModel, gen_synthetic_corpus, run_study
 from tinytts.toytrain.study import AUG_EMBEDDING, BATCHING, StudyParams
 
-from conftest import gated_noise, grad_check, speech_like, tone, tree_sha256
+from conftest import gated_noise, grad_check, scaled, speech_like, tone, tree_sha256
 
 # criterion 11 shows that study outputs do not depend on jobs
 STUDY_JOBS = min(2, os.cpu_count() or 1)
@@ -79,7 +79,7 @@ def test_criterion_02_snr_exactness():
     for i in range(20):
         # two of the fixtures run hot to force the overflow rescue
         gain = 1.9 if i % 10 == 9 else 1.0
-        speech = speech_like(300 + i, duration_s=1.2).scaled(gain)
+        speech = scaled(speech_like(300 + i, duration_s=1.2), gain)
         spec = specs[i % 3]
         snr = 0.0 if gain > 1.0 else spec.snr_db  # low SNR guarantees overflow
         res = mix_at_snr(speech, spec.spectrum, snr, seed=1000 + i)

@@ -27,7 +27,7 @@ from tinytts.noisegen import (
     default_noise_specs,
 )
 
-from conftest import speech_like, tree_sha256
+from conftest import scaled, speech_like, tree_sha256
 
 
 def make_speech_subset(root: Path, n: int, duration_s: float = 1.2) -> Subset:
@@ -209,6 +209,20 @@ def test_verify_reads_each_file_once(tmp_path, monkeypatch):
     assert Counter(str(p) for p in reads) == Counter(m.audio_path for m in manifest)
     gains = {(m.source_id, m.mixture_gain) for m in manifest if m.aug_id != 0}
     assert len(p56) == len(gains)
+
+
+def test_verify_remeasures_rescued_copies(tmp_path):
+    # near-full-scale sources at 0 dB SNR: the overflow rescue scales the
+    # mix, and verify measures P.56 on the clean source at that gain
+    subset = make_speech_subset(tmp_path, 2)
+    for i, e in enumerate(subset.entries):
+        write_wav(scaled(speech_like(100 + i, duration_s=1.2), 1.9), e.audio_path)
+    specs = [NoiseSpec("loud", SpectrumSpec(WHITE), 0.0, 1),
+             NoiseSpec("quiet", SpectrumSpec(WHITE), 25.0, 2)]
+    manifest = build_augmented_dataset(subset, specs, tmp_path / "out", 5)
+    assert {m.mixture_gain < 1.0 for m in manifest} == {True, False}
+    report = verify_augmented_dataset(manifest)
+    assert report.n_noisy == 4 and report.n_exceeding_half_db == 0
 
 
 # a PSD table with a point above 8 kHz, the Nyquist frequency of 16 kHz audio

@@ -5,11 +5,13 @@ that moves output bytes the same way on every run passes them. These pins
 compare against digests recorded once, so any moved byte shows here.
 
 The pins were recorded with numpy 2.4.6 on x86-64, whose runtime SIMD
-extensions were X86_V3, X86_V4, AVX512_ICL and AVX512_SPR. Another numpy
-build or SIMD path may round some float results differently; the mismatch
-message names both, so that case can be told from a code change. A change
-that moves a pin on purpose updates it here and says in CHANGES.md which
-artefact moved and why.
+extensions were X86_V3, X86_V4, AVX512_ICL and AVX512_SPR, with two OpenBLAS
+threads on two cores. Another numpy build or SIMD path may round some float
+results differently, and so may another BLAS thread count: OpenBLAS splits
+long weight-gradient reductions across its threads. conftest fixes the count
+at two before numpy loads. The mismatch message names all of these, so that
+case can be told from a code change. A change that moves a pin on purpose
+updates it here and says in CHANGES.md which artefact moved and why.
 """
 
 import contextlib
@@ -17,26 +19,31 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
 
 import numpy as np
 import pytest
 
 from tinytts.audio import MelConfig, mel_spectrogram, write_melb, write_wav
-from tinytts.augment import build_augmented_dataset
+from tinytts.augment import CLEAN_AUG_ID, build_augmented_dataset, verify_augmented_dataset
 from tinytts.cli import main
 from tinytts.curation import INFORMED, CorpusEntry, Subset
 from tinytts.noisegen import default_noise_specs
 from tinytts.toytrain import AUG_EMBEDDING, BATCHING, ToyConfig, run_study
 from tinytts.toytrain.study import AUGEMB_PARAMS, BATCHING_PARAMS
 
-from conftest import speech_like, tree_sha256
+from conftest import BLAS_THREAD_VARS, speech_like, tree_sha256
 from test_study import MINI_AUGEMB, MINI_BATCHING
 
-RECORDED_WITH = "numpy 2.4.6, SIMD X86_V3, X86_V4, AVX512_ICL, AVX512_SPR"
+RECORDED_WITH = (
+    "numpy 2.4.6, SIMD X86_V3, X86_V4, AVX512_ICL, AVX512_SPR, "
+    "OPENBLAS_NUM_THREADS=2, OMP_NUM_THREADS=2, os.cpu_count() 2"
+)
 
 PINS = {
     "augment_tree": "41b01a265b45d09757a3fd84c19eb1aefdad3d7fdcf2363a0f4f07085fe9f7df",
+    "verify_deviations": "e30098a2978adcb9228f9e9dd7bd8ec6e667e5742c973c28916e6a0f997a6df1",
     "melb": "cf0b84ed7a6bd336600318cb0bda5cb1cc84bc739a5160d779e3a494827d9e4a",
     "toy_train_batching/model.toym": "5b98419c6186d83595e6b78da065c7c640ab0dd795415738de069b7c10258925",
     "toy_train_batching/train_report.json": "847627089809dc0adf4bc013a925e675177567bc32ea56eac7416b2197a70576",
@@ -63,11 +70,17 @@ def _simd_found() -> str:
     return found.group(1).replace("'", "") if found else out.getvalue()
 
 
+def _blas_threads() -> str:
+    """The BLAS thread settings (fixed by conftest) and the core count."""
+    settings = [f"{var}={os.environ.get(var)}" for var in BLAS_THREAD_VARS]
+    return ", ".join([*settings, f"os.cpu_count() {os.cpu_count()}"])
+
+
 def check_pin(name: str, digest: str) -> None:
     if digest != PINS[name]:
         pytest.fail(
             f"{name}: sha256 {digest} does not match its pin {PINS[name]!r}; "
-            f"here numpy {np.__version__}, SIMD {_simd_found()}; "
+            f"here numpy {np.__version__}, SIMD {_simd_found()}, {_blas_threads()}; "
             f"pins recorded with {RECORDED_WITH}"
         )
 
@@ -76,19 +89,41 @@ def sha256_file(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_augment_tree_pin(tmp_path):
-    # criterion 11's fixture: three speech-like sources, default specs
-    (tmp_path / "clean").mkdir()
+@pytest.fixture(scope="module")
+def augment_tree(tmp_path_factory):
+    """(output directory, manifest) of criterion 11's fixture: three
+    speech-like sources, default specs."""
+    root = tmp_path_factory.mktemp("augment")
+    (root / "clean").mkdir()
     entries = []
     for i in range(3):
         clip = speech_like(700 + i, duration_s=1.1)
-        path = tmp_path / "clean" / f"utt{i}.wav"
+        path = root / "clean" / f"utt{i}.wav"
         write_wav(clip, path)
         entries.append(CorpusEntry(f"utt{i}", path, f"t{i}", clip.duration_s))
     subset = Subset(entries, sum(e.duration_s for e in entries), INFORMED, 1e9)
-    out = tmp_path / "aug"
-    build_augmented_dataset(subset, default_noise_specs(), out, master_seed=77)
-    check_pin("augment_tree", tree_sha256(out))
+    out = root / "aug"
+    manifest = build_augmented_dataset(subset, default_noise_specs(), out, master_seed=77)
+    return out, manifest
+
+
+def test_augment_tree_pin(augment_tree):
+    check_pin("augment_tree", tree_sha256(augment_tree[0]))
+
+
+def test_verify_deviations_pin(augment_tree):
+    # one noisy copy per verify call, so each report's maximum is that copy's
+    # deviation; the float64 bytes of all of them in manifest order are pinned
+    manifest = augment_tree[1]
+    clean = {m.source_id: m for m in manifest if m.aug_id == CLEAN_AUG_ID}
+    deviations = [
+        verify_augmented_dataset([clean[m.source_id], m]).max_deviation_db
+        for m in manifest
+        if m.aug_id != CLEAN_AUG_ID
+    ]
+    assert len(deviations) == 9
+    assert verify_augmented_dataset(manifest).max_deviation_db == max(deviations)
+    check_pin("verify_deviations", hashlib.sha256(np.array(deviations).tobytes()).hexdigest())
 
 
 def test_melb_pin(tmp_path):

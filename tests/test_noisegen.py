@@ -18,7 +18,7 @@ from tinytts.noisegen import (
     white_gaussian,
 )
 
-from conftest import FS, speech_like, tone
+from conftest import FS, scaled, speech_like, tone
 
 
 def test_white_moments_1e6():
@@ -142,13 +142,13 @@ def test_mix_linearity_in_speech_gain():
     speech = speech_like(8)
     base = mix_at_snr(speech, SpectrumSpec(WHITE), 20.0, seed=3)
     for g in (0.25, 0.5):
-        scaled = mix_at_snr(speech.scaled(g), SpectrumSpec(WHITE), 20.0, seed=3)
-        assert scaled.noise_gain == pytest.approx(g * base.noise_gain, rel=0.01)
+        res = mix_at_snr(scaled(speech, g), SpectrumSpec(WHITE), 20.0, seed=3)
+        assert res.noise_gain == pytest.approx(g * base.noise_gain, rel=0.01)
 
 
 def test_overflow_rescue_preserves_snr():
     # near-full-scale speech at low SNR forces the peak above 1.0
-    speech = speech_like(4).scaled(1.9)
+    speech = scaled(speech_like(4), 1.9)
     res = mix_at_snr(speech, SpectrumSpec(WHITE), 0.0, seed=6)
     assert res.mixture_gain < 1.0
     assert np.max(np.abs(res.clip.samples)) == pytest.approx(0.99, abs=1e-9)

@@ -21,7 +21,7 @@ from tinytts.audio.p56 import (
 )
 from tinytts.errors import SignalTooShort, SilentSignal
 
-from conftest import gated_noise, speech_like, tone
+from conftest import gated_noise, scaled, speech_like, tone
 
 
 def test_full_duty_sine_active_equals_rms():
@@ -66,7 +66,7 @@ def test_scale_equivariance_property():
     for _ in range(10):
         gain_db = rng.uniform(-30, 10)
         g = 10 ** (gain_db / 20)
-        r = active_speech_level_p56(base.scaled(g))
+        r = active_speech_level_p56(scaled(base, g))
         assert r.active_level_db - r0.active_level_db == pytest.approx(gain_db, abs=0.05)
         assert r.long_term_level_db - r0.long_term_level_db == pytest.approx(gain_db, abs=0.05)
         assert r.activity_factor == pytest.approx(r0.activity_factor, abs=0.01)

@@ -147,6 +147,40 @@ def test_mistyped_corpus_field_names_the_line(tmp_path, line, key, mistyped):
         load_corpus(path)
 
 
+@pytest.mark.parametrize(
+    "line, key, bad",
+    [
+        (0, "seed", lambda v: -5),
+        (0, "seed", lambda v: 2**64),
+        (0, "aug_profiles", lambda v: [[0.1, 0.05, 9.0]]),
+        (0, "aug_profiles", lambda v: [[0.1]]),
+        (0, "emission_counts", lambda v: v[:-1]),
+        (1, "aug_id", lambda v: -3),
+        (2, "aug_id", lambda v: 2),  # tiny_corpus has one profile
+    ],
+    ids=["seed-negative", "seed-too-big", "profile-triple", "profile-single",
+         "counts-short", "aug-id-negative", "aug-id-no-profile"],
+)
+def test_out_of_range_corpus_value_names_the_line(tmp_path, line, key, bad):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(tiny_corpus(), path)
+    rows = [json.loads(r) for r in path.read_text(encoding="utf-8").splitlines()]
+    rows[line][key] = bad(rows[line][key])
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    with pytest.raises(MalformedCorpus, match=f"{path}:{line + 1}:"):
+        load_corpus(path)
+
+
+def test_corpus_at_the_value_limits_loads(tmp_path):
+    corpus = tiny_corpus()
+    corpus.seed = 2**64 - 1
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(corpus, path)
+    back = load_corpus(path)
+    assert back.seed == 2**64 - 1
+    assert {e.aug_id for e in back.examples} == {0, len(corpus.aug_profiles)}
+
+
 # --- forward pass ---
 
 def test_attention_rows_stochastic_over_valid_tokens():

@@ -5,7 +5,6 @@ byte counts and do not depend on the machine. The shapes are those of the
 worst batching-study batch: 16 utterances of 128 frames over 40 tokens.
 """
 
-import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -16,6 +15,8 @@ from tinytts.toytrain.data import SyntheticCorpus
 from tinytts.toytrain.model import ForwardResult
 from tinytts.toytrain.study import BATCHING_PARAMS
 from tinytts.toytrain.train import Adam, clip_global_norm, mean_corpus_loss, train
+
+from conftest import traced_peak
 
 CFG = BATCHING_PARAMS.config
 N_TOKENS, N_FRAMES = 40, 128
@@ -34,16 +35,6 @@ def equal_shape_examples(count: int, seed: int = 0) -> list[ToyExample]:
         )
         for _ in range(count)
     ]
-
-
-def traced_peak(fn) -> int:
-    """Peak bytes allocated while fn runs, over what was held before it."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_backward_keeps_no_second_copy_of_the_activations():
