@@ -19,7 +19,7 @@ from .audio import ActiveLevelResult, AudioClip, active_speech_level_p56, read_w
 from .audio import read_wav_info, write_wav
 from .curation import NULL, NUMBER, CorpusEntry, Subset, read_json_rows
 from .curation import write_json, write_json_rows
-from .errors import BuildError, ConfigError, MissingFile, TinyTtsError
+from .errors import BuildError, ConfigError, MismatchedCopy, MissingFile, TinyTtsError
 from .noisegen import NoiseSpec, mix_at_snr
 from .parallel import map_tasks
 
@@ -204,8 +204,7 @@ class VerifyReport:
     n_noisy: int
     n_clean: int
     max_deviation_db: float
-    n_exceeding_half_db: int
-    flagged_ids: list[str]
+    flagged_ids: list[str]  # deviation over SNR_TOLERANCE_DB
 
 
 def _verify_source(source: tuple[str, list[AugManifestEntry]]) -> list[float]:
@@ -214,7 +213,9 @@ def _verify_source(source: tuple[str, list[AugManifestEntry]]) -> list[float]:
 
     The clean file is read once, and P.56 is measured once per distinct
     mixture gain (on the clean samples themselves at gain 1.0); each noisy
-    copy's noise is taken from its own file, in that file's buffer.
+    copy's noise is taken from its own file, in that file's buffer. A copy
+    whose sample count or rate differs from the clean file's raises
+    MismatchedCopy.
     """
     clean_path, noisy = source
     clean = read_wav(clean_path)
@@ -228,7 +229,14 @@ def _verify_source(source: tuple[str, list[AugManifestEntry]]) -> list[float]:
             level = active_speech_level_p56(AudioClip(scaled, clean.sample_rate_hz))
             by_gain[m.mixture_gain] = scaled, level.active_level_db
         scaled_clean, active_db = by_gain[m.mixture_gain]
-        noise = read_wav(m.audio_path).samples
+        mixed = read_wav(m.audio_path)
+        shape = (mixed.samples.size, mixed.sample_rate_hz)
+        if shape != (clean.samples.size, clean.sample_rate_hz):
+            raise MismatchedCopy(
+                f"{m.id}: {shape[0]} samples at {shape[1]} Hz, its clean file"
+                f" {clean.samples.size} at {clean.sample_rate_hz} Hz"
+            )
+        noise = mixed.samples
         noise -= scaled_clean
         noise *= noise
         achieved = active_db - 10.0 * np.log10(np.mean(noise))
@@ -261,4 +269,4 @@ def verify_augmented_dataset(
             deviations[i] = dev
     flagged = [m.id for m, dev in zip(noisy, deviations) if dev > SNR_TOLERANCE_DB]
     max_dev = max(deviations, default=0.0)
-    return VerifyReport(len(noisy), len(clean), max_dev, len(flagged), flagged)
+    return VerifyReport(len(noisy), len(clean), max_dev, flagged)

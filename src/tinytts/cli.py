@@ -139,11 +139,11 @@ def cmd_augment(args, cfg: RunConfig) -> Result:
 def cmd_verify_aug(args, cfg: RunConfig) -> Result:
     jobs = _jobs(cfg)
     report = verify_augmented_dataset(read_aug_manifest(args.manifest), jobs=jobs)
-    return EXIT_OK if report.n_exceeding_half_db == 0 else EXIT_VALIDATION, {
+    return EXIT_VALIDATION if report.flagged_ids else EXIT_OK, {
         "n_noisy": report.n_noisy,
         "n_clean": report.n_clean,
         "max_deviation_db": report.max_deviation_db,
-        "n_flagged": report.n_exceeding_half_db,
+        "n_flagged": len(report.flagged_ids),
         "flagged_ids": report.flagged_ids,
     }
 
@@ -269,7 +269,7 @@ def cmd_toy_train(args, cfg: RunConfig) -> Result:
         "initial_loss": initial_loss,
         "final_loss": report.final_loss,
         "steps": len(report.loss_curve),
-        "seed": report.seed,
+        "seed": toy_cfg.seed,
         "wall_clock_s": report.wall_clock_s,
         "clipped_steps": sum(clipped(n, toy_cfg.grad_clip_norm) for n in norms),
         "loss_curve": report.loss_curve,

@@ -21,7 +21,7 @@ from pathlib import Path
 from .audio import MelConfig
 from .curation import INFORMED, RANDOM
 from .errors import ConfigFileError, read_utf8
-from .noisegen import SPECTRA, NoiseSpec, read_psd_table_csv
+from .noisegen import DEFAULT_NOISE_SPECS, SPECTRA, NoiseSpec, read_psd_table_csv
 from .toytrain import ToyConfig
 from .toytrain.study import DEFAULT_AUG_PROFILES
 
@@ -52,8 +52,9 @@ DEFAULTS: dict[str, tuple[object, type]] = {
     "seed": (0, seed_int),
     "master_seed": (0, seed_int),
     "jobs": (1, int),
-    # also noisegen.default_noise_specs(); names are noisegen.SPECTRA's
-    "noise_specs": ("white:25:1,usasi:15:2,sensor:20:3", str),
+    "noise_specs": (
+        ",".join(f"{s.name}:{s.snr_db:g}:{s.aug_id}" for s in DEFAULT_NOISE_SPECS), str
+    ),
     **{
         f"{prefix}.{f.name}": (
             f.default, seed_int if f.name == "seed" else type(f.default)

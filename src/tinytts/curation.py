@@ -45,10 +45,14 @@ class CorpusEntry:
 @dataclass
 class Subset:
     entries: list[CorpusEntry]
-    total_duration_s: float
-    selection_mode: str
-    budget_s: float
-    seed: int | None = None
+
+    @property
+    def total_duration_s(self) -> float:
+        """The entries' durations added in order, as the budget walk adds them."""
+        total = 0.0
+        for entry in self.entries:
+            total += entry.duration_s
+        return total
 
 
 @dataclass
@@ -107,9 +111,7 @@ def _sorted_by_duration(entries: list[CorpusEntry]) -> list[CorpusEntry]:
     return sorted(entries, key=lambda e: (e.duration_s, e.id))
 
 
-def _budget_prefix(
-    ordered: list[CorpusEntry], budget_s: float, mode: str, seed: int | None = None
-) -> Subset:
+def _budget_prefix(ordered: list[CorpusEntry], budget_s: float, mode: str) -> Subset:
     """The longest prefix of `ordered` whose total duration fits the budget."""
     picked: list[CorpusEntry] = []
     total = 0.0
@@ -120,7 +122,7 @@ def _budget_prefix(
         total += entry.duration_s
     if not picked:
         raise EmptySelection(f"budget {budget_s} s below the first {mode} sample")
-    return Subset(picked, total, mode, budget_s, seed)
+    return Subset(picked)
 
 
 def select_informed_subset(entries: list[CorpusEntry], budget_s: float) -> Subset:
@@ -134,7 +136,7 @@ def select_random_subset(
     """Uniform shuffle by seed, then the prefix that stays within budget."""
     gen = np.random.Generator(np.random.Philox(key=seed))
     order = gen.permutation(len(entries))
-    return _budget_prefix([entries[int(i)] for i in order], budget_s, RANDOM, seed)
+    return _budget_prefix([entries[int(i)] for i in order], budget_s, RANDOM)
 
 
 def plan_batches(
@@ -206,23 +208,14 @@ def symbol_histogram(
     return {"symbols": histogram, "coverage": coverage}
 
 
-# --- manifest serialization: JSON-lines entries plus a sidecar summary ---
+# --- manifest serialization: JSON-lines entries ---
 
 def write_subset_manifest(subset: Subset, manifest_path: str | Path) -> None:
-    path = Path(manifest_path)
     rows = [
         {"id": e.id, "audio": e.audio_path, "text": e.text, "duration_s": e.duration_s}
         for e in subset.entries
     ]
-    write_json_rows(path, rows, "audio")
-    summary = {
-        "mode": subset.selection_mode,
-        "budget_s": subset.budget_s,
-        "seed": subset.seed,
-        "total_s": subset.total_duration_s,
-        "n": len(subset.entries),
-    }
-    write_json(path.with_suffix(path.suffix + ".summary.json"), summary)
+    write_json_rows(manifest_path, rows, "audio")
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -288,7 +281,8 @@ def read_json_rows(
     `audio_key` path, if relative, is made absolute against the file's
     directory. Bad UTF-8 or JSON, a row that is not an object, a missing or
     mistyped field, and a KeyError, TypeError or ValueError from build raise
-    MalformedRow naming path:line.
+    MalformedRow naming path:line; a file with no rows raises MalformedRow
+    naming the path.
     """
     base = Path(path).resolve().parent
     out = []
@@ -305,25 +299,16 @@ def read_json_rows(
                 out.append(build(row))
             except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedRow(f"{path}:{line_no}: {exc!r}") from exc
+    if not out:
+        raise MalformedRow(f"{path}: no rows")
     return out
 
 
 def read_subset_manifest(manifest_path: str | Path) -> Subset:
-    path = Path(manifest_path)
-
+    """Read a write_subset_manifest file; a legacy `.summary.json` is ignored."""
     types = {"id": (str,), "audio": (str,), "text": (str,), "duration_s": NUMBER}
 
     def entry(row: dict) -> CorpusEntry:
-        audio = Path(row["audio"])
-        return CorpusEntry(row["id"], audio, row["text"], row["duration_s"])
+        return CorpusEntry(row["id"], Path(row["audio"]), row["text"], row["duration_s"])
 
-    entries = read_json_rows(path, types, entry, "audio")
-    summary_path = path.with_suffix(path.suffix + ".summary.json")
-    if summary_path.exists():
-        try:
-            s = json.loads(summary_path.read_text(encoding="utf-8"))
-            return Subset(entries, s["total_s"], s["mode"], s["budget_s"], s["seed"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedRow(f"{summary_path}: {exc!r}") from exc
-    total = sum(e.duration_s for e in entries)
-    return Subset(entries, total, INFORMED, total)
+    return Subset(read_json_rows(manifest_path, types, entry, "audio"))

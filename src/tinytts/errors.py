@@ -90,6 +90,10 @@ class MissingFile(TinyTtsError):
     """A manifest entry points at a file that does not exist."""
 
 
+class MismatchedCopy(TinyTtsError):
+    """A noisy copy's sample count or rate differs from its clean file's."""
+
+
 # --- evalkit ---
 
 class NotRowStochastic(TinyTtsError):

@@ -99,11 +99,17 @@ class NoiseSpec:
             raise BadSpectrum("aug_id 0 is reserved for clean; noise specs need >= 1")
 
 
+# the `noise_specs` config default
+DEFAULT_NOISE_SPECS = (
+    NoiseSpec("white", SPECTRA["white"], 25.0, 1),
+    NoiseSpec("usasi", SPECTRA["usasi"], 15.0, 2),
+    NoiseSpec("sensor", SPECTRA["sensor"], 20.0, 3),
+)
+
+
 def default_noise_specs() -> list[NoiseSpec]:
     """The specs of the `noise_specs` config default (white, USASI, sensor)."""
-    from .config import DEFAULTS, parse_noise_specs
-
-    return parse_noise_specs(DEFAULTS["noise_specs"][0])
+    return list(DEFAULT_NOISE_SPECS)
 
 
 def white_gaussian(n: int, seed: int) -> np.ndarray:

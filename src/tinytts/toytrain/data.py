@@ -27,8 +27,7 @@ MAX_LEN = 64
 class ToyExample:
     tokens: list[int]  # values in [1, K]; 0 is reserved for padding
     aug_id: int
-    target_frames: np.ndarray  # (T, M)
-    gate_targets: np.ndarray  # (T,) bool, True only at the final frame
+    target_frames: np.ndarray  # (T, M); the stop gate fires at the last frame
 
 
 @dataclass
@@ -75,13 +74,10 @@ def gen_synthetic_corpus(
         length = int(gen.integers(lo, hi + 1))
         tokens = [int(t) for t in gen.integers(1, vocab_size + 1, size=length)]
         clean = corpus.clean_frames_for(tokens)
-        t = clean.shape[0]
-        gates = np.zeros(t, dtype=bool)
-        gates[-1] = True
-        corpus.examples.append(ToyExample(tokens, 0, clean, gates))
+        corpus.examples.append(ToyExample(tokens, 0, clean))
         for aug_id, (shift, std) in enumerate(aug_profiles, start=1):
             noisy = clean + shift + std * gen.standard_normal(clean.shape)
-            corpus.examples.append(ToyExample(tokens, aug_id, noisy, gates.copy()))
+            corpus.examples.append(ToyExample(tokens, aug_id, noisy))
     return corpus
 
 
@@ -98,7 +94,6 @@ def save_corpus(corpus: SyntheticCorpus, path: str | Path) -> None:
             "tokens": e.tokens,
             "aug_id": e.aug_id,
             "frames": e.target_frames.tolist(),
-            "gates": e.gate_targets.astype(int).tolist(),
         }
         for e in corpus.examples
     )
@@ -116,7 +111,6 @@ EXAMPLE_TYPES = {
     "tokens": [(int,)],
     "aug_id": (int,),
     "frames": [[NUMBER]],
-    "gates": [(int,)],
 }
 
 
@@ -139,14 +133,14 @@ def _header_from(row: dict) -> SyntheticCorpus:
 
 
 def _example_from(row: dict, n_aug_profiles: int) -> ToyExample:
+    """The example of a row; a "gates" field that older versions wrote is ignored."""
     row = check_fields(row, EXAMPLE_TYPES)
     if not 0 <= row["aug_id"] <= n_aug_profiles:
         raise ValueError(f"aug_id {row['aug_id']} outside [0, {n_aug_profiles}]")
     frames = np.asarray(row["frames"], dtype=np.float64)
-    gates = np.asarray(row["gates"], dtype=bool)
-    if frames.ndim != 2 or gates.shape != frames.shape[:1]:
-        raise ValueError("frames must be T x M with one gate per frame")
-    return ToyExample(row["tokens"], row["aug_id"], frames, gates)
+    if frames.ndim != 2:
+        raise ValueError("frames must be T x M")
+    return ToyExample(row["tokens"], row["aug_id"], frames)
 
 
 def load_corpus(path: str | Path) -> SyntheticCorpus:

@@ -119,7 +119,7 @@ class Batch:
     aug_ids: np.ndarray  # (B,) ints
     targets: np.ndarray  # (B, T, M)
     frame_mask: np.ndarray  # (B, T) bool
-    gate_targets: np.ndarray  # (B, T) float 0/1
+    gate_targets: np.ndarray  # (B, T) 1.0 at each row's last frame, else 0.0
 
 
 class Step(NamedTuple):
@@ -174,6 +174,8 @@ def make_batch(examples, cfg: ToyConfig) -> Batch:
     for i, e in enumerate(examples):
         n = len(e.tokens)
         t = e.target_frames.shape[0]
+        if t == 0:
+            raise ShapeMismatch(f"example {i}: no target frames")
         if e.target_frames.shape[1] != cfg.feat_dim:
             raise ShapeMismatch(
                 f"example {i}: feat dim {e.target_frames.shape[1]} != {cfg.feat_dim}"
@@ -184,7 +186,7 @@ def make_batch(examples, cfg: ToyConfig) -> Batch:
         aug_ids[i] = e.aug_id
         targets[i, :t] = e.target_frames
         frame_mask[i, :t] = True
-        gates[i, :t] = e.gate_targets
+        gates[i, t - 1] = 1.0
     return Batch(tokens, token_mask, aug_ids, targets, frame_mask, gates)
 
 

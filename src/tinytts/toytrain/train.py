@@ -27,7 +27,6 @@ class TrainReport:
     loss_curve: list[float]
     grad_norms: list[float]  # global norm of each step's gradient, before clipping
     wall_clock_s: float
-    seed: int
 
 
 class Adam:
@@ -79,7 +78,7 @@ def _plan_epoch(
         CorpusEntry(f"{i:06d}", "", "", float(e.target_frames.shape[0]))
         for i, e in enumerate(examples)
     ]
-    subset = Subset(entries, 0.0, "toy", 0.0)
+    subset = Subset(entries)
     return [[int(i) for i in b] for b in plan_batches(subset, batch_size, mode, seed)]
 
 
@@ -137,5 +136,4 @@ def train(
         loss_curve=curve,
         grad_norms=norms,
         wall_clock_s=time.perf_counter() - started,
-        seed=cfg.seed,
     )

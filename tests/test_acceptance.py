@@ -19,7 +19,6 @@ from tinytts.audio import AudioClip, active_speech_level_p56, write_wav
 from tinytts.augment import build_augmented_dataset
 from tinytts.curation import (
     BUCKETED,
-    INFORMED,
     RANDOM_SHUFFLE,
     CorpusEntry,
     Subset,
@@ -164,7 +163,7 @@ def test_criterion_05_padding_monotonicity():
             CorpusEntry(f"u{j:03d}", "", "", float(d))
             for j, d in enumerate(rng.uniform(0.4, 9.0, n))
         ]
-        subset = Subset(corpus, 0.0, INFORMED, 1e9)
+        subset = Subset(corpus)
         seed = int(rng.integers(0, 2**31))
         batch_size = int(rng.integers(2, 10))
         bucketed = padding_stats(
@@ -341,7 +340,7 @@ def test_criterion_11_reproducibility(tmp_path):
         path = tmp_path / "clean" / f"utt{i}.wav"
         write_wav(clip, path)
         entries.append(CorpusEntry(f"utt{i}", path, f"t{i}", clip.duration_s))
-    subset = Subset(entries, sum(e.duration_s for e in entries), INFORMED, 1e9)
+    subset = Subset(entries)
     specs = default_noise_specs()
     checksums = []
     for variant, jobs in (("serial", 1), ("rerun", 1), ("parallel", 2)):

@@ -10,7 +10,7 @@ import pytest
 
 from tinytts.audio import mel_spectrogram, write_wav
 from tinytts.augment import build_augmented_dataset, verify_augmented_dataset
-from tinytts.curation import INFORMED, CorpusEntry, Subset
+from tinytts.curation import CorpusEntry, Subset
 from tinytts.noisegen import default_noise_specs
 
 from conftest import speech_like, traced_peak
@@ -31,7 +31,7 @@ def one_source(tmp_path, clip) -> Subset:
     path = tmp_path / "utt.wav"
     write_wav(clip, path)
     entry = CorpusEntry("utt", path, "text", clip.duration_s)
-    return Subset([entry], clip.duration_s, INFORMED, 1e9)
+    return Subset([entry])
 
 
 def test_build_holds_one_copy_at_a_time(tmp_path, clip):

@@ -9,7 +9,7 @@ import pytest
 
 import tinytts.augment
 import tinytts.noisegen
-from tinytts.audio import AudioClip, write_wav
+from tinytts.audio import AudioClip, read_wav, write_wav
 from tinytts.augment import (
     AugManifestEntry,
     build_augmented_dataset,
@@ -17,8 +17,14 @@ from tinytts.augment import (
     read_aug_manifest,
     verify_augmented_dataset,
 )
-from tinytts.curation import INFORMED, CorpusEntry, Subset
-from tinytts.errors import BuildError, ConfigError, MalformedRow, MissingFile
+from tinytts.curation import CorpusEntry, Subset
+from tinytts.errors import (
+    BuildError,
+    ConfigError,
+    MalformedRow,
+    MismatchedCopy,
+    MissingFile,
+)
 from tinytts.noisegen import (
     PSD_TABLE,
     WHITE,
@@ -40,8 +46,7 @@ def make_speech_subset(root: Path, n: int, duration_s: float = 1.2) -> Subset:
         entries.append(
             CorpusEntry(f"utt{i:03d}", path, f"text {i}", clip.duration_s)
         )
-    total = sum(e.duration_s for e in entries)
-    return Subset(entries, total, INFORMED, total)
+    return Subset(entries)
 
 
 def test_cardinality_and_aug_id_partition(tmp_path):
@@ -126,7 +131,7 @@ def test_verify_fresh_dataset(tmp_path):
     assert report.n_noisy == 9
     assert report.n_clean == 3
     assert report.max_deviation_db <= 0.5
-    assert report.n_exceeding_half_db == 0
+    assert len(report.flagged_ids) == 0
     parallel = verify_augmented_dataset(manifest, jobs=2)
     assert parallel == report
 
@@ -138,7 +143,7 @@ def test_verify_flags_edited_snr(tmp_path):
     victim.snr_db += 3.0
     report = verify_augmented_dataset(manifest)
     assert victim.id in report.flagged_ids
-    assert report.n_exceeding_half_db == 1
+    assert len(report.flagged_ids) == 1
 
 
 def test_verify_missing_file(tmp_path):
@@ -147,6 +152,34 @@ def test_verify_missing_file(tmp_path):
     Path(manifest[1].audio_path).unlink()
     with pytest.raises(MissingFile, match=manifest[1].id):
         verify_augmented_dataset(manifest)
+
+
+def mismatch_copy(manifest: list[AugManifestEntry], how: str) -> AugManifestEntry:
+    """Edit the files of the first source so that its first noisy copy cannot
+    come from its clean file: the copy made 100 samples longer ("longer"), or
+    the clean file rewritten at 16 kHz beside the 22.05 kHz copy ("rate").
+    Returns that copy's row."""
+    victim = next(m for m in manifest if m.aug_id != 0)
+    if how == "longer":
+        clip = read_wav(victim.audio_path)
+        samples = np.concatenate([clip.samples, np.zeros(100)])
+        write_wav(AudioClip(samples, clip.sample_rate_hz), victim.audio_path)
+    else:
+        clean = next(
+            m for m in manifest if m.aug_id == 0 and m.source_id == victim.source_id
+        )
+        write_wav(AudioClip(read_wav(clean.audio_path).samples, 16000), clean.audio_path)
+    return victim
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("how", ["longer", "rate"])
+def test_verify_refuses_a_copy_unlike_its_clean_file(tmp_path, how, jobs):
+    subset = make_speech_subset(tmp_path, 2)
+    manifest = build_augmented_dataset(subset, default_noise_specs(), tmp_path / "out", 5)
+    victim = mismatch_copy(manifest, how)
+    with pytest.raises(MismatchedCopy, match=f"{victim.id}: "):
+        verify_augmented_dataset(manifest, jobs=jobs)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -222,7 +255,7 @@ def test_verify_remeasures_rescued_copies(tmp_path):
     manifest = build_augmented_dataset(subset, specs, tmp_path / "out", 5)
     assert {m.mixture_gain < 1.0 for m in manifest} == {True, False}
     report = verify_augmented_dataset(manifest)
-    assert report.n_noisy == 4 and report.n_exceeding_half_db == 0
+    assert report.n_noisy == 4 and len(report.flagged_ids) == 0
 
 
 # a PSD table with a point above 8 kHz, the Nyquist frequency of 16 kHz audio
@@ -263,8 +296,8 @@ def test_16khz_source_augments_with_default_specs(tmp_path):
     clip = speech_like(8, duration_s=1.2, fs=16000)
     path = tmp_path / "u16k.wav"
     write_wav(clip, path)
-    subset = Subset([CorpusEntry("u16k", path, "t", clip.duration_s)], 1.2, INFORMED, 1.2)
+    subset = Subset([CorpusEntry("u16k", path, "t", clip.duration_s)])
     manifest = build_augmented_dataset(subset, default_noise_specs(), tmp_path / "out", 3)
     assert sorted(m.aug_id for m in manifest) == [0, 1, 2, 3]
     report = verify_augmented_dataset(manifest)
-    assert report.n_noisy == 3 and report.n_exceeding_half_db == 0
+    assert report.n_noisy == 3 and len(report.flagged_ids) == 0

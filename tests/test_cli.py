@@ -9,11 +9,13 @@ import pytest
 
 from tinytts import curation
 from tinytts.audio import read_melb, write_wav
+from tinytts.augment import read_aug_manifest
 from tinytts.cli import main
 from tinytts.evalkit import read_attention
 from tinytts.toytrain import ToyConfig, ToyModel, gen_synthetic_corpus, save_corpus, save_model
 
 from conftest import speech_like, tone
+from test_augment import mismatch_copy
 from test_curation import write_ljspeech_fixture
 
 
@@ -257,6 +259,30 @@ def test_augment_verify_pipeline(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["n_noisy"] == 4
     assert payload["max_deviation_db"] <= 0.5
+
+
+@pytest.mark.parametrize("how", ["longer", "rate"])
+def test_verify_aug_refuses_a_copy_unlike_its_clean_file(tmp_path, capsys, how):
+    manifest = tmp_path / "aug" / "manifest.jsonl"
+    argv = ["augment", "--manifest", _curated_subset(tmp_path, capsys),
+            "--out-dir", str(tmp_path / "aug")]
+    assert run_cli(capsys, *argv)[0] == 0
+    victim = mismatch_copy(read_aug_manifest(manifest), how)
+    assert main(["verify-aug", "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{victim.id}: " in err
+
+
+@pytest.mark.parametrize("command", ["augment", "verify-aug"])
+def test_empty_manifest_exits_cleanly(tmp_path, capsys, command):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_bytes(b"")
+    out = tmp_path / "out"
+    argv = [command, "--manifest", str(manifest)]
+    assert main(argv + (["--out-dir", str(out)] if command == "augment" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{manifest}: no rows" in err
+    assert not out.exists()
 
 
 def test_study_cli_wiring(tmp_path, capsys, monkeypatch):
@@ -518,8 +544,7 @@ def test_negative_seed_exits_before_any_output(tmp_path, capsys, config, argv):
     save_corpus(gen_synthetic_corpus(12, 16, 2, (2, 3), [], seed=0), toy_corpus)
     manifest = tmp_path / "subset.jsonl"
     curation.write_subset_manifest(
-        curation.Subset([curation.CorpusEntry("u0", clip_path, "t", 1.0)],
-                        1.0, curation.INFORMED, 1.0),
+        curation.Subset([curation.CorpusEntry("u0", clip_path, "t", 1.0)]),
         manifest,
     )
     cfg = tmp_path / "seed.cfg"
@@ -833,9 +858,7 @@ def _subset_manifest(tmp_path) -> Path:
     entries = [curation.CorpusEntry(p.stem, p, "text", 1.1)
                for p in _speech_wavs(tmp_path / "wavs")]
     manifest = tmp_path / "subset.jsonl"
-    curation.write_subset_manifest(
-        curation.Subset(entries, 2.2, curation.INFORMED, 10.0), manifest
-    )
+    curation.write_subset_manifest(curation.Subset(entries), manifest)
     return manifest
 
 

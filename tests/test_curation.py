@@ -7,7 +7,6 @@ import pytest
 from tinytts.audio import AudioClip, write_wav
 from tinytts.curation import (
     BUCKETED,
-    INFORMED,
     RANDOM_SHUFFLE,
     CorpusEntry,
     Subset,
@@ -139,7 +138,7 @@ def test_random_subset_determinism_and_saturation():
 
 def test_bucketed_plan_chunks_sorted_durations():
     corpus = make_corpus([1, 2, 3, 4, 5, 6])
-    subset = Subset(corpus, 21.0, INFORMED, 21.0)
+    subset = Subset(corpus)
     batches = plan_batches(subset, 2, BUCKETED, seed=0)
     durs = {e.id: e.duration_s for e in corpus}
     batch_sets = {frozenset(durs[i] for i in b) for b in batches}
@@ -149,7 +148,7 @@ def test_bucketed_plan_chunks_sorted_durations():
 def test_plan_partition_property():
     rng = np.random.default_rng(5)
     corpus = make_corpus(rng.uniform(1, 8, 23).tolist())
-    subset = Subset(corpus, 0.0, INFORMED, 1e9)
+    subset = Subset(corpus)
     for mode in (BUCKETED, RANDOM_SHUFFLE):
         batches = plan_batches(subset, 4, mode, seed=3)
         flat = [i for b in batches for i in b]
@@ -177,7 +176,7 @@ def test_bucketed_beats_shuffle_padding_property():
     for trial in range(20):
         n = int(rng.integers(8, 80))
         corpus = make_corpus(rng.uniform(0.5, 10.0, n).tolist())
-        subset = Subset(corpus, 0.0, INFORMED, 1e9)
+        subset = Subset(corpus)
         seed = int(rng.integers(0, 2**32))
         batch_size = int(rng.integers(2, 9))
         bucketed = padding_stats(plan_batches(subset, batch_size, BUCKETED, seed), corpus)
@@ -193,7 +192,7 @@ def test_bucketed_beats_shuffle_padding_property():
 
 
 def test_symbol_histogram_basic():
-    subset = Subset([entry(0, 1, "ab"), entry(1, 1, "ba")], 2, INFORMED, 2)
+    subset = Subset([entry(0, 1, "ab"), entry(1, 1, "ba")])
     result = symbol_histogram(subset)
     assert result["symbols"]["a"] == (2, 0.5)
     assert result["symbols"]["b"] == (2, 0.5)
@@ -202,7 +201,7 @@ def test_symbol_histogram_basic():
 
 def test_symbol_histogram_coverage_tracks_exclusions():
     full = [entry(0, 1, "abc"), entry(1, 1, "xyz")]
-    subset = Subset([full[0]], 1, INFORMED, 1)
+    subset = Subset([full[0]])
     result = symbol_histogram(subset, full_entries=full)
     assert result["coverage"] == pytest.approx(0.5)
     assert "z" not in result["symbols"]
@@ -215,20 +214,25 @@ def test_manifest_round_trip(tmp_path):
     write_subset_manifest(subset, path)
     back = read_subset_manifest(path)
     assert [e.id for e in back.entries] == [e.id for e in subset.entries]
-    assert back.total_duration_s == pytest.approx(subset.total_duration_s)
-    assert back.selection_mode == INFORMED
-    assert (tmp_path / "subset.jsonl.summary.json").exists()
+    assert back.total_duration_s == subset.total_duration_s == 2.25
+    assert [p.name for p in tmp_path.iterdir()] == ["subset.jsonl"]  # no sidecar
 
 
-@pytest.mark.parametrize(
-    "summary", [b'{"total_s": 1.0}', b"not json", b"[1]", b'{"mode": "\xff"}'],
-    ids=["missing-key", "bad-json", "not-object", "bad-utf8"],
-)
-def test_manifest_bad_summary_names_the_file(tmp_path, summary):
+def test_manifest_with_legacy_summary_reads_the_same_entries(tmp_path):
+    # older versions wrote mode, budget, seed, total and count to a sidecar
+    subset = select_informed_subset(make_corpus([1.5, 2.0, 0.75]), 3.0)
     path = tmp_path / "subset.jsonl"
-    write_subset_manifest(select_informed_subset(make_corpus([1.5, 2.0]), 3.0), path)
-    (tmp_path / "subset.jsonl.summary.json").write_bytes(summary)
-    with pytest.raises(MalformedRow, match="summary.json"):
+    write_subset_manifest(subset, path)
+    without = read_subset_manifest(path)
+    summary = {"mode": "informed", "budget_s": 3.0, "seed": None, "total_s": 2.25, "n": 2}
+    (tmp_path / "subset.jsonl.summary.json").write_text(json.dumps(summary, indent=2))
+    assert read_subset_manifest(path) == without
+
+
+def test_empty_manifest_names_the_file(tmp_path):
+    path = tmp_path / "subset.jsonl"
+    path.write_bytes(b"\n")
+    with pytest.raises(MalformedRow, match=f"{re.escape(str(path))}: no rows"):
         read_subset_manifest(path)
 
 

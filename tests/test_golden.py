@@ -28,7 +28,7 @@ import pytest
 from tinytts.audio import MelConfig, mel_spectrogram, write_melb, write_wav
 from tinytts.augment import CLEAN_AUG_ID, build_augmented_dataset, verify_augmented_dataset
 from tinytts.cli import main
-from tinytts.curation import INFORMED, CorpusEntry, Subset
+from tinytts.curation import CorpusEntry, Subset
 from tinytts.noisegen import default_noise_specs
 from tinytts.toytrain import AUG_EMBEDDING, BATCHING, ToyConfig, run_study
 from tinytts.toytrain.study import AUGEMB_PARAMS, BATCHING_PARAMS
@@ -101,7 +101,7 @@ def augment_tree(tmp_path_factory):
         path = root / "clean" / f"utt{i}.wav"
         write_wav(clip, path)
         entries.append(CorpusEntry(f"utt{i}", path, f"t{i}", clip.duration_s))
-    subset = Subset(entries, sum(e.duration_s for e in entries), INFORMED, 1e9)
+    subset = Subset(entries)
     out = root / "aug"
     manifest = build_augmented_dataset(subset, default_noise_specs(), out, master_seed=77)
     return out, manifest

@@ -13,7 +13,6 @@ from tinytts.audio import read_melb, write_melb
 from tinytts.augment import AugManifestEntry, read_aug_manifest
 from tinytts.config import load_config_file
 from tinytts.curation import (
-    INFORMED,
     CorpusEntry,
     Subset,
     read_subset_manifest,
@@ -43,7 +42,7 @@ def _subset(path):
     wavs = path.parent / "wavs"
     entries = [CorpusEntry("u0", wavs / "u0.wav", "one", 1.0),
                CorpusEntry("u1", wavs / "u1.wav", "two words", 1.5)]
-    write_subset_manifest(Subset(entries, 2.5, INFORMED, 3.0), path)
+    write_subset_manifest(Subset(entries), path)
 
 
 def _aug_manifest(path):

@@ -56,7 +56,23 @@ def test_empty_profiles_gives_clean_identity():
     assert all(e.aug_id == 0 for e in corpus.examples)
     for e in corpus.examples:
         assert np.array_equal(e.target_frames, corpus.clean_frames_for(e.tokens))
-        assert e.gate_targets[-1] and not e.gate_targets[:-1].any()
+
+
+def test_batch_gate_fires_at_each_rows_last_frame_only():
+    examples = tiny_corpus().examples
+    batch = make_batch(examples, TINY)
+    n_frames = [e.target_frames.shape[0] for e in examples]
+    assert len(set(n_frames)) > 1  # rows of different lengths
+    expected = np.zeros(batch.frame_mask.shape)
+    expected[np.arange(len(examples)), np.array(n_frames) - 1] = 1.0
+    assert np.array_equal(batch.gate_targets, expected)
+
+
+def test_batch_refuses_an_example_without_frames():
+    examples = tiny_corpus().examples[:2]
+    examples[1] = replace(examples[1], target_frames=np.zeros((0, TINY.feat_dim)))
+    with pytest.raises(ShapeMismatch, match="example 1: no target frames"):
+        make_batch(examples, TINY)
 
 
 def test_zero_noise_profile_matches_clean():
@@ -101,12 +117,25 @@ def test_corpus_file_round_trip(tmp_path):
         assert np.allclose(a.target_frames, b.target_frames)
 
 
+def test_corpus_with_legacy_gates_loads_the_same_examples(tmp_path):
+    # older versions wrote each example's gate targets, 1 at its last frame
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(tiny_corpus(), path)
+    rows = [json.loads(r) for r in path.read_text(encoding="utf-8").splitlines()]
+    for row in rows[1:]:
+        row["gates"] = [0] * (len(row["frames"]) - 1) + [1]
+    legacy = tmp_path / "legacy.jsonl"
+    legacy.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    for a, b in zip(load_corpus(legacy).examples, load_corpus(path).examples, strict=True):
+        assert (a.tokens, a.aug_id) == (b.tokens, b.aug_id)
+        assert np.array_equal(a.target_frames, b.target_frames)
+
+
 @pytest.mark.parametrize(
     "line, old, new",
     [
         (0, '"emission_counts"', '"counts"'),  # header key missing
         (1, "{", "{not json"),
-        (1, '"gates": [', '"gates": [0, '),  # one gate more than frames
         (1, '"tokens": [', '"tokens": ["a", '),
         (1, None, "[1, 2]\n"),  # a row that is not an object
     ],
@@ -127,13 +156,12 @@ def test_malformed_corpus_file_rejected(tmp_path, line, old, new):
         (1, "aug_id", lambda v: 1.7),
         (1, "aug_id", lambda v: "0"),
         (1, "aug_id", lambda v: True),
-        (1, "gates", lambda v: ["x", *v[1:]]),
         (1, "frames", lambda v: [[str(x) for x in row] for row in v]),
         (1, "tokens", lambda v: [True, *v[1:]]),
         (0, "seed", lambda v: "abc"),
         (0, "emission_counts", lambda v: [1.5, *v[1:]]),
     ],
-    ids=["aug-id-float", "aug-id-string", "aug-id-bool", "gate-string", "frame-string",
+    ids=["aug-id-float", "aug-id-string", "aug-id-bool", "frame-string",
          "token-bool", "seed-string", "count-float"],
 )
 def test_mistyped_corpus_field_names_the_line(tmp_path, line, key, mistyped):

@@ -24,14 +24,11 @@ N_TOKENS, N_FRAMES = 40, 128
 
 def equal_shape_examples(count: int, seed: int = 0) -> list[ToyExample]:
     rng = np.random.default_rng(seed)
-    gates = np.zeros(N_FRAMES, dtype=bool)
-    gates[-1] = True
     return [
         ToyExample(
             [int(t) for t in rng.integers(1, CFG.vocab_size + 1, N_TOKENS)],
             0,
             rng.normal(size=(N_FRAMES, CFG.feat_dim)),
-            gates,
         )
         for _ in range(count)
     ]
@@ -72,8 +69,7 @@ def test_backward_leaves_the_forward_activations_untouched():
     examples = equal_shape_examples(4)
     examples[1].aug_id = 1
     examples[2] = replace(examples[2], tokens=examples[2].tokens[:7],
-                          target_frames=examples[2].target_frames[:30],
-                          gate_targets=examples[2].gate_targets[-30:])
+                          target_frames=examples[2].target_frames[:30])
     model = ToyModel(cfg)
     batch = make_batch(examples, cfg)
     runs = []
