@@ -32,6 +32,7 @@ from ..errors import (
 TOYM_MAGIC = b"TOYM"
 TOYM_VERSION = 1
 GATE_THRESHOLD = 0.5  # infer stops once the gate probability exceeds this
+MAX_DECODE_FRAMES = 2**16  # bounds infer's time whatever a checkpoint claims
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,10 @@ class ToyConfig:
             value, floor = getattr(self, f.name), floors.get(f.name, 1)
             if type(f.default) is int and value < floor:
                 raise BadConfig(f"dimensions and counts: {f.name} = {value} < {floor}")
+        if self.max_decode_frames > MAX_DECODE_FRAMES:
+            raise BadConfig(
+                f"max_decode_frames = {self.max_decode_frames} > {MAX_DECODE_FRAMES}"
+            )
 
     @property
     def memory_dim(self) -> int:
@@ -362,7 +367,10 @@ def backward(model: ToyModel, result: ForwardResult) -> dict[str, np.ndarray]:
     g["out_b"] = d_pred.sum(axis=(0, 1))
     g["gate_w"] = _rows(result.head_in).T @ d_gate.reshape(-1, 1)
     g["gate_b"] = np.array([d_gate.sum()])
-    d_head = d_pred @ p["out_w"].T + d_gate[..., None] @ p["gate_w"].T
+    # one buffer for the head gradient: its two products add in the same order
+    d_head = d_pred @ p["out_w"].T
+    d_head += d_gate[..., None] @ p["gate_w"].T
+    del d_pred, sig
 
     n_tok = memory.shape[1]
     w_query_t, w_rec_t = p["attn_w_query"].T, p["dec_w_rec"].T
@@ -411,6 +419,11 @@ def backward(model: ToyModel, result: ForwardResult) -> dict[str, np.ndarray]:
         d_contexts[:, t] = d_context
         np.dot(d_pre, w_rec_t, out=d_state)
         np.dot(d_pre, w_context_t, out=d_context)
+    # drop what the loop alone read, and d_energies after its one product, so
+    # the weight-gradient products below allocate beside less
+    del d_head, d_score_pre, score_slope, v
+    g["attn_v"] = _rows(scores).T @ d_energies.reshape(-1, 1)
+    del d_energies
     # batch-major again: the sums below run over its rows in (B, N) order
     d_mem_proj = np.ascontiguousarray(d_mem_proj_t.transpose(1, 0, 2))
 
@@ -418,7 +431,6 @@ def backward(model: ToyModel, result: ForwardResult) -> dict[str, np.ndarray]:
     g["dec_w_rec"] = _recurrent_weights_grad(states, d_dec_pre)
     g["dec_b"] = d_dec_pre.sum(axis=(0, 1))
     g["attn_w_query"] = _rows(states).T @ _rows(d_queries)
-    g["attn_v"] = _rows(scores).T @ d_energies.reshape(-1, 1)
     g["attn_b"] = d_mem_proj.sum(axis=(0, 1))
     g["attn_w_memory"] = _rows(memory).T @ _rows(d_mem_proj)
     d_memory = (

@@ -2,14 +2,15 @@
 the output-tree hash the determinism tests compare; the finite-difference
 gradient check of the toy model; the tracemalloc peak of the memory tests.
 
-The BLAS thread count is fixed here, before numpy loads: OpenBLAS splits some
+The BLAS thread count is fixed here at one, before numpy loads, as tinytts
+itself does when it loads first (here numpy loads first): OpenBLAS splits some
 long weight-gradient reductions across its threads, so the count moves the
-bits of a trained model, and the golden pins were recorded with two threads.
+bits of a trained model, and the golden pins were recorded with one thread.
 """
 
 import os
 
-BLAS_THREADS = "2"
+BLAS_THREADS = "1"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 for _var in BLAS_THREAD_VARS:
     os.environ[_var] = BLAS_THREADS

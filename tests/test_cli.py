@@ -466,6 +466,7 @@ def test_toy_train_malformed_corpus_exits_cleanly(tmp_path, capsys):
         ("toy.enc_hidden = 0\n", []),
         ("toy.batch_size = 0\n", []),
         ("", ["--steps", "-3"]),
+        ("toy.max_decode_frames = 70000\n", []),
     ],
 )
 def test_toy_train_bad_config_exits_before_out_dir(tmp_path, capsys, config, extra):
@@ -939,16 +940,16 @@ def test_unmutated_reader_input_runs(tmp_path, capsys, reader):
         ("attn1", lambda raw: _flip(raw, 0)),  # "@TTN1"
         ("toy-corpus", lambda raw: raw[:-10]),
         ("toy-corpus", lambda raw: _flip(raw, 0)),
-        # TOYM is truncated only: a flipped max_decode_frames whose gate never
-        # fires decodes for a long time
         ("toym", lambda raw: raw[:20]),  # inside the config block
         ("toym", lambda raw: raw[:-8]),  # the last parameter block
+        # max_decode_frames 5 + 2**24, past the bound on decode time
+        ("toym", lambda raw: _flip(raw, raw.index((5).to_bytes(4, "little")) + 3)),
     ],
     ids=["config-truncate", "config-flip", "metadata-truncate", "metadata-flip",
          "subset-manifest-truncate", "subset-manifest-flip", "aug-manifest-truncate",
          "aug-manifest-flip", "wav-truncate", "wav-flip", "psd-csv-truncate", "psd-csv-flip",
          "attn1-truncate", "attn1-flip", "toy-corpus-truncate", "toy-corpus-flip",
-         "toym-truncate-config", "toym-truncate-params"],
+         "toym-truncate-config", "toym-truncate-params", "toym-flip-max-decode-frames"],
 )
 def test_mutated_input_file_exits_with_a_typed_error(tmp_path, capsys, reader, mutate):
     path, argv = _reader_input(reader, tmp_path)

@@ -5,12 +5,13 @@ that moves output bytes the same way on every run passes them. These pins
 compare against digests recorded once, so any moved byte shows here.
 
 The pins were recorded with numpy 2.4.6 on x86-64, whose runtime SIMD
-extensions were X86_V3, X86_V4, AVX512_ICL and AVX512_SPR, with two OpenBLAS
-threads on two cores. Another numpy build or SIMD path may round some float
+extensions were X86_V3, X86_V4, AVX512_ICL and AVX512_SPR, with one OpenBLAS
+thread on two cores. Another numpy build or SIMD path may round some float
 results differently, and so may another BLAS thread count: OpenBLAS splits
-long weight-gradient reductions across its threads. conftest fixes the count
-at two before numpy loads. The mismatch message names all of these, so that
-case can be told from a code change. A change that moves a pin on purpose
+long weight-gradient reductions across its threads. tinytts sets one thread
+when it loads before numpy, and conftest sets the same before numpy loads
+here. The mismatch message names all of these, so that case can be told
+from a code change. A change that moves a pin on purpose
 updates it here and says in CHANGES.md which artefact moved and why.
 """
 
@@ -21,6 +22,9 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,15 +42,15 @@ from test_study import MINI_AUGEMB, MINI_BATCHING
 
 RECORDED_WITH = (
     "numpy 2.4.6, SIMD X86_V3, X86_V4, AVX512_ICL, AVX512_SPR, "
-    "OPENBLAS_NUM_THREADS=2, OMP_NUM_THREADS=2, os.cpu_count() 2"
+    "OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1, os.cpu_count() 2"
 )
 
 PINS = {
     "augment_tree": "41b01a265b45d09757a3fd84c19eb1aefdad3d7fdcf2363a0f4f07085fe9f7df",
     "verify_deviations": "e30098a2978adcb9228f9e9dd7bd8ec6e667e5742c973c28916e6a0f997a6df1",
     "melb": "cf0b84ed7a6bd336600318cb0bda5cb1cc84bc739a5160d779e3a494827d9e4a",
-    "toy_train_batching/model.toym": "5b98419c6186d83595e6b78da065c7c640ab0dd795415738de069b7c10258925",
-    "toy_train_batching/train_report.json": "847627089809dc0adf4bc013a925e675177567bc32ea56eac7416b2197a70576",
+    "toy_train_batching/model.toym": "f20953bf0d5ecb8c91b26451ad77e622f64bab03dbea6364088742bf1237b959",
+    "toy_train_batching/train_report.json": "83802b8927e035a88e03484c9462af26970fa8902b3f716301568faf35e7f881",
     "toy_train_augemb/model.toym": "25bb1ee8a258f55c9acbf8228f996c37d1fd04687f21ecee6480f32a6403e4e8",
     "toy_train_augemb/train_report.json": "e69ea479ef3f6713e4a983300907968e42296601f93ef280928ee12878163a67",
     "toy_infer/frames.melb": "1e5fd67603546b91e24e16049e3977ef07835d1473a3b1691f403f910625cdf5",
@@ -132,35 +136,40 @@ def test_melb_pin(tmp_path):
     check_pin("melb", sha256_file(path))
 
 
+def _toy_train_argv(root, shape: str) -> list[str]:
+    """toy-train's arguments at a shape, its config and corpus written under
+    root and its output going to root / "run"."""
+    params, n_utts = TOY_SHAPES[shape]
+    cfg = params.config
+    profiles = ",".join(f"{shift:g}:{std:g}" for shift, std in params.aug_profiles)
+    lines = [
+        f"toy.{f.name} = {getattr(cfg, f.name)}"
+        for f in dataclasses.fields(ToyConfig)
+        if f.name not in ("steps", "seed")
+    ]
+    lines += [
+        f"toy.n_utts = {n_utts}",
+        f"toy.len_min = {params.len_range[0]}",
+        f"toy.len_max = {params.len_range[1]}",
+        f"toy.aug_profiles = {profiles}",
+    ]
+    config = root / "toy.cfg"
+    config.write_text("\n".join(lines) + "\n")
+    corpus = root / "corpus.jsonl"
+    assert main(["--config", str(config), "toy-gen", "--out", str(corpus),
+                 "--seed", "3"]) == 0
+    return ["--config", str(config), "toy-train", "--corpus", str(corpus),
+            "--out-dir", str(root / "run"), "--seed", "1", "--steps", str(TOY_STEPS)]
+
+
 @pytest.fixture(scope="module")
 def toy_runs(tmp_path_factory):
     """shape -> toy-train output directory, each run through the CLI."""
     runs = {}
-    for shape, (params, n_utts) in TOY_SHAPES.items():
+    for shape in TOY_SHAPES:
         root = tmp_path_factory.mktemp(shape)
-        cfg = params.config
-        profiles = ",".join(f"{shift:g}:{std:g}" for shift, std in params.aug_profiles)
-        lines = [
-            f"toy.{f.name} = {getattr(cfg, f.name)}"
-            for f in dataclasses.fields(ToyConfig)
-            if f.name not in ("steps", "seed")
-        ]
-        lines += [
-            f"toy.n_utts = {n_utts}",
-            f"toy.len_min = {params.len_range[0]}",
-            f"toy.len_max = {params.len_range[1]}",
-            f"toy.aug_profiles = {profiles}",
-        ]
-        config = root / "toy.cfg"
-        config.write_text("\n".join(lines) + "\n")
-        corpus = root / "corpus.jsonl"
-        assert main(["--config", str(config), "toy-gen", "--out", str(corpus),
-                     "--seed", "3"]) == 0
-        run = root / "run"
-        assert main(["--config", str(config), "toy-train", "--corpus", str(corpus),
-                     "--out-dir", str(run), "--seed", "1",
-                     "--steps", str(TOY_STEPS)]) == 0
-        runs[shape] = run
+        assert main(_toy_train_argv(root, shape)) == 0
+        runs[shape] = root / "run"
     return runs
 
 
@@ -172,6 +181,23 @@ def test_toy_train_pins(toy_runs, shape):
     del report["wall_clock_s"]
     digest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
     check_pin(f"toy_train_{shape}/train_report.json", digest)
+
+
+def test_toy_train_bytes_do_not_follow_the_blas_thread_setting(tmp_path):
+    # a fresh process that loads tinytts before numpy runs one BLAS thread,
+    # whatever its environment asks for
+    src = Path(__file__).resolve().parents[1] / "src"
+    models = []
+    for threads in ("2", "1"):
+        root = tmp_path / f"threads{threads}"
+        root.mkdir()
+        argv = _toy_train_argv(root, "batching")
+        env = {**os.environ, "PYTHONPATH": str(src), **dict.fromkeys(BLAS_THREAD_VARS, threads)}
+        proc = subprocess.run([sys.executable, "-m", "tinytts.cli", *argv],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        models.append(sha256_file(root / "run" / "model.toym"))
+    assert models[0] == models[1]
 
 
 def test_toy_infer_pins(toy_runs, tmp_path):

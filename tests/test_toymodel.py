@@ -27,7 +27,7 @@ from tinytts.toytrain import (
     save_corpus,
     save_model,
 )
-from tinytts.toytrain.model import backward
+from tinytts.toytrain.model import MAX_DECODE_FRAMES, backward
 
 TINY = ToyConfig(
     vocab_size=4,
@@ -321,8 +321,8 @@ def test_infer_deterministic():
 
 
 def test_infer_memory_follows_decoded_frames_not_the_cap():
-    # a TOYM's max_decode_frames is any u32; the gate fires at the first frame
-    model = ToyModel(replace(TINY, max_decode_frames=10**7))
+    # the gate fires at the first frame of a cap that would hold megabytes
+    model = ToyModel(replace(TINY, max_decode_frames=MAX_DECODE_FRAMES))
     model.params["gate_b"][:] = 50.0
     tracemalloc.start()
     try:
@@ -425,6 +425,7 @@ def test_checkpoint_claiming_more_than_it_holds_loads_nothing(tmp_path, capsys):
         ("steps", -3),
         ("aug_embed_dim", -1),
         ("seed", -1),
+        ("max_decode_frames", MAX_DECODE_FRAMES + 1),
     ],
 )
 def test_invalid_config_raises_bad_config(field, value):
