@@ -24,7 +24,7 @@ from .augment import build_augmented_dataset, read_aug_manifest, verify_augmente
 from .config import (
     DEFAULTS,
     RunConfig,
-    finite_float,
+    finite_snr_db,
     load_config_file,
     parse_aug_profiles,
     parse_noise_specs,
@@ -54,7 +54,6 @@ from .toytrain import (
     save_model,
     train,
 )
-from .toytrain.study import check_seeds
 from .toytrain.train import clipped, mean_corpus_loss
 
 EXIT_OK = 0
@@ -293,8 +292,6 @@ def cmd_toy_infer(args, cfg: RunConfig) -> Result:
 def cmd_study(args, cfg: RunConfig) -> Result:
     jobs = _jobs(cfg)
     seeds = _int_list("--seeds", args.seeds)
-    check_seeds(seeds)
-    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     return EXIT_OK, run_study(args.study, seeds, args.out_dir, jobs=jobs)
 
 
@@ -344,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--noise", default="white", help="white|usasi|sensor|<table.csv>")
-    p.add_argument("--snr-db", type=finite_float, required=True)
+    p.add_argument("--snr-db", type=finite_snr_db, required=True)
     # seeds the noise only; not the config's seed key
     p.add_argument("--seed", dest="noise_seed", type=seed_int, default=0)
     p.set_defaults(func=cmd_mix)

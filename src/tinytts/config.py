@@ -138,6 +138,20 @@ def finite_float(text: str) -> float:
     return value
 
 
+# the bound of every SNR a noise spec or `mix --snr-db` asks for: far beyond the
+# ~96 dB that 16-bit audio can show, and inside the range where the noise gain
+# 10 ** (snr_db / 10) neither overflows nor underflows
+MAX_ABS_SNR_DB = 300.0
+
+
+def finite_snr_db(text: str) -> float:
+    """finite_float(text) for an SNR in dB, refusing |snr_db| > MAX_ABS_SNR_DB."""
+    value = finite_float(text)
+    if abs(value) > MAX_ABS_SNR_DB:
+        raise ValueError(f"|snr_db| {abs(value):g} is above {MAX_ABS_SNR_DB:g}")
+    return value
+
+
 def parse_spectrum(name: str):
     """white/usasi/sensor, or a path to a freq_hz,power_db CSV table."""
     if name in SPECTRA:
@@ -164,7 +178,7 @@ def _parse_items(raw: str, what: str, usage: str, parse) -> list:
 
 
 def _noise_spec(name: str, snr_raw: str, aug_raw: str):
-    snr, aug_id = finite_float(snr_raw), int(aug_raw)
+    snr, aug_id = finite_snr_db(snr_raw), int(aug_raw)
     stem = Path(name).stem if name.endswith(".csv") else name
     return NoiseSpec(stem, parse_spectrum(name), snr, aug_id)
 

@@ -245,6 +245,12 @@ NUMBER = (int, float)
 NULL = type(None)
 
 
+def refuse_constant(name: str):
+    """json.loads' parse_constant hook of every JSON-lines reader: NaN, Infinity
+    and -Infinity, which Python's json accepts and JSON does not, raise ValueError."""
+    raise ValueError(f"{name} is not a finite number")
+
+
 def check_fields(row: dict, types: dict) -> dict:
     """row, once each field named in `types` is found to hold one of its types.
 
@@ -279,10 +285,10 @@ def read_json_rows(
 
     Each field named in `types` must hold one of its types, and the
     `audio_key` path, if relative, is made absolute against the file's
-    directory. Bad UTF-8 or JSON, a row that is not an object, a missing or
-    mistyped field, and a KeyError, TypeError or ValueError from build raise
-    MalformedRow naming path:line; a file with no rows raises MalformedRow
-    naming the path.
+    directory. Bad UTF-8 or JSON (NaN and Infinity included), a row that is
+    not an object, a missing or mistyped field, and a KeyError, TypeError or
+    ValueError from build raise MalformedRow naming path:line; a file with no
+    rows raises MalformedRow naming the path.
     """
     base = Path(path).resolve().parent
     out = []
@@ -291,7 +297,7 @@ def read_json_rows(
             try:
                 if not raw.strip():
                     continue
-                row = json.loads(raw.decode("utf-8"))
+                row = json.loads(raw.decode("utf-8"), parse_constant=refuse_constant)
                 if not isinstance(row, dict):
                     raise ValueError("expected a JSON object")
                 check_fields(row, types)

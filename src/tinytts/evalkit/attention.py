@@ -32,12 +32,13 @@ class AttentionMatrix:
 
 
 def _check_rows(weights: np.ndarray) -> None:
-    outside = (weights < -1e-12) | (weights > 1.0 + 1e-12)
+    # each test is written to hold for valid values, so NaN fails it
+    outside = ~((weights >= -1e-12) & (weights <= 1.0 + 1e-12))
     if outside.any():
         bad = int(np.argwhere(outside)[0][0])
         raise NotRowStochastic(f"row {bad}: weight outside [0, 1]")
     sums = weights.sum(axis=1)
-    off = np.abs(sums - 1.0) > ROW_SUM_TOL
+    off = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)
     if off.any():
         bad = int(np.argmax(off))
         raise NotRowStochastic(f"row {bad} sums to {sums[bad]:.6f}")

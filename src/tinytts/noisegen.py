@@ -62,8 +62,8 @@ class SpectrumSpec:
             if pts is None or len(pts) < 2:
                 raise BadSpectrum("PSD table needs at least 2 points")
             freqs = [f for f, _ in pts]
-            if any(f <= 0 for f in freqs):
-                raise BadSpectrum("PSD table frequencies must be positive")
+            if not all(0 < f < np.inf for f in freqs):
+                raise BadSpectrum("PSD table frequencies must be finite and positive")
             if any(b <= a for a, b in zip(freqs, freqs[1:])):
                 raise BadSpectrum("PSD table frequencies must strictly increase")
             if not all(np.isfinite(db) for _, db in pts):

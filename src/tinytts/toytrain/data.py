@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..curation import NUMBER, check_fields, write_json_rows
+from ..curation import NUMBER, check_fields, refuse_constant, write_json_rows
 from ..errors import BadRange, MalformedCorpus
 
 MIN_EMIT = 2
@@ -145,15 +145,17 @@ def _example_from(row: dict, n_aug_profiles: int) -> ToyExample:
 
 def load_corpus(path: str | Path) -> SyntheticCorpus:
     """Read a save_corpus file; MalformedCorpus names the line that does not parse
-    or holds a value out of range."""
+    (NaN and Infinity included) or holds a value out of range."""
     line_no = 1
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            corpus = _header_from(json.loads(fh.readline()))
+            header = json.loads(fh.readline(), parse_constant=refuse_constant)
+            corpus = _header_from(header)
             n_profiles = len(corpus.aug_profiles)
             for line_no, line in enumerate(fh, start=2):
                 if line.strip():
-                    corpus.examples.append(_example_from(json.loads(line), n_profiles))
+                    row = json.loads(line, parse_constant=refuse_constant)
+                    corpus.examples.append(_example_from(row, n_profiles))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedCorpus(f"{path}:{line_no}: {exc!r}") from exc
     if not corpus.examples:

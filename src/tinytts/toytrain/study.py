@@ -122,12 +122,12 @@ def _run_batching_arm(args):
     _, train_part, heldout = _corpus(params, seed, salt=17)
     model = ToyModel(replace(params.config, seed=seed))
     train(model, train_part, batch_plan_mode=mode)
-    attn_mats = [infer(model, e.tokens, 0)[2] for e in heldout]
-    scores = [sharpness_score(AttentionMatrix(attn)) for attn in attn_mats]
+    attns = [AttentionMatrix(infer(model, e.tokens, 0)[2]) for e in heldout]
+    scores = [sharpness_score(a) for a in attns]
     return {
         "median_sharpness": float(np.median(scores)),
         "mean_sharpness": float(np.mean(scores)),
-    }, attn_mats
+    }, attns
 
 
 def _run_augemb_arm(args):
@@ -140,19 +140,17 @@ def _run_augemb_arm(args):
     )
     model = ToyModel(cfg)
     train(model, train_part, batch_plan_mode=BUCKETED)
+    # without an embedding table the model never reads its aug id, so every id
+    # decodes the same frames: aug id 0 alone is measured
+    aug_ids = range(cfg.n_aug_ids) if cfg.aug_embed_dim else [0]
     return {
         f"rmse_aug{aug_id}": float(
             np.median(
                 [rmse_to_templates(model, corpus, e.tokens, aug_id) for e in heldout]
             )
         )
-        for aug_id in range(cfg.n_aug_ids)
+        for aug_id in aug_ids
     }, []
-
-
-def check_seeds(seeds: list[int]) -> None:
-    if len(seeds) < 3:
-        raise BadRange("need at least 3 seeds")
 
 
 def run_study(
@@ -162,8 +160,10 @@ def run_study(
     jobs: int = 1,
     params: StudyParams | None = None,
 ) -> dict:
-    """Execute one study over the seeds; writes CSV (+ ATTN1 dumps) to out_dir."""
-    check_seeds(seeds)
+    """Execute one study over the seeds; writes CSV (+ ATTN1 dumps) to out_dir.
+    Fewer than 3 seeds raise BadRange before out_dir is created."""
+    if len(seeds) < 3:
+        raise BadRange("need at least 3 seeds")
     if study == BATCHING:
         arms = [BUCKETED, RANDOM_SHUFFLE]
         runner = _run_batching_arm
@@ -177,55 +177,46 @@ def run_study(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # arm-major, seed-minor: the canonical order of study.csv and the dumps
     tasks = [(seed, arm, params) for arm in arms for seed in seeds]
-    results = map_tasks(runner, tasks, jobs)
-    outcomes = {(seed, arm): result for (seed, arm, _), result in zip(tasks, results)}
-
     rows = []
-    for arm in arms:
-        for seed in seeds:
-            metrics, attn_mats = outcomes[(seed, arm)]
-            for metric in sorted(metrics):
-                rows.append((study, arm, seed, metric, metrics[metric]))
-            for i, attn in enumerate(attn_mats):
-                attn_dir = out / "attn" / f"{arm}_seed{seed}"
-                attn_dir.mkdir(parents=True, exist_ok=True)
-                write_attention(AttentionMatrix(attn), attn_dir / f"{i:03d}.attn")
+    for (seed, arm, _), (metrics, attns) in zip(tasks, map_tasks(runner, tasks, jobs)):
+        rows += [(arm, seed, name, metrics[name]) for name in sorted(metrics)]
+        for i, attn in enumerate(attns):
+            attn_dir = out / "attn" / f"{arm}_seed{seed}"
+            attn_dir.mkdir(parents=True, exist_ok=True)
+            write_attention(attn, attn_dir / f"{i:03d}.attn")
 
     csv_lines = ["study,arm,seed,metric,value"]
-    csv_lines += [f"{s},{a},{sd},{m},{v:.8g}" for s, a, sd, m, v in rows]
+    csv_lines += [f"{study},{a},{sd},{m},{v:.8g}" for a, sd, m, v in rows]
     (out / "study.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
 
-    summary = _summarize(study, arms, seeds, outcomes)
+    summary = _summarize(study, seeds, rows)
     (out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return summary
 
 
-def _summarize(study, arms, seeds, outcomes) -> dict:
-    summary: dict = {"study": study, "seeds": list(seeds), "medians": {}}
-    for arm in arms:
-        per_metric: dict[str, list[float]] = {}
-        for seed in seeds:
-            metrics, _ = outcomes[(seed, arm)]
-            for name, value in metrics.items():
-                per_metric.setdefault(name, []).append(value)
-        summary["medians"][arm] = {
-            name: float(np.median(vals)) for name, vals in per_metric.items()
-        }
+def _summarize(study, seeds, rows) -> dict:
+    """The per-arm medians over seeds of each metric in rows, and the verdicts."""
+    values: dict[str, dict[str, list[float]]] = {}
+    for arm, _seed, name, value in rows:
+        values.setdefault(arm, {}).setdefault(name, []).append(value)
+    medians = {
+        arm: {name: float(np.median(vals)) for name, vals in per_metric.items()}
+        for arm, per_metric in values.items()
+    }
+    summary: dict = {"study": study, "seeds": list(seeds), "medians": medians}
     if study == BATCHING:
-        b = summary["medians"][BUCKETED]["median_sharpness"]
-        r = summary["medians"][RANDOM_SHUFFLE]["median_sharpness"]
-        summary["bucketed_sharper"] = bool(b > r)
+        b = medians[BUCKETED]["median_sharpness"]
+        r = medians[RANDOM_SHUFFLE]["median_sharpness"]
+        summary["bucketed_sharper"] = b > r
     else:
-        embed = summary["medians"]["embed"]
-        noisy_keys = sorted(k for k in embed if k != "rmse_aug0")
+        embed = medians["embed"]
         clean = embed["rmse_aug0"]
-        summary["clean_id_beats_noisy_ids"] = bool(
-            all(clean < embed[k] for k in noisy_keys)
+        summary["clean_id_beats_noisy_ids"] = all(
+            clean < value for name, value in embed.items() if name != "rmse_aug0"
         )
-        summary["embedding_beats_no_embedding"] = bool(
-            clean < summary["medians"]["noembed"]["rmse_aug0"]
-        )
+        summary["embedding_beats_no_embedding"] = clean < medians["noembed"]["rmse_aug0"]
     return summary

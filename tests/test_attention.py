@@ -62,6 +62,9 @@ def test_non_stochastic_rejected():
         AttentionMatrix(np.array([[0.5, 0.5], [0.4, 0.4]]))
     with pytest.raises(NotRowStochastic):
         AttentionMatrix(np.array([[1.2, -0.2]]))
+    # NaN fails every comparison, so each check must ask "is it inside?"
+    with pytest.raises(NotRowStochastic, match="row 1"):
+        AttentionMatrix(np.array([[0.5, 0.5], [np.nan, np.nan]]))
 
 
 def test_report_csv_contract():

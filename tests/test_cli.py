@@ -291,6 +291,7 @@ def test_study_cli_wiring(tmp_path, capsys, monkeypatch):
 
     def fake_run_study(study, seeds, out_dir, jobs=1, params=None):
         calls.update(study=study, seeds=seeds, jobs=jobs)
+        Path(out_dir).mkdir(parents=True)  # as run_study makes it
         (tmp_path / "out" / "study.csv").write_text("study,arm,seed,metric,value\n")
         return {"study": study, "medians": {}}
 
@@ -683,6 +684,37 @@ def test_non_finite_flag_exits_before_output(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["4000", "-4000"])
+def test_snr_outside_bound_exits_before_output(tmp_path, capsys, value):
+    # 10 ** (snr_db / 10) overflows at 4000 dB and underflows to 0 at -4000 dB
+    src = tmp_path / "speech.wav"
+    write_wav(speech_like(3, duration_s=1.1), src)
+    dst = tmp_path / "noisy.wav"
+    assert main(["mix", "--in", str(src), "--out", str(dst), f"--snr-db={value}"]) == 1
+    assert "snr-db" in capsys.readouterr().err
+    assert not dst.exists()
+    manifest = _subset_manifest(tmp_path)
+    out = tmp_path / "aug"
+    argv = ["augment", "--manifest", str(manifest), "--out-dir", str(out),
+            "--noise-specs", f"white:{value}:1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err and "300" in err
+    assert not out.exists()
+
+
+def test_psd_table_nan_frequency_exits_before_output(tmp_path, capsys):
+    src = tmp_path / "speech.wav"
+    write_wav(speech_like(3, duration_s=1.1), src)
+    table = tmp_path / "t.csv"
+    table.write_text("freq_hz,power_db\nnan,0\n1000,0\n")
+    dst = tmp_path / "noisy.wav"
+    argv = ["mix", "--in", str(src), "--out", str(dst), "--noise", str(table), "--snr-db", "10"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not dst.exists()
+
+
 def test_non_finite_config_value_exits_before_output(tmp_path, capsys):
     cfg = tmp_path / "toy.cfg"
     cfg.write_text("toy.learning_rate = nan\n")
@@ -783,10 +815,11 @@ def test_config_file_is_read_once(tmp_path, capsys, monkeypatch):
 # --- one report per command: stdout holds a single document ---
 
 def test_every_command_prints_one_json_object(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(
-        "tinytts.cli.run_study",
-        lambda study, seeds, out_dir, jobs=1: {"study": study, "medians": {}},
-    )
+    def fake_run_study(study, seeds, out_dir, jobs=1):
+        Path(out_dir).mkdir(parents=True)  # as run_study makes it
+        return {"study": study, "medians": {}}
+
+    monkeypatch.setattr("tinytts.cli.run_study", fake_run_study)
     subset = _curated_subset(tmp_path, capsys)
     wav = tmp_path / "speech.wav"
     write_wav(speech_like(3, duration_s=1.1), wav)
@@ -913,6 +946,29 @@ def _reader_input(reader: str, tmp_path) -> tuple[Path, list[str]]:
 
 READERS = ["config", "metadata", "subset-manifest", "aug-manifest", "wav", "psd-csv",
            "attn1", "toy-corpus", "toym"]
+
+
+@pytest.mark.parametrize(
+    "reader, line, set_value",
+    [
+        ("aug-manifest", 1, lambda row: row.update(snr_db=float("nan"))),
+        ("aug-manifest", 1, lambda row: row.update(mixture_gain=float("nan"))),
+        ("toy-corpus", 1, lambda row: row["frames"][0].__setitem__(0, float("inf"))),
+    ],
+    ids=["aug-manifest-nan-snr", "aug-manifest-nan-mixture-gain", "toy-corpus-inf-frame"],
+)
+def test_non_finite_json_number_exits_cleanly(tmp_path, capsys, reader, line, set_value):
+    # Python's json reads and writes NaN and Infinity; JSON has no such numbers
+    path, argv = _reader_input(reader, tmp_path)
+    capsys.readouterr()
+    rows = [json.loads(r) for r in path.read_text(encoding="utf-8").splitlines()]
+    if reader == "aug-manifest":
+        assert rows[line]["aug_id"] != 0  # a noisy copy, whose SNR verify-aug checks
+    set_value(rows[line])
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{path}:{line + 1}:" in err
 
 
 @pytest.mark.parametrize("reader", READERS)

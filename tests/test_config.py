@@ -5,7 +5,9 @@ import pytest
 from tinytts.audio import MelConfig
 from tinytts.config import (
     DEFAULTS,
+    MAX_ABS_SNR_DB,
     RunConfig,
+    finite_snr_db,
     load_config_file,
     parse_aug_profiles,
     parse_noise_specs,
@@ -93,6 +95,18 @@ def test_non_finite_float_rejected(tmp_path, raw):
         parse_noise_specs(f"white:{raw}:1")
     with pytest.raises(ConfigFileError):
         parse_aug_profiles(f"0:{raw}")
+
+
+def test_snr_db_bounded():
+    for value in (MAX_ABS_SNR_DB, -MAX_ABS_SNR_DB, 0.0):
+        assert finite_snr_db(str(value)) == value
+        assert parse_noise_specs(f"white:{value}:1")[0].snr_db == value
+    # 10 ** (snr_db / 10) overflows at 4000 dB and underflows to 0 at -4000 dB
+    for raw in ("300.5", "-300.5", "4000", "-4000", "1e309"):
+        with pytest.raises(ValueError):
+            finite_snr_db(raw)
+        with pytest.raises(ConfigFileError, match="noise spec"):
+            parse_noise_specs(f"white:{raw}:1")
 
 
 def test_parse_noise_specs_named():

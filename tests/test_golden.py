@@ -56,7 +56,7 @@ PINS = {
     "toy_infer/frames.melb": "1e5fd67603546b91e24e16049e3977ef07835d1473a3b1691f403f910625cdf5",
     "toy_infer/attn.attn": "af21f6975ffa682a65e15ec81e93edad7e3eaa8db29c66d3ead2a2026c6010d3",
     "study_batching_tree": "0b21b3b307ec7d13dcb0a98fc15037dde7477ccc140ab5d3a655aee9814ffab9",
-    "study_augemb_tree": "00281b1ae62018086adb12a3195f60299c1fb4b35370e0cb24250f11222ce9f3",
+    "study_augemb_tree": "25951fa9900836c13325bb79c7b7703f08c2e2517c2523c81b5845ebac574113",
 }
 
 # toy-train at each study's model shape and corpus lengths, on a small corpus

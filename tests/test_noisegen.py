@@ -97,6 +97,10 @@ def test_bad_tables_rejected():
         SpectrumSpec(PSD_TABLE, ((0.0, 0.0), (50.0, 0.0)))  # f=0
     with pytest.raises(BadSpectrum):
         SpectrumSpec(PSD_TABLE, ((10.0, np.inf), (50.0, 0.0)))
+    # a NaN frequency compares false with everything, so order checks pass it
+    for points in (((np.nan, 0.0), (50.0, 0.0)), ((100.0, 0.0), (np.nan, 0.0))):
+        with pytest.raises(BadSpectrum, match="finite"):
+            SpectrumSpec(PSD_TABLE, points)
     with pytest.raises(BadSpectrum):
         shaped_noise(2 * FS, SpectrumSpec(PSD_TABLE, ((100.0, 0.0), (20000.0, 0.0))), FS, seed=0)
 

@@ -91,8 +91,10 @@ def test_augemb_study_outputs(tmp_path):
         "rmse_aug2",
         "rmse_aug3",
     }
+    # the no-embedding model never reads its aug id: one RMSE per seed
+    assert set(summary["medians"]["noembed"]) == {"rmse_aug0"}
     rows = (tmp_path / "study.csv").read_text().strip().split("\n")[1:]
-    assert len(rows) == 2 * 3 * 4  # arms x seeds x aug ids
+    assert len(rows) == 3 * 4 + 3 * 1  # seeds x aug ids (embed), seeds (noembed)
     for row in rows:
         metric, value = row.split(",")[3:]
         assert metric.startswith("rmse_aug") and float(value) >= 0.0

@@ -26,6 +26,7 @@ from tinytts.toytrain import (
     make_batch,
     save_corpus,
     save_model,
+    train,
 )
 from tinytts.toytrain.model import MAX_DECODE_FRAMES, backward
 
@@ -318,6 +319,18 @@ def test_infer_deterministic():
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
     assert np.array_equal(a[2], b[2])
+
+
+def test_without_aug_embedding_every_aug_id_decodes_the_same_bytes():
+    # the augmentation-embedding study measures its no-embedding arm at aug id 0 only
+    cfg = replace(TINY, aug_embed_dim=0, steps=6)
+    model = ToyModel(cfg)
+    train(model, tiny_corpus(profiles=((0.1, 0.05), (-0.1, 0.08))))
+    frames, _, attn = infer(model, [2, 3, 1, 4], 0)
+    for aug_id in range(1, cfg.n_aug_ids):
+        other_frames, _, other_attn = infer(model, [2, 3, 1, 4], aug_id)
+        assert other_frames.tobytes() == frames.tobytes()
+        assert other_attn.tobytes() == attn.tobytes()
 
 
 def test_infer_memory_follows_decoded_frames_not_the_cap():
