@@ -196,7 +196,7 @@ def _aug_row(row: dict) -> AugManifestEntry:
 
 
 def read_aug_manifest(path: str | Path) -> list[AugManifestEntry]:
-    return read_json_rows(path, _AUG_ROW_TYPES, _aug_row, "audio_path")
+    return read_json_rows(path, _AUG_ROW_TYPES, _aug_row, "audio_path", key="id")
 
 
 @dataclass

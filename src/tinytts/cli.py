@@ -31,7 +31,7 @@ from .config import (
     parse_spectrum,
     seed_int,
 )
-from .errors import TinyTtsError, read_utf8
+from .errors import TinyTtsError, read_fields, read_utf8
 from .evalkit import (
     AttentionMatrix,
     read_attention,
@@ -195,25 +195,19 @@ def cmd_sharpness(args, cfg: RunConfig) -> Result:
     return EXIT_OK, None
 
 
-def _read_lines(path) -> list[str]:
-    return read_utf8(path, TinyTtsError).splitlines()
+def _sentences(path) -> list[str]:
+    """A --ref or --hyp file's lines (ended by LF, CR LF or CR), blank ones kept."""
+    lines = read_utf8(path, TinyTtsError).split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 def _sentence_pairs(args) -> list[tuple[str, str]]:
     if args.tsv:
-        pairs = []
-        for line_no, line in enumerate(_read_lines(args.tsv), start=1):
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise TinyTtsError(f"{args.tsv}:{line_no}: expected 2 TSV fields")
-            pairs.append((fields[0], fields[1]))
-        return pairs
+        rows = read_fields(args.tsv, "\t", 2, TinyTtsError)
+        return [(ref, hyp) for _, (ref, hyp) in rows]
     if not (args.ref and args.hyp):
         raise TinyTtsError("give --tsv, or both --ref and --hyp")
-    refs = _read_lines(args.ref)
-    hyps = _read_lines(args.hyp)
+    refs, hyps = _sentences(args.ref), _sentences(args.hyp)
     if len(refs) != len(hyps):
         raise TinyTtsError(
             f"line count mismatch: {len(refs)} references vs {len(hyps)} hypotheses"
@@ -297,6 +291,19 @@ def cmd_study(args, cfg: RunConfig) -> Result:
 
 # --- argument parser ---
 
+def _flag_type(rule):
+    """rule as an argparse type=, whose ValueError argparse prints with its
+    reason rather than as "invalid <rule name> value"."""
+
+    def parse(text: str):
+        try:
+            return rule(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tinytts",
@@ -341,9 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--noise", default="white", help="white|usasi|sensor|<table.csv>")
-    p.add_argument("--snr-db", type=finite_snr_db, required=True)
+    p.add_argument("--snr-db", type=_flag_type(finite_snr_db), required=True)
     # seeds the noise only; not the config's seed key
-    p.add_argument("--seed", dest="noise_seed", type=seed_int, default=0)
+    p.add_argument("--seed", dest="noise_seed", type=_flag_type(seed_int), default=0)
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("mel", help="extract a MELB mel spectrogram")
@@ -390,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("toy-infer", help="run inference with a trained toy model")
     p.add_argument("--model", required=True)
     p.add_argument("--tokens", required=True, help="comma-separated token ids")
-    p.add_argument("--aug-id", type=int, default=0)
+    p.add_argument("--aug-id", type=_flag_type(int), default=0)
     p.add_argument("--out-frames", help="MELB output path")
     p.add_argument("--out-attn", help="ATTN1 output path")
     p.set_defaults(func=cmd_toy_infer)

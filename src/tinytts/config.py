@@ -121,12 +121,12 @@ def load_config_file(path: str | Path) -> RunConfig:
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigFileError(f"line {line_no}: expected key = value")
+            raise ConfigFileError(f"{path}:{line_no}: expected key = value")
         key, _, raw = stripped.partition("=")
         try:
             cfg.set(key.strip(), raw.strip())
         except ConfigFileError as exc:
-            raise ConfigFileError(f"line {line_no}: {exc}") from exc
+            raise ConfigFileError(f"{path}:{line_no}: {exc}") from exc
     return cfg
 
 

@@ -10,7 +10,6 @@ zero padding small.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +25,7 @@ from .errors import (
     MissingMetadata,
     TinyTtsError,
     UnknownId,
+    read_fields,
 )
 
 INFORMED = "informed"
@@ -62,32 +62,20 @@ class PaddingReport:
 
 
 def load_ljspeech_manifest(root_dir: str | Path) -> list[CorpusEntry]:
-    """Parse LJSpeech metadata.csv; the normalized-text column is authoritative."""
+    """Parse LJSpeech metadata.csv; the normalized-text column is authoritative.
+    A row without 3 `|`-separated fields, or whose id an earlier row has,
+    raises MalformedRow naming path:line."""
     root = Path(root_dir)
     meta = root / "metadata.csv"
     if not meta.exists():
         raise MissingMetadata(f"no metadata.csv under {root}")
-    raw_bytes = meta.read_bytes()
-    try:
-        text = raw_bytes.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = raw_bytes.count(b"\n", 0, exc.start) + 1
-        raise MalformedRow(f"{meta}:{line_no}: not UTF-8: {exc.reason}") from exc
+    first_line: dict[str, int] = {}
     entries = []
-    # newline=None: \r\n and \r end lines, as when reading the file as text
-    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split("|")
-        if len(fields) != 3:
-            raise MalformedRow(
-                f"line {line_no}: expected 3 pipe-separated fields, got {len(fields)}"
-            )
-        utt_id, _raw, normalized = fields
-        entries.append(
-            CorpusEntry(utt_id, root / "wavs" / f"{utt_id}.wav", normalized)
-        )
+    for line_no, (utt_id, _raw, normalized) in read_fields(meta, "|", 3, MalformedRow):
+        first = first_line.setdefault(utt_id, line_no)
+        if first != line_no:
+            raise MalformedRow(f"{meta}:{line_no}: id {utt_id!r} repeats line {first}")
+        entries.append(CorpusEntry(utt_id, root / "wavs" / f"{utt_id}.wav", normalized))
     return entries
 
 
@@ -245,9 +233,9 @@ NUMBER = (int, float)
 NULL = type(None)
 
 
-def refuse_constant(name: str):
-    """json.loads' parse_constant hook of every JSON-lines reader: NaN, Infinity
-    and -Infinity, which Python's json accepts and JSON does not, raise ValueError."""
+def _refuse_constant(name: str):
+    """json.loads' parse_constant hook of read_json_rows: NaN, Infinity and
+    -Infinity, which Python's json accepts and JSON does not, raise ValueError."""
     raise ValueError(f"{name} is not a finite number")
 
 
@@ -279,34 +267,42 @@ def _check_value(key: str, value, accepted) -> None:
 
 
 def read_json_rows(
-    path: str | Path, types: dict[str, tuple[type, ...]], build, audio_key: str
+    path: str | Path, types: dict, build, audio_key: str | None = None,
+    key: str | None = None, error: type[TinyTtsError] = MalformedRow,
 ) -> list:
     """build(row) for each JSON object of a JSON-lines file, blank lines skipped.
 
-    Each field named in `types` must hold one of its types, and the
-    `audio_key` path, if relative, is made absolute against the file's
-    directory. Bad UTF-8 or JSON (NaN and Infinity included), a row that is
-    not an object, a missing or mistyped field, and a KeyError, TypeError or
-    ValueError from build raise MalformedRow naming path:line; a file with no
-    rows raises MalformedRow naming the path.
+    Each field named in `types` must hold one of its types, the `audio_key`
+    path, if any and relative, is made absolute against the file's directory,
+    and the `key` field, if any, holds a value no earlier row holds. Bad UTF-8
+    or JSON (NaN and Infinity included), a row that is not an object, a
+    missing, mistyped or repeated field, and a KeyError, TypeError or
+    ValueError from build raise `error` naming path:line; a file with no rows
+    raises `error` naming the path.
     """
     base = Path(path).resolve().parent
+    first_line: dict = {}
     out = []
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
                 if not raw.strip():
                     continue
-                row = json.loads(raw.decode("utf-8"), parse_constant=refuse_constant)
+                row = json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant)
                 if not isinstance(row, dict):
                     raise ValueError("expected a JSON object")
                 check_fields(row, types)
-                row[audio_key] = str(base / row[audio_key])
+                if key is not None:
+                    first = first_line.setdefault(row[key], line_no)
+                    if first != line_no:
+                        raise ValueError(f"{key} {row[key]!r} repeats line {first}")
+                if audio_key is not None:
+                    row[audio_key] = str(base / row[audio_key])
                 out.append(build(row))
             except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedRow(f"{path}:{line_no}: {exc!r}") from exc
+                raise error(f"{path}:{line_no}: {exc!r}") from exc
     if not out:
-        raise MalformedRow(f"{path}: no rows")
+        raise error(f"{path}: no rows")
     return out
 
 
@@ -317,4 +313,4 @@ def read_subset_manifest(manifest_path: str | Path) -> Subset:
     def entry(row: dict) -> CorpusEntry:
         return CorpusEntry(row["id"], Path(row["audio"]), row["text"], row["duration_s"])
 
-    return Subset(read_json_rows(manifest_path, types, entry, "audio"))
+    return Subset(read_json_rows(manifest_path, types, entry, "audio", key="id"))

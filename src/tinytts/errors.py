@@ -141,9 +141,31 @@ class ConfigFileError(TinyTtsError):
 
 
 def read_utf8(path, error: type[TinyTtsError]) -> str:
-    """A text file's contents; bytes that are not UTF-8 raise `error`."""
+    """A text file's contents with each line end (CR LF, CR or LF) made LF, as
+    text mode reads them; a byte that is not UTF-8 raises `error` naming
+    path:line."""
+    with open(path, "rb") as fh:
+        # CR and LF bytes never occur inside a UTF-8 multi-byte sequence
+        raw = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line_no}: not UTF-8 text: {exc.reason}") from exc
+
+
+def read_fields(path, sep: str, n_fields: int, error: type[TinyTtsError]) -> list:
+    """(line number, fields) of each non-blank line of a UTF-8 text file, its
+    fields split on `sep`; a line with other than `n_fields` fields, or bad
+    UTF-8, raises `error` naming path:line."""
+    rows = []
+    for line_no, line in enumerate(read_utf8(path, error).split("\n"), start=1):
+        if not line.strip():
+            continue
+        fields = line.split(sep)
+        if len(fields) != n_fields:
+            raise error(
+                f"{path}:{line_no}: expected {n_fields} fields, got {len(fields)}"
+            )
+        rows.append((line_no, fields))
+    return rows

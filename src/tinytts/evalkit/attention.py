@@ -91,27 +91,27 @@ def write_attention(a: AttentionMatrix, path: str | Path) -> None:
 
 
 def read_attention(path: str | Path) -> AttentionMatrix:
-    text = read_utf8(path, MalformedAttnFile)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """A write_attention file, blank lines skipped; its errors name path:line."""
+    numbered = enumerate(read_utf8(path, MalformedAttnFile).split("\n"), start=1)
+    lines = [(line_no, line.split()) for line_no, line in numbered if line.strip()]
     if not lines:
-        raise MalformedAttnFile("empty file")
-    header = lines[0].split()
+        raise MalformedAttnFile(f"{path}: empty file")
+    line_no, header = lines[0]
     if len(header) != 3 or header[0] != "ATTN1":
-        raise MalformedAttnFile(f"bad header: {lines[0]!r}")
+        raise MalformedAttnFile(f"{path}:{line_no}: bad header: {header}")
     try:
         t, n = int(header[1]), int(header[2])
     except ValueError as exc:
-        raise MalformedAttnFile(f"bad header dimensions: {lines[0]!r}") from exc
+        raise MalformedAttnFile(f"{path}:{line_no}: bad header dimensions") from exc
     body = lines[1:]
     if len(body) != t:
-        raise MalformedAttnFile(f"header says {t} rows, file has {len(body)}")
+        raise MalformedAttnFile(f"{path}:{line_no}: {t} rows declared, {len(body)} found")
     rows = []
-    for i, line in enumerate(body):
-        vals = line.split()
+    for line_no, vals in body:
         if len(vals) != n:
-            raise MalformedAttnFile(f"row {i}: expected {n} values, got {len(vals)}")
+            raise MalformedAttnFile(f"{path}:{line_no}: {len(vals)} values, not {n}")
         try:
             rows.append([float(v) for v in vals])
         except ValueError as exc:
-            raise MalformedAttnFile(f"row {i}: {exc}") from exc
+            raise MalformedAttnFile(f"{path}:{line_no}: {exc}") from exc
     return AttentionMatrix(np.array(rows))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import ActiveLevelResult, AudioClip, active_speech_level_p56
-from .errors import BadSpectrum, TooShort, read_utf8
+from .errors import BadSpectrum, TooShort, read_fields
 
 USASI_HIGHPASS_HZ = 100.0
 USASI_LOWPASS_HZ = 320.0
@@ -210,21 +210,16 @@ def mix_at_snr(
 
 
 def read_psd_table_csv(path) -> SpectrumSpec:
-    """Load `freq_hz,power_db` CSV rows into a PSD-table spectrum."""
-    lines = read_utf8(path, BadSpectrum).splitlines()
-    header = lines[0].strip() if lines else ""
-    if header.replace(" ", "") != "freq_hz,power_db":
-        raise BadSpectrum(f"bad PSD CSV header: {header!r}")
+    """Load `freq_hz,power_db` CSV rows, after that header, into a PSD-table
+    spectrum; BadSpectrum names path:line."""
+    rows = read_fields(path, ",", 2, BadSpectrum) or [(1, [])]
+    line_no, header = rows[0]
+    if [f.strip() for f in header] != ["freq_hz", "power_db"]:
+        raise BadSpectrum(f"{path}:{line_no}: bad PSD CSV header: {header}")
     pts = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise BadSpectrum(f"line {line_no}: expected 2 fields")
+    for line_no, (freq, power) in rows[1:]:
         try:
-            pts.append((float(fields[0]), float(fields[1])))
+            pts.append((float(freq), float(power)))
         except ValueError as exc:
-            raise BadSpectrum(f"line {line_no}: {exc}") from exc
+            raise BadSpectrum(f"{path}:{line_no}: {exc}") from exc
     return SpectrumSpec(PSD_TABLE, tuple(pts))

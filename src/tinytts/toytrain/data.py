@@ -9,13 +9,12 @@ the matching augmentation id. Clean copies (aug id 0) are exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..curation import NUMBER, check_fields, refuse_constant, write_json_rows
+from ..curation import NUMBER, check_fields, read_json_rows, write_json_rows
 from ..errors import BadRange, MalformedCorpus
 
 MIN_EMIT = 2
@@ -144,20 +143,19 @@ def _example_from(row: dict, n_aug_profiles: int) -> ToyExample:
 
 
 def load_corpus(path: str | Path) -> SyntheticCorpus:
-    """Read a save_corpus file; MalformedCorpus names the line that does not parse
-    (NaN and Infinity included) or holds a value out of range."""
-    line_no = 1
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            header = json.loads(fh.readline(), parse_constant=refuse_constant)
-            corpus = _header_from(header)
-            n_profiles = len(corpus.aug_profiles)
-            for line_no, line in enumerate(fh, start=2):
-                if line.strip():
-                    row = json.loads(line, parse_constant=refuse_constant)
-                    corpus.examples.append(_example_from(row, n_profiles))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedCorpus(f"{path}:{line_no}: {exc!r}") from exc
+    """Read a save_corpus file, blank lines skipped; MalformedCorpus names the
+    line that does not parse (NaN and Infinity included) or holds a value out
+    of range."""
+    corpus = None
+
+    def build(row: dict) -> None:
+        nonlocal corpus
+        if corpus is None:
+            corpus = _header_from(row)
+        else:
+            corpus.examples.append(_example_from(row, len(corpus.aug_profiles)))
+
+    read_json_rows(path, {}, build, error=MalformedCorpus)
     if not corpus.examples:
         raise MalformedCorpus(f"{path}: no examples")
     return corpus

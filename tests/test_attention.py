@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -106,7 +108,10 @@ def test_attn_round_trip(tmp_path):
 def test_attn_dimension_mismatch(tmp_path):
     path = tmp_path / "bad.attn"
     path.write_text("ATTN1 3 4\n0.25 0.25 0.25 0.25\n0.25 0.25 0.25 0.25\n")
-    with pytest.raises(MalformedAttnFile, match="3 rows"):
+    with pytest.raises(MalformedAttnFile, match=re.escape(f"{path}:1: 3 rows declared")):
+        read_attention(path)
+    path.write_text("ATTN1 1 2\n\n0.5 x\n")  # blank lines count toward the line number
+    with pytest.raises(MalformedAttnFile, match=re.escape(f"{path}:3: ")):
         read_attention(path)
 
 

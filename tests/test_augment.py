@@ -206,6 +206,14 @@ def test_manifest_mistyped_field_names_the_line(tmp_path, field, value):
         read_aug_manifest(path)
 
 
+def test_manifest_repeated_id_names_both_lines(tmp_path):
+    row = asdict(AugManifestEntry("u__aug0", "u", "u.wav", "t", 1.0, 0, "clean", None, 1.0, 5))
+    path = tmp_path / "manifest.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in [row, row]))
+    with pytest.raises(MalformedRow, match=re.escape(f"{path}:2:") + ".*repeats line 1"):
+        read_aug_manifest(path)
+
+
 def _record_calls(monkeypatch, module, name) -> list:
     """Wrap module.name so each call appends its first argument to a list."""
     calls = []

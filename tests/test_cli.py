@@ -193,19 +193,38 @@ def test_wer_tsv_input(tmp_path, capsys):
 @pytest.mark.parametrize(
     "inputs, message",
     [([], "--ref"), (["--ref", "{good}"], "--ref"),
-     (["--ref", "{bad}", "--hyp", "{good}"], "UTF-8"),
-     (["--ref", "{good}", "--hyp", "{bad}"], "UTF-8"), (["--tsv", "{bad}"], "UTF-8")],
+     (["--ref", "{bad}", "--hyp", "{good}"], "{bad}:2: not UTF-8"),
+     (["--ref", "{good}", "--hyp", "{bad}"], "{bad}:2: not UTF-8"),
+     (["--tsv", "{bad}"], "{bad}:2: not UTF-8")],
     ids=["no-input", "ref-only", "bad-utf8-ref", "bad-utf8-hyp", "bad-utf8-tsv"],
 )
 def test_wer_bad_input_exits_cleanly(tmp_path, capsys, command, inputs, message):
     good = tmp_path / "good.txt"
     good.write_text("a b\n")
     bad = tmp_path / "bad.txt"
-    bad.write_bytes(b"a\tb\xff\n")
+    bad.write_bytes(b"a\tb\r\na\tb\xff\n")
     argv = [a.format(good=good, bad=bad) for a in inputs]
     assert main([command, *argv]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message.format(bad=bad) in err
+
+
+def test_sentence_files_split_lines_only_at_line_ends(tmp_path, capsys):
+    # str.splitlines would also split at U+0085 and U+2028, so the two files
+    # would no longer pair line by line
+    ref, hyp = tmp_path / "ref.txt", tmp_path / "hyp.txt"
+    ref.write_text("the cat\x85sat\r\non\u2028mats\n", encoding="utf-8")
+    hyp.write_text("the cat sat\non mats\n", encoding="utf-8")
+    code, out = run_cli(capsys, "--json", "wer", "--ref", str(ref), "--hyp", str(hyp))
+    assert code == 0
+    assert json.loads(out)["errors"] == 0
+
+
+def test_tsv_wrong_field_count_names_the_line(tmp_path, capsys):
+    tsv = tmp_path / "pairs.tsv"
+    tsv.write_text("ref one\thyp one\n\nonly a reference\n")
+    assert main(["wer", "--tsv", str(tsv)]) == 1
+    assert f"error: {tsv}:3: expected 2 fields, got 1" in capsys.readouterr().err
 
 
 def _curated_subset(tmp_path, capsys) -> str:
@@ -449,6 +468,21 @@ def test_toy_infer_bad_tokens_exit_cleanly(tmp_path, capsys, tokens):
     code = main(["toy-infer", "--model", str(model_path), "--tokens", tokens])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["mix", "--snr-db", "4000"], "argument --snr-db: |snr_db| 4000 is above 300"),
+        (["mix", "--seed", "-1"], "argument --seed: seed -1 is outside [0, 2**64)"),
+        (["toy-infer", "--tokens", "1", "--aug-id", "x"], "argument --aug-id: invalid literal"),
+    ],
+    ids=["snr-db", "seed", "aug-id"],
+)
+def test_typed_flag_prints_its_rule_reason(tmp_path, capsys, argv, reason):
+    # argparse alone would print "invalid finite_snr_db value: '4000'"
+    assert main(argv) == 1
+    assert reason in capsys.readouterr().err
 
 
 def test_toy_train_malformed_corpus_exits_cleanly(tmp_path, capsys):
@@ -756,7 +790,7 @@ def test_attention_file_bad_utf8_exits_cleanly(tmp_path, capsys):
     (attn_dir / "u.attn").write_bytes(b"ATTN1 1 2\n0.5 0.5\xff\n")
     code = main(["sharpness", "--attn-dir", str(attn_dir), "--label", "x"])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {attn_dir / 'u.attn'}:2: not UTF-8")
 
 
 def test_psd_table_bad_utf8_exits_cleanly(tmp_path, capsys):
@@ -767,7 +801,7 @@ def test_psd_table_bad_utf8_exits_cleanly(tmp_path, capsys):
     dst = tmp_path / "noisy.wav"
     argv = ["mix", "--in", str(src), "--out", str(dst), "--noise", str(table), "--snr-db", "10"]
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {table}:2: not UTF-8")
     assert not dst.exists()
 
 
@@ -776,7 +810,7 @@ def test_config_file_bad_utf8_exits_cleanly(tmp_path, capsys):
     cfg.write_bytes(b"budget_s = 1\xff\n")
     assert main(["--config", str(cfg), "p56", "--in", str(tmp_path / "x.wav")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(cfg) in err and "UTF-8" in err
+    assert err.startswith(f"error: {cfg}:1: not UTF-8")
 
 
 def test_ljspeech_metadata_bad_utf8_exits_cleanly(tmp_path, capsys):
@@ -788,6 +822,18 @@ def test_ljspeech_metadata_bad_utf8_exits_cleanly(tmp_path, capsys):
     assert main(argv + ["--out-dir", str(out_dir)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{meta}:2:" in err
+
+
+def test_curate_refuses_a_repeated_id(tmp_path, capsys):
+    # each a__augK.wav would carry two transcripts once augmented
+    rows = [("a", "x", "hello"), ("a", "x", "hello again"), ("b", "x", "b")]
+    write_ljspeech_fixture(tmp_path / "corpus", rows, durations_s=[1.0, 1.0, 1.5])
+    out_dir = tmp_path / "out"
+    argv = ["curate", "--corpus-root", str(tmp_path / "corpus"), "--budget-s", "10"]
+    assert main(argv + ["--out-dir", str(out_dir)]) == 1
+    meta = tmp_path / "corpus" / "metadata.csv"
+    assert f"error: {meta}:2: id 'a' repeats line 1" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_config_file_is_read_once(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -41,7 +42,7 @@ def test_defaults_and_overrides(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("budgets = 600\n", encoding="utf-8")
-    with pytest.raises(ConfigFileError, match="line 1"):
+    with pytest.raises(ConfigFileError, match=re.escape(f"{path}:1: ")):
         load_config_file(path)
     cfg = RunConfig()
     with pytest.raises(ConfigFileError):
@@ -87,7 +88,7 @@ def test_build_uses_dataclass_defaults_and_set_values(prefix, cls, name):
 def test_non_finite_float_rejected(tmp_path, raw):
     path = tmp_path / "bad.cfg"
     path.write_text(f"toy.learning_rate = {raw}\n", encoding="utf-8")
-    with pytest.raises(ConfigFileError, match="line 1: toy.learning_rate"):
+    with pytest.raises(ConfigFileError, match=re.escape(f"{path}:1: toy.learning_rate")):
         load_config_file(path)
     with pytest.raises(ConfigFileError, match="finite"):
         RunConfig().set("budget_s", float(raw))

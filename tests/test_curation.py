@@ -57,8 +57,18 @@ def test_manifest_parse_identity(tmp_path):
 
 def test_manifest_wrong_arity_reports_line(tmp_path):
     (tmp_path / "wavs").mkdir()
-    (tmp_path / "metadata.csv").write_text("a1|x|y\na2|only-two\n", encoding="utf-8")
-    with pytest.raises(MalformedRow, match="line 2"):
+    meta = tmp_path / "metadata.csv"
+    for end in ("\n", "\r\n", "\r"):  # each ends a line, as in text mode
+        meta.write_bytes(f"a1|x|y{end}a2|only-two{end}".encode())
+        with pytest.raises(MalformedRow, match=re.escape(f"{meta}:2:")):
+            load_ljspeech_manifest(tmp_path)
+
+
+def test_repeated_metadata_id_names_both_lines(tmp_path):
+    rows = [("a", "x", "hello"), ("b", "x", "b"), ("a", "x", "hello again")]
+    write_ljspeech_fixture(tmp_path, rows)
+    meta = tmp_path / "metadata.csv"
+    with pytest.raises(MalformedRow, match=re.escape(f"{meta}:3: id 'a' repeats line 1")):
         load_ljspeech_manifest(tmp_path)
 
 
@@ -227,6 +237,14 @@ def test_manifest_with_legacy_summary_reads_the_same_entries(tmp_path):
     summary = {"mode": "informed", "budget_s": 3.0, "seed": None, "total_s": 2.25, "n": 2}
     (tmp_path / "subset.jsonl.summary.json").write_text(json.dumps(summary, indent=2))
     assert read_subset_manifest(path) == without
+
+
+def test_repeated_manifest_id_names_both_lines(tmp_path):
+    row = {"id": "u0", "audio": "u0.wav", "text": "t", "duration_s": 1.0}
+    path = tmp_path / "subset.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in [row, {**row, "id": "u1"}, row]))
+    with pytest.raises(MalformedRow, match=re.escape(f"{path}:3:") + ".*repeats line 1"):
+        read_subset_manifest(path)
 
 
 def test_empty_manifest_names_the_file(tmp_path):

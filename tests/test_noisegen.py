@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.signal import welch
@@ -183,7 +185,13 @@ def test_psd_csv_round_trip(tmp_path):
     spec = read_psd_table_csv(path)
     assert spec.kind == PSD_TABLE
     assert spec.psd_points == ((100.0, 3.5), (1000.0, -2.0))
+    # blank lines, a first one included, are skipped
+    path.write_text("\nfreq_hz, power_db\n\n100,3.5\n1000,-2\n", encoding="utf-8")
+    assert read_psd_table_csv(path).psd_points == spec.psd_points
     bad = tmp_path / "bad.csv"
     bad.write_text("frequency,power\n100,0\n", encoding="utf-8")
-    with pytest.raises(BadSpectrum):
+    with pytest.raises(BadSpectrum, match=re.escape(f"{bad}:1:")):
+        read_psd_table_csv(bad)
+    bad.write_text("freq_hz,power_db\n100,3,4\n", encoding="utf-8")
+    with pytest.raises(BadSpectrum, match=re.escape(f"{bad}:2: expected 2")):
         read_psd_table_csv(bad)

@@ -109,6 +109,13 @@ def test_study_rejects_too_few_seeds(tmp_path):
         run_study(BATCHING, [1, 2], tmp_path, params=MINI_BATCHING)
 
 
+def test_study_rejects_repeated_seeds(tmp_path):
+    # three runs of one seed would pass as three seeds' medians
+    with pytest.raises(BadRange, match="repeat"):
+        run_study(BATCHING, [1, 1, 1], tmp_path / "out", params=MINI_BATCHING)
+    assert not (tmp_path / "out").exists()
+
+
 def test_study_rerun_byte_identical(tmp_path):
     run_study(BATCHING, [1, 2, 3], tmp_path / "a", params=MINI_BATCHING)
     run_study(BATCHING, [1, 2, 3], tmp_path / "b", params=MINI_BATCHING)

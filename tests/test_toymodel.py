@@ -132,6 +132,25 @@ def test_corpus_with_legacy_gates_loads_the_same_examples(tmp_path):
         assert np.array_equal(a.target_frames, b.target_frames)
 
 
+def test_corpus_blank_lines_are_skipped_and_an_empty_file_refused(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(tiny_corpus(), path)
+    padded = tmp_path / "padded.jsonl"
+    text = path.read_text(encoding="utf-8")
+    padded.write_text("\n" + text, encoding="utf-8")
+    for a, b in zip(load_corpus(padded).examples, load_corpus(path).examples, strict=True):
+        assert (a.tokens, a.aug_id) == (b.tokens, b.aug_id)
+        assert np.array_equal(a.target_frames, b.target_frames)
+    # a line is numbered in the file, blank lines counted
+    padded.write_text("\n" + text.replace('"aug_id": 0', '"aug_id": -1', 1), encoding="utf-8")
+    with pytest.raises(MalformedCorpus, match=f"{padded}:3:"):
+        load_corpus(padded)
+    for content in ("", "\n\n"):
+        padded.write_text(content)
+        with pytest.raises(MalformedCorpus, match=f"{padded}: no rows"):
+            load_corpus(padded)
+
+
 @pytest.mark.parametrize(
     "line, old, new",
     [
