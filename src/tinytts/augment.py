@@ -17,8 +17,7 @@ import numpy as np
 
 from .audio import ActiveLevelResult, AudioClip, active_speech_level_p56, read_wav
 from .audio import read_wav_info, write_wav
-from .curation import NULL, NUMBER, CorpusEntry, Subset, read_json_rows
-from .curation import write_json, write_json_rows
+from .curation import NULL, NUMBER, CorpusEntry, Subset, read_json_rows, write_json_rows
 from .errors import BuildError, ConfigError, MismatchedCopy, MissingFile, TinyTtsError
 from .noisegen import NoiseSpec, mix_at_snr
 from .parallel import map_tasks
@@ -147,7 +146,7 @@ def build_augmented_dataset(
     Every source's sample rate is checked against every spec before any WAV
     is written. Then one task per source utterance renders and writes that
     utterance's WAVs, so memory holds one utterance's copies at a time; the
-    manifest and summary are written only if every source succeeded.
+    manifest is written only if every source succeeded.
     """
     _check_specs(specs)
     check = partial(_check_rate, specs=specs)
@@ -162,21 +161,6 @@ def build_augmented_dataset(
     manifest = [row for rows in per_source for row in rows]
 
     write_json_rows(out / "manifest.jsonl", [asdict(m) for m in manifest], "audio_path")
-    summary = {
-        "master_seed": master_seed,
-        "n_sources": len(subset.entries),
-        "n_outputs": len(manifest),
-        "specs": [
-            {
-                "name": s.name,
-                "kind": s.spectrum.kind,
-                "snr_db": s.snr_db,
-                "aug_id": s.aug_id,
-            }
-            for s in specs
-        ],
-    }
-    write_json(out / "build_summary.json", summary)
     return manifest
 
 
@@ -251,22 +235,19 @@ def verify_augmented_dataset(
     clean = [m for m in manifest if m.aug_id == CLEAN_AUG_ID]
     clean_paths = {m.source_id: m.audio_path for m in clean}
     noisy = [m for m in manifest if m.aug_id != CLEAN_AUG_ID]
-    by_source: dict[str, list[int]] = {}  # source id -> indices into noisy
-    for i, m in enumerate(noisy):
+    by_source: dict[str, list[AugManifestEntry]] = {}
+    for m in noisy:
         if not Path(m.audio_path).exists():
             raise MissingFile(f"{m.id}: {m.audio_path}")
         clean_path = clean_paths.get(m.source_id)
         if clean_path is None or not Path(clean_path).exists():
             raise MissingFile(f"{m.id}: clean source for {m.source_id}")
-        by_source.setdefault(m.source_id, []).append(i)
-    sources = [
-        (clean_paths[sid], [noisy[i] for i in idx]) for sid, idx in by_source.items()
-    ]
+        by_source.setdefault(m.source_id, []).append(m)
+    sources = [(clean_paths[sid], rows) for sid, rows in by_source.items()]
     per_source = map_tasks(_verify_source, sources, jobs)
-    deviations = [0.0] * len(noisy)
-    for idx, devs in zip(by_source.values(), per_source):
-        for i, dev in zip(idx, devs):
-            deviations[i] = dev
-    flagged = [m.id for m, dev in zip(noisy, deviations) if dev > SNR_TOLERANCE_DB]
-    max_dev = max(deviations, default=0.0)
+    deviation: dict[str, float] = {}  # noisy row id -> its deviation
+    for (_, rows), devs in zip(sources, per_source):
+        deviation.update(zip([m.id for m in rows], devs))
+    flagged = [m.id for m in noisy if deviation[m.id] > SNR_TOLERANCE_DB]
+    max_dev = max(deviation.values(), default=0.0)
     return VerifyReport(len(noisy), len(clean), max_dev, flagged)

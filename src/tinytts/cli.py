@@ -70,14 +70,13 @@ def _jobs(cfg: RunConfig) -> int:
     return jobs
 
 
-def _int_list(flag: str, text: str) -> list[int]:
-    """Comma-separated integers of a flag; blank fields are skipped."""
+def _int_list(flag: str, text: str, rule=int) -> list[int]:
+    """Comma-separated integers of a flag, each parsed by rule (int or a
+    config rule such as seed_int); blank fields are skipped."""
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
+        return [rule(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
-        raise TinyTtsError(
-            f"{flag} {text!r}: expected comma-separated integers"
-        ) from exc
+        raise TinyTtsError(f"{flag} {text!r}: {exc}") from exc
 
 
 # --- subcommand implementations ---
@@ -268,7 +267,8 @@ def cmd_toy_train(args, cfg: RunConfig) -> Result:
         "loss_curve": report.loss_curve,
         "grad_norms": norms,
     }
-    curation.write_json(out / "train_report.json", report_payload)
+    report_text = json.dumps(report_payload, indent=2) + "\n"
+    (out / "train_report.json").write_text(report_text, encoding="utf-8")
     return EXIT_OK, {k: v for k, v in report_payload.items() if not isinstance(v, list)}
 
 
@@ -285,7 +285,7 @@ def cmd_toy_infer(args, cfg: RunConfig) -> Result:
 
 def cmd_study(args, cfg: RunConfig) -> Result:
     jobs = _jobs(cfg)
-    seeds = _int_list("--seeds", args.seeds)
+    seeds = _int_list("--seeds", args.seeds, seed_int)
     return EXIT_OK, run_study(args.study, seeds, args.out_dir, jobs=jobs)
 
 

@@ -26,6 +26,7 @@ from .errors import (
     TinyTtsError,
     UnknownId,
     read_fields,
+    read_utf8,
 )
 
 INFORMED = "informed"
@@ -206,11 +207,6 @@ def write_subset_manifest(subset: Subset, manifest_path: str | Path) -> None:
     write_json_rows(manifest_path, rows, "audio")
 
 
-def write_json(path: str | Path, obj) -> None:
-    """A JSON sidecar or report: indented, with a final newline."""
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-
-
 def write_json_rows(path: str | Path, rows, audio_key: str | None = None) -> None:
     """One JSON object per line. Each row's `audio_key` path, if any, is stored
     relative to the file's directory when it lies under it, else absolute, so
@@ -274,33 +270,32 @@ def read_json_rows(
 
     Each field named in `types` must hold one of its types, the `audio_key`
     path, if any and relative, is made absolute against the file's directory,
-    and the `key` field, if any, holds a value no earlier row holds. Bad UTF-8
-    or JSON (NaN and Infinity included), a row that is not an object, a
-    missing, mistyped or repeated field, and a KeyError, TypeError or
-    ValueError from build raise `error` naming path:line; a file with no rows
-    raises `error` naming the path.
+    and the `key` field, if any, holds a value no earlier row holds. Lines may
+    end in LF, CR LF or CR. Bad UTF-8 or JSON (NaN and Infinity included), a
+    row that is not an object, a missing, mistyped or repeated field, and a
+    KeyError, TypeError or ValueError from build raise `error` naming
+    path:line; a file with no rows raises `error` naming the path.
     """
     base = Path(path).resolve().parent
     first_line: dict = {}
     out = []
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                if not raw.strip():
-                    continue
-                row = json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant)
-                if not isinstance(row, dict):
-                    raise ValueError("expected a JSON object")
-                check_fields(row, types)
-                if key is not None:
-                    first = first_line.setdefault(row[key], line_no)
-                    if first != line_no:
-                        raise ValueError(f"{key} {row[key]!r} repeats line {first}")
-                if audio_key is not None:
-                    row[audio_key] = str(base / row[audio_key])
-                out.append(build(row))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise error(f"{path}:{line_no}: {exc!r}") from exc
+    for line_no, line in enumerate(read_utf8(path, error).split("\n"), start=1):
+        try:
+            if not line.strip():
+                continue
+            row = json.loads(line, parse_constant=_refuse_constant)
+            if not isinstance(row, dict):
+                raise ValueError("expected a JSON object")
+            check_fields(row, types)
+            if key is not None:
+                first = first_line.setdefault(row[key], line_no)
+                if first != line_no:
+                    raise ValueError(f"{key} {row[key]!r} repeats line {first}")
+            if audio_key is not None:
+                row[audio_key] = str(base / row[audio_key])
+            out.append(build(row))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise error(f"{path}:{line_no}: {exc!r}") from exc
     if not out:
         raise error(f"{path}: no rows")
     return out

@@ -95,8 +95,9 @@ class NoiseSpec:
     aug_id: int
 
     def __post_init__(self) -> None:
-        if self.aug_id < 1:
-            raise BadSpectrum("aug_id 0 is reserved for clean; noise specs need >= 1")
+        # 0 is the clean copy's, and augment.derive_seed hashes the id as 4 bytes
+        if not 1 <= self.aug_id < 2**32:
+            raise BadSpectrum(f"aug_id {self.aug_id} is outside [1, 2**32)")
 
 
 # the `noise_specs` config default

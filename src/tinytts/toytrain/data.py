@@ -62,6 +62,8 @@ def gen_synthetic_corpus(
         raise BadRange(f"len_range {len_range} outside [1, {MAX_LEN}]")
     if vocab_size < 2:
         raise BadRange("need vocab_size >= 2")
+    if n_utts < 1:
+        raise BadRange(f"n_utts {n_utts}: need n_utts >= 1")
     gen = np.random.Generator(np.random.Philox(key=seed))
     templates = gen.uniform(-1.0, 1.0, size=(vocab_size + 1, feat_dim))
     templates[0] = 0.0

@@ -202,18 +202,11 @@ def _encode(model: ToyModel, tokens: np.ndarray, aug_ids: np.ndarray):
     """
     p = model.params
     b, n = tokens.shape
-    he = model.config.enc_hidden
     emb = p["tok_emb"][tokens]
-    enc_b = np.tile(p["enc_b"], (b, 1))
-    h = np.zeros((b, he))
-    x_in, x_rec = np.empty((b, he)), np.empty((b, he))
+    h = np.zeros((b, model.config.enc_hidden))
     states = []
     for step in range(n):
-        np.dot(emb[:, step, :], p["enc_w_in"], out=x_in)
-        np.dot(h, p["enc_w_rec"], out=x_rec)
-        h = np.add(x_in, x_rec)
-        h += enc_b
-        np.tanh(h, out=h)
+        h = np.tanh(emb[:, step] @ p["enc_w_in"] + h @ p["enc_w_rec"] + p["enc_b"])
         states.append(h)
     enc = np.stack(states, axis=1)
     aug = np.broadcast_to(

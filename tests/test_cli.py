@@ -376,11 +376,15 @@ def test_study_bad_seeds_exit_cleanly(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("tinytts.cli.run_study", no_study)
     out = tmp_path / "out"
-    code = main(["study", "--study", "batching", "--seeds", "1,x", "--out-dir", str(out)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "--seeds" in err
-    assert not out.exists()
+    # each seed goes through the seed rule, [0, 2**64), before the study starts
+    for seeds, reason in [("1,x", "invalid literal"), ("-1,2,3", "seed -1 is outside"),
+                          (f"1,2,{2**64}", f"seed {2**64} is outside")]:
+        code = main(["study", "--study", "batching", f"--seeds={seeds}",
+                     "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--seeds" in err and reason in err
+        assert not out.exists()
 
 
 def test_study_too_few_seeds_leaves_no_output_dir(tmp_path, capsys):
@@ -645,6 +649,27 @@ def test_augment_snapshot_records_noise_specs_flag(tmp_path, capsys):
     )
     assert code == 0
     assert "noise_specs = white:30:1\n" in (out / "resolved_config.txt").read_text()
+
+
+def test_augment_aug_id_beyond_4_bytes_exits_before_any_output(tmp_path, capsys):
+    manifest = _curated_subset(tmp_path, capsys)
+    out = tmp_path / "aug"
+    code = main(["augment", "--manifest", manifest, "--out-dir", str(out),
+                 "--noise-specs", f"white:25:{2**32}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2**32" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_utts", [0, -4])
+def test_toy_gen_refuses_an_empty_corpus(tmp_path, capsys, n_utts):
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(f"toy.n_utts = {n_utts}\n")
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["--config", str(cfg), "toy-gen", "--out", str(corpus)]) == 1
+    assert "n_utts" in capsys.readouterr().err
+    assert not corpus.exists()
 
 
 def test_toy_train_snapshot_records_seed_and_steps(tmp_path, capsys):

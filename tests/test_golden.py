@@ -46,7 +46,7 @@ RECORDED_WITH = (
 )
 
 PINS = {
-    "augment_tree": "41b01a265b45d09757a3fd84c19eb1aefdad3d7fdcf2363a0f4f07085fe9f7df",
+    "augment_tree": "39f22f69de2a10c4c656228238d75721a7c9165e4cc5dbcf8b278875ef5ae4af",
     "verify_deviations": "e30098a2978adcb9228f9e9dd7bd8ec6e667e5742c973c28916e6a0f997a6df1",
     "melb": "cf0b84ed7a6bd336600318cb0bda5cb1cc84bc739a5160d779e3a494827d9e4a",
     "toy_train_batching/model.toym": "f20953bf0d5ecb8c91b26451ad77e622f64bab03dbea6364088742bf1237b959",

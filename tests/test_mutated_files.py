@@ -1,7 +1,9 @@
 """Byte-mutation property tests of every file reader but WAV's (test_wav.py
 has those): a valid file with one byte flipped, its tail cut off, or one byte
-inserted either loads or raises a TinyTtsError subclass, never anything else."""
+inserted either loads or raises a TinyTtsError subclass, never anything else.
+The JSON-lines readers also read a file alike whatever its line ends."""
 
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -114,3 +116,37 @@ def test_mutated_file_loads_or_raises_a_typed_error(tmp_path_factory, name, data
         read(mutated)
     except TinyTtsError:
         pass
+
+
+# the JSON-lines formats -> what of their reader's result == compares
+JSON_LINES = {
+    "toy-corpus": lambda c: (
+        c.templates.tolist(),
+        [(e.tokens, e.aug_id, e.target_frames.tolist()) for e in c.examples],
+    ),
+    "subset-manifest": lambda subset: subset,
+    "aug-manifest": lambda rows: rows,
+}
+
+
+@pytest.mark.parametrize("name", JSON_LINES)
+def test_json_lines_read_alike_with_any_line_end(tmp_path, name):
+    write, read = FORMATS[name]
+    path = tmp_path / "file"
+    write(path)
+    lf = path.read_bytes()
+    expected = JSON_LINES[name](read(path))
+    for end in (b"\r\n", b"\r"):  # each ends a line, as in text mode
+        path.write_bytes(lf.replace(b"\n", end))
+        assert JSON_LINES[name](read(path)) == expected
+
+
+@pytest.mark.parametrize("name", JSON_LINES)
+def test_json_lines_bad_utf8_names_the_line(tmp_path, name):
+    write, read = FORMATS[name]
+    path = tmp_path / "file"
+    write(path)
+    first, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(first + b"\n\xff" + rest)
+    with pytest.raises(TinyTtsError, match=re.escape(f"{path}:2: not UTF-8 text")):
+        read(path)

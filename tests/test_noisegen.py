@@ -179,6 +179,13 @@ def test_noise_spec_rejects_reserved_aug_id():
         NoiseSpec("bad", SpectrumSpec(WHITE), 10.0, 0)
 
 
+def test_noise_spec_aug_id_fits_derive_seed():
+    # derive_seed hashes the aug id as 4 bytes
+    NoiseSpec("top", SpectrumSpec(WHITE), 10.0, 2**32 - 1)
+    with pytest.raises(BadSpectrum, match=re.escape("outside [1, 2**32)")):
+        NoiseSpec("bad", SpectrumSpec(WHITE), 10.0, 2**32)
+
+
 def test_psd_csv_round_trip(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("freq_hz,power_db\n100,3.5\n1000,-2\n", encoding="utf-8")

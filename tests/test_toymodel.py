@@ -103,6 +103,9 @@ def test_bad_length_range():
         gen_synthetic_corpus(4, 3, 2, (3, 65), [], seed=0)
     with pytest.raises(BadRange):
         gen_synthetic_corpus(1, 3, 2, (2, 4), [], seed=0)
+    for n_utts in (0, -4):  # an empty corpus, which toy-train would refuse
+        with pytest.raises(BadRange, match="n_utts"):
+            gen_synthetic_corpus(4, 3, n_utts, (2, 4), [(0.5, 0.1)], seed=0)
 
 
 def test_corpus_file_round_trip(tmp_path):
