@@ -22,6 +22,9 @@ _MEL_BREAK_HZ = 1000.0
 _MEL_BELOW_BREAK = 3.0 / 200.0  # mels per Hz in the linear region
 _MEL_LOG_STEP = np.log(6.4) / 27.0
 STFT_BLOCK = 64  # frames per rfft call of the STFT
+# bound the filterbank, n_mels x (n_fft // 2 + 1) doubles, at 67 MB
+MAX_N_FFT = 2**15
+MAX_N_MELS = 512
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,8 @@ class MelConfig:
     def __post_init__(self) -> None:
         if min(self.n_fft, self.hop_length, self.win_length, self.n_mels) < 1:
             raise BadConfig("n_fft, hop_length, win_length, n_mels must be >= 1")
+        if self.n_fft > MAX_N_FFT or self.n_mels > MAX_N_MELS:
+            raise BadConfig(f"need n_fft <= {MAX_N_FFT} and n_mels <= {MAX_N_MELS}")
         if self.win_length > self.n_fft:
             raise BadConfig("win_length must not exceed n_fft")
         if self.hop_length > self.win_length:

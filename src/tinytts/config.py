@@ -21,7 +21,13 @@ from pathlib import Path
 from .audio import MelConfig
 from .curation import INFORMED, RANDOM
 from .errors import ConfigFileError, read_utf8
-from .noisegen import DEFAULT_NOISE_SPECS, SPECTRA, NoiseSpec, read_psd_table_csv
+from .noisegen import (
+    DEFAULT_NOISE_SPECS,
+    MAX_ABS_DB,
+    SPECTRA,
+    NoiseSpec,
+    read_psd_table_csv,
+)
 from .toytrain import ToyConfig
 from .toytrain.study import DEFAULT_AUG_PROFILES
 
@@ -138,17 +144,11 @@ def finite_float(text: str) -> float:
     return value
 
 
-# the bound of every SNR a noise spec or `mix --snr-db` asks for: far beyond the
-# ~96 dB that 16-bit audio can show, and inside the range where the noise gain
-# 10 ** (snr_db / 10) neither overflows nor underflows
-MAX_ABS_SNR_DB = 300.0
-
-
 def finite_snr_db(text: str) -> float:
-    """finite_float(text) for an SNR in dB, refusing |snr_db| > MAX_ABS_SNR_DB."""
+    """finite_float(text) for an SNR in dB, refusing |snr_db| > MAX_ABS_DB."""
     value = finite_float(text)
-    if abs(value) > MAX_ABS_SNR_DB:
-        raise ValueError(f"|snr_db| {abs(value):g} is above {MAX_ABS_SNR_DB:g}")
+    if abs(value) > MAX_ABS_DB:
+        raise ValueError(f"|snr_db| {abs(value):g} is above {MAX_ABS_DB:g}")
     return value
 
 

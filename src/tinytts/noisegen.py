@@ -27,6 +27,11 @@ WHITE = "white"
 USASI = "usasi"
 PSD_TABLE = "psd_table"
 
+# the bound of every dB value a user gives, a PSD table's powers and every SNR:
+# far beyond the ~96 dB that 16-bit audio can show, and inside the range where
+# 10 ** (db / 10) neither overflows nor underflows
+MAX_ABS_DB = 300.0
+
 # Electret capsule noise floor approximation: ~10 dB/decade rise below 1 kHz,
 # flat above. An approximation for a sensor-noise-like spectrum, not a
 # datasheet reconstruction; the augmentation result is insensitive to the
@@ -66,8 +71,8 @@ class SpectrumSpec:
                 raise BadSpectrum("PSD table frequencies must be finite and positive")
             if any(b <= a for a, b in zip(freqs, freqs[1:])):
                 raise BadSpectrum("PSD table frequencies must strictly increase")
-            if not all(np.isfinite(db) for _, db in pts):
-                raise BadSpectrum("PSD table powers must be finite")
+            if not all(abs(db) <= MAX_ABS_DB for _, db in pts):
+                raise BadSpectrum(f"PSD table powers must be in +-{MAX_ABS_DB:g} dB")
         elif self.psd_points is not None:
             raise BadSpectrum("psd_points only valid for kind=psd_table")
 
@@ -130,14 +135,13 @@ def usasi_magnitude(freqs_hz: np.ndarray) -> np.ndarray:
 def _table_magnitude(
     pts: tuple[tuple[float, float], ...], freqs_hz: np.ndarray
 ) -> np.ndarray:
-    """Interpolate relative power linearly over log-frequency, flat beyond ends."""
+    """Interpolate relative power linearly over log-frequency, flat beyond ends;
+    DC (log10 = -inf) takes the first point's power."""
     logf_pts = np.log10([f for f, _ in pts])
     db_pts = np.array([db for _, db in pts])
-    out = np.empty_like(freqs_hz)
-    positive = freqs_hz > 0
-    out[positive] = np.interp(np.log10(freqs_hz[positive]), logf_pts, db_pts)
-    out[~positive] = db_pts[0]  # DC follows the flat low end
-    return 10.0 ** (out / 20.0)
+    with np.errstate(divide="ignore"):
+        logf = np.log10(freqs_hz)
+    return 10.0 ** (np.interp(logf, logf_pts, db_pts) / 20.0)
 
 
 def _magnitude(spectrum: SpectrumSpec, n: int, sample_rate_hz: int) -> np.ndarray:

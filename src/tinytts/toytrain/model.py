@@ -119,8 +119,7 @@ class ToyModel:
 
 @dataclass
 class Batch:
-    tokens: np.ndarray  # (B, N) ints, 0 = padding
-    token_mask: np.ndarray  # (B, N) bool
+    tokens: np.ndarray  # (B, N) ints, 0 = padding: tokens != 0 is the token mask
     aug_ids: np.ndarray  # (B,) ints
     targets: np.ndarray  # (B, T, M)
     frame_mask: np.ndarray  # (B, T) bool
@@ -128,13 +127,12 @@ class Batch:
 
 
 class Step(NamedTuple):
-    """What one decoder step returns besides the arrays it was given to fill."""
+    """What one decoder step returns besides the arrays it fills; its scores
+    and gate logits stay in the scratch's buffers."""
 
     state: np.ndarray  # (B, d_dec)
-    scores: np.ndarray  # (B, N, d_att) tanh of the attention pre-activation
     context: np.ndarray  # (B, mem)
     frame: np.ndarray  # (B, M)
-    gate: np.ndarray  # (B,) logits
 
 
 @dataclass
@@ -145,10 +143,9 @@ class ForwardResult:
     loss: float
     mse: float
     bce: float
-    # the activations backward() reads, one read-only copy each
+    # the activations backward() reads, one read-only copy each; the encoder
+    # states are memory[..., :d_enc] and the token embeddings tok_emb[tokens]
     batch: Batch
-    emb: np.ndarray  # (B, N, d_e) token embeddings
-    enc_states: np.ndarray  # (B, N, d_enc)
     memory: np.ndarray  # (B, N, mem)
     dec_in: np.ndarray  # (B, T, M + mem) previous frame and previous context
     head_in: np.ndarray  # (B, T, d_dec + mem) decoder state and context
@@ -171,7 +168,6 @@ def make_batch(examples, cfg: ToyConfig) -> Batch:
     n_max = max(len(e.tokens) for e in examples)
     t_max = max(e.target_frames.shape[0] for e in examples)
     tokens = np.zeros((b, n_max), dtype=np.int64)
-    token_mask = np.zeros((b, n_max), dtype=bool)
     aug_ids = np.zeros(b, dtype=np.int64)
     targets = np.zeros((b, t_max, cfg.feat_dim))
     frame_mask = np.zeros((b, t_max), dtype=bool)
@@ -187,19 +183,16 @@ def make_batch(examples, cfg: ToyConfig) -> Batch:
             )
         _check_input(e.tokens, e.aug_id, cfg, f"example {i}: ")
         tokens[i, :n] = e.tokens
-        token_mask[i, :n] = True
         aug_ids[i] = e.aug_id
         targets[i, :t] = e.target_frames
         frame_mask[i, :t] = True
         gates[i, t - 1] = 1.0
-    return Batch(tokens, token_mask, aug_ids, targets, frame_mask, gates)
+    return Batch(tokens, aug_ids, targets, frame_mask, gates)
 
 
 def _encode(model: ToyModel, tokens: np.ndarray, aug_ids: np.ndarray):
-    """Token RNN + augmentation embedding concat.
-
-    Returns (embeddings (B, N, d_e), RNN states (B, N, d_enc), memory (B, N, mem)).
-    """
+    """Token RNN + augmentation embedding concat: the memory (B, N, mem), whose
+    first d_enc columns are the RNN states."""
     p = model.params
     b, n = tokens.shape
     emb = p["tok_emb"][tokens]
@@ -212,25 +205,25 @@ def _encode(model: ToyModel, tokens: np.ndarray, aug_ids: np.ndarray):
     aug = np.broadcast_to(
         p["aug_emb"][aug_ids][:, None, :], (b, n, model.config.aug_embed_dim)
     )
-    return emb, enc, np.concatenate([enc, aug], axis=2)
+    return np.concatenate([enc, aug], axis=2)
 
 
 class _StepScratch:
     """What the decoder steps of one pass share: the memory, its attention
-    projection, the padding mask as an additive bias, the biases tiled to the
-    batch, and contiguous buffers for the step's intermediates.
+    projection, the padding (token 0) as an additive bias, the biases tiled to
+    the batch, and contiguous buffers for the step's intermediates.
 
     Writing a ufunc or product into a contiguous buffer with out= rounds as a
     fresh result does, and a tiled bias adds the same value to each element as
     a broadcast one, so the step's bits do not depend on this scratch.
     """
 
-    def __init__(self, p: dict[str, np.ndarray], memory: np.ndarray, token_mask):
+    def __init__(self, p: dict[str, np.ndarray], memory: np.ndarray, tokens):
         b, n, _ = memory.shape
         hd, att = p["attn_w_query"].shape
         self.memory = memory
         self.mem_proj = memory @ p["attn_w_memory"]
-        self.mask_bias = np.where(token_mask, 0.0, -np.inf)  # padding: weight 0
+        self.mask_bias = np.where(tokens != 0, 0.0, -np.inf)  # padding: weight 0
         self.dec_b = np.tile(p["dec_b"], (b, 1))
         self.attn_b = np.tile(p["attn_b"], (b, n, 1))
         self.out_b = np.tile(p["out_b"], (b, 1))
@@ -247,8 +240,8 @@ def _decoder_step(p, sc: _StepScratch, prev, state, context, dec_in, alpha, head
     """Decoder RNN, additive attention over memory, output and gate heads.
 
     Fills the step's dec_in (B, M + mem), alpha (B, N) and head_in
-    (B, d_dec + mem) in place and returns a Step; its scores and gate are
-    sc's buffers, overwritten by the next step.
+    (B, d_dec + mem) in place, and its scores (B, N, d_att) and gate logits
+    (B, 1) into sc.scores and sc.gate, which the next step overwrites.
     """
     np.concatenate([prev, context], axis=1, out=dec_in)
     np.dot(dec_in, p["dec_w_in"], out=sc.x_in)
@@ -275,7 +268,7 @@ def _decoder_step(p, sc: _StepScratch, prev, state, context, dec_in, alpha, head
     frame += sc.out_b
     np.dot(head_in, p["gate_w"], out=sc.gate)
     sc.gate += sc.gate_b
-    return Step(state, sc.scores, context, frame, sc.gate[:, 0])
+    return Step(state, context, frame)
 
 
 def forward(model: ToyModel, batch: Batch) -> ForwardResult:
@@ -283,8 +276,8 @@ def forward(model: ToyModel, batch: Batch) -> ForwardResult:
     cfg = model.config
     p = model.params
     b, t_max = batch.frame_mask.shape
-    emb, enc_states, memory = _encode(model, batch.tokens, batch.aug_ids)
-    scratch = _StepScratch(p, memory, batch.token_mask)
+    memory = _encode(model, batch.tokens, batch.aug_ids)
+    scratch = _StepScratch(p, memory, batch.tokens)
 
     state = np.zeros((b, cfg.dec_hidden))
     context = np.zeros((b, cfg.memory_dim))
@@ -304,10 +297,10 @@ def forward(model: ToyModel, batch: Batch) -> ForwardResult:
             p, scratch, prev, state, context,
             dec_in[:, t], attention[:, t], head_in[:, t],
         )
-        scores[:, t], predicted[:, t], gate_logits[:, t] = s.scores, s.frame, s.gate
+        scores[:, t], predicted[:, t] = scratch.scores, s.frame
+        gate_logits[:, t] = scratch.gate[:, 0]
         state, context, prev = s.state, s.context, batch.targets[:, t, :]
-    for a in (dec_in, head_in, scores, attention, predicted, gate_logits, emb,
-              enc_states, memory):
+    for a in (dec_in, head_in, scores, attention, predicted, gate_logits, memory):
         a.setflags(write=False)
 
     # means over the valid frames: MSE on frames, stable BCE on gate logits
@@ -320,7 +313,7 @@ def forward(model: ToyModel, batch: Batch) -> ForwardResult:
     loss = mse + bce * cfg.gate_loss_weight
     return ForwardResult(
         predicted, gate_logits, attention, float(loss), float(mse), float(bce),
-        batch, emb, enc_states, memory, dec_in, head_in, scores,
+        batch, memory, dec_in, head_in, scores,
     )
 
 
@@ -433,13 +426,13 @@ def backward(model: ToyModel, result: ForwardResult) -> dict[str, np.ndarray]:
 
     g["aug_emb"] = np.zeros_like(p["aug_emb"])
     np.add.at(g["aug_emb"], batch.aug_ids, d_memory[:, :, he:].sum(axis=1))
-    enc = result.enc_states
+    enc = memory[:, :, :he]
     d_enc_pre = np.empty_like(enc)
     d_h = np.zeros((b, he))
     for n in reversed(range(enc.shape[1])):
         d_enc_pre[:, n] = (d_memory[:, n, :he] + d_h) * (1.0 - enc[:, n] * enc[:, n])
         d_h = d_enc_pre[:, n] @ p["enc_w_rec"].T
-    g["enc_w_in"] = _rows(result.emb).T @ _rows(d_enc_pre)
+    g["enc_w_in"] = _rows(p["tok_emb"][batch.tokens]).T @ _rows(d_enc_pre)
     g["enc_w_rec"] = _recurrent_weights_grad(enc, d_enc_pre)
     g["enc_b"] = d_enc_pre.sum(axis=(0, 1))
     g["tok_emb"] = np.zeros_like(p["tok_emb"])
@@ -455,10 +448,9 @@ def infer(model: ToyModel, tokens: list[int], aug_id: int):
     cfg = model.config
     _check_input(tokens, aug_id, cfg)
     p = model.params
-    _, _, memory = _encode(
-        model, np.asarray(tokens, dtype=np.int64)[None, :], np.asarray([aug_id])
-    )
-    scratch = _StepScratch(p, memory, np.ones((1, len(tokens)), dtype=bool))
+    token_row = np.asarray(tokens, dtype=np.int64)[None, :]
+    memory = _encode(model, token_row, np.asarray([aug_id]))
+    scratch = _StepScratch(p, memory, token_row)
 
     state = np.zeros((1, cfg.dec_hidden))
     context = np.zeros((1, cfg.memory_dim))
@@ -472,7 +464,7 @@ def infer(model: ToyModel, tokens: list[int], aug_id: int):
         alpha = np.empty((1, len(tokens)))
         step = _decoder_step(p, scratch, prev, state, context, dec_in, alpha, head_in)
         state, context, prev = step.state, step.context, step.frame
-        gate_prob = 1.0 / (1.0 + np.exp(-float(step.gate[0])))
+        gate_prob = 1.0 / (1.0 + np.exp(-float(scratch.gate[0, 0])))
         frames.append(step.frame[0])
         gate_probs.append(gate_prob)
         attention.append(alpha[0])

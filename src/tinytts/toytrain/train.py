@@ -70,18 +70,6 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     return norm
 
 
-def _plan_epoch(
-    examples: list[ToyExample], batch_size: int, mode: str, seed: int
-) -> list[list[int]]:
-    """Index batches via the curation planner, durations = frame counts."""
-    entries = [
-        CorpusEntry(f"{i:06d}", "", "", float(e.target_frames.shape[0]))
-        for i, e in enumerate(examples)
-    ]
-    subset = Subset(entries)
-    return [[int(i) for i in b] for b in plan_batches(subset, batch_size, mode, seed)]
-
-
 def mean_corpus_loss(model: ToyModel, examples: list[ToyExample]) -> float:
     """Teacher-forced loss over the whole corpus in deterministic batches."""
     cfg = model.config
@@ -116,17 +104,22 @@ def train(
     curve: list[float] = []
     norms: list[float] = []
     optimizer = Adam(model, cfg.learning_rate)
+    # the curation planner's rows: id = example index, duration = frame count
+    subset = Subset([
+        CorpusEntry(f"{i:06d}", "", "", float(e.target_frames.shape[0]))
+        for i, e in enumerate(corpus.examples)
+    ])
     step = 0
     epoch = 0
     while step < cfg.steps:
-        batches = _plan_epoch(
-            corpus.examples, cfg.batch_size, batch_plan_mode, cfg.seed + epoch
+        batches = plan_batches(
+            subset, cfg.batch_size, batch_plan_mode, cfg.seed + epoch
         )
         epoch += 1
-        for batch_idx in batches:
+        for batch_ids in batches:
             if step >= cfg.steps:
                 break
-            examples = [corpus.examples[i] for i in batch_idx]
+            examples = [corpus.examples[int(i)] for i in batch_ids]
             loss, norm = _train_step(model, optimizer, examples)
             curve.append(loss)
             norms.append(norm)

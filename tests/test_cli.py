@@ -830,6 +830,44 @@ def test_psd_table_bad_utf8_exits_cleanly(tmp_path, capsys):
     assert not dst.exists()
 
 
+@pytest.mark.parametrize("power", ["7000", "-7000"])
+def test_psd_table_power_beyond_300_db_exits_before_any_output(
+    tmp_path, capsys, power
+):
+    # 10 ** (7000 / 20) overflows: the noise would be NaN, written as zeros
+    table = tmp_path / "t.csv"
+    table.write_text(f"freq_hz,power_db\n20,{power}\n8000,{power}\n")
+    manifest = _curated_subset(tmp_path, capsys)
+    src = tmp_path / "speech.wav"
+    write_wav(speech_like(3, duration_s=1.1), src)
+    dst, out = tmp_path / "noisy.wav", tmp_path / "aug"
+    for argv in (
+        ["mix", "--in", str(src), "--out", str(dst), "--noise", str(table),
+         "--snr-db", "10"],
+        ["augment", "--manifest", manifest, "--out-dir", str(out),
+         "--noise-specs", f"{table}:10:1"],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "300 dB" in err
+    assert not dst.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("key", ["mel.n_fft = 1099511627776", "mel.n_fft = 32769",
+                                 "mel.n_mels = 513"])
+def test_mel_config_beyond_the_caps_exits_cleanly(tmp_path, capsys, key):
+    # 2**40 bins would stop mel_filterbank with numpy's allocation traceback
+    cfg = tmp_path / "mel.cfg"
+    cfg.write_text(key + "\n")
+    src = tmp_path / "tone.wav"
+    write_wav(tone(440.0, 0.4, 0.5), src)
+    dst = tmp_path / "tone.melb"
+    assert main(["--config", str(cfg), "mel", "--in", str(src), "--out", str(dst)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n_fft <= 32768 and n_mels <= 512" in err
+    assert not dst.exists()
+
+
 def test_config_file_bad_utf8_exits_cleanly(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(b"budget_s = 1\xff\n")

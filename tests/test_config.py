@@ -6,7 +6,6 @@ import pytest
 from tinytts.audio import MelConfig
 from tinytts.config import (
     DEFAULTS,
-    MAX_ABS_SNR_DB,
     RunConfig,
     finite_snr_db,
     load_config_file,
@@ -15,7 +14,7 @@ from tinytts.config import (
     parse_spectrum,
 )
 from tinytts.errors import ConfigFileError
-from tinytts.noisegen import PSD_TABLE, USASI, WHITE
+from tinytts.noisegen import MAX_ABS_DB, PSD_TABLE, USASI, WHITE
 from tinytts.toytrain import ToyConfig
 
 # SHA-256 of RunConfig().snapshot() when the mel/toy defaults stopped being
@@ -99,7 +98,7 @@ def test_non_finite_float_rejected(tmp_path, raw):
 
 
 def test_snr_db_bounded():
-    for value in (MAX_ABS_SNR_DB, -MAX_ABS_SNR_DB, 0.0):
+    for value in (MAX_ABS_DB, -MAX_ABS_DB, 0.0):
         assert finite_snr_db(str(value)) == value
         assert parse_noise_specs(f"white:{value}:1")[0].snr_db == value
     # 10 ** (snr_db / 10) overflows at 4000 dB and underflows to 0 at -4000 dB

@@ -109,6 +109,11 @@ def test_bad_config_combinations():
         MelConfig(fmin_hz=500.0, fmax_hz=100.0)
     with pytest.raises(BadConfig):
         MelConfig(log_floor=0.0)
+    # caps on the filterbank, 512 x 16385 doubles at most; a config allocates none
+    MelConfig(n_fft=2**15, n_mels=512)
+    for bad in ({"n_fft": 2**15 + 1}, {"n_fft": 2**40}, {"n_mels": 513}):
+        with pytest.raises(BadConfig, match="n_fft <= 32768 and n_mels <= 512"):
+            MelConfig(**bad)
 
 
 def test_filterbank_rows_positive_and_tiling():

@@ -7,6 +7,7 @@ from scipy.signal import welch
 from tinytts.audio import AudioClip, active_speech_level_p56
 from tinytts.errors import BadSpectrum, SilentSignal, TooShort
 from tinytts.noisegen import (
+    MAX_ABS_DB,
     PSD_TABLE,
     USASI,
     WHITE,
@@ -18,6 +19,7 @@ from tinytts.noisegen import (
     shaped_noise,
     usasi_magnitude,
     white_gaussian,
+    _table_magnitude,
 )
 
 from conftest import FS, scaled, speech_like, tone
@@ -105,6 +107,25 @@ def test_bad_tables_rejected():
             SpectrumSpec(PSD_TABLE, points)
     with pytest.raises(BadSpectrum):
         shaped_noise(2 * FS, SpectrumSpec(PSD_TABLE, ((100.0, 0.0), (20000.0, 0.0))), FS, seed=0)
+
+
+def test_table_powers_bounded():
+    # beyond the bound 10 ** (power / 20) overflows or underflows to a NaN noise
+    for power in (MAX_ABS_DB, -MAX_ABS_DB):
+        spec = SpectrumSpec(PSD_TABLE, ((20.0, power), (8000.0, 0.0)))
+        x = shaped_noise(FS, spec, FS, seed=2)
+        assert np.all(np.isfinite(x))
+        assert np.sqrt(np.mean(x**2)) == pytest.approx(1.0)
+    for power in (300.5, -300.5, 7000.0, -7000.0, np.nan, -np.inf):
+        with pytest.raises(BadSpectrum, match="300 dB"):
+            SpectrumSpec(PSD_TABLE, ((20.0, power), (8000.0, 7.0)))
+
+
+def test_table_magnitude_flat_beyond_the_ends():
+    pts = ((100.0, 6.0), (1000.0, -14.0))
+    freqs = np.array([0.0, 50.0, 100.0, 316.22776601683796, 1000.0, 4000.0])
+    expect_db = np.array([6.0, 6.0, 6.0, -4.0, -14.0, -14.0])
+    assert np.allclose(_table_magnitude(pts, freqs), 10.0 ** (expect_db / 20.0))
 
 
 def test_mix_gain_for_unit_rms_tone():

@@ -241,9 +241,9 @@ def test_attention_rows_stochastic_over_valid_tokens():
     res = forward(model, batch)
     att = res.attention  # (B, T, N)
     assert np.allclose(att.sum(axis=2), 1.0, atol=1e-5)
-    pad = ~np.broadcast_to(batch.token_mask[:, None, :], att.shape)
+    pad = np.broadcast_to(batch.tokens[:, None, :] == 0, att.shape)
     assert np.all(att[pad] == 0.0)
-    n_tokens = batch.token_mask.sum(axis=1)
+    n_tokens = (batch.tokens != 0).sum(axis=1)
     for i in range(att.shape[0]):
         assert np.all(att[i, :, : n_tokens[i]] > 0.0)
 
