@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import BadConfig, ClipTooShort, MalformedMelb
+from ..errors import BadConfig, MalformedFile, UnusableSignal
 from .clip import AudioClip
 
 _MEL_BREAK_HZ = 1000.0
@@ -134,7 +134,7 @@ def _stft_magnitude(x: np.ndarray, cfg: MelConfig, window: np.ndarray) -> np.nda
 def mel_spectrogram(clip: AudioClip, cfg: MelConfig = MelConfig()) -> np.ndarray:
     """T x n_mels floored log-mel magnitudes, one row per frame."""
     if len(clip.samples) < cfg.win_length:
-        raise ClipTooShort(
+        raise UnusableSignal(
             f"{len(clip.samples)} samples < win_length {cfg.win_length}"
         )
     window, fb = _mel_basis(cfg, clip.sample_rate_hz)
@@ -157,13 +157,13 @@ def read_melb(path: str | Path) -> np.ndarray:
     """Read a MELB file back as a T x n_mels float array."""
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != _MELB_MAGIC:
-        raise MalformedMelb("not a MELB file")
+        raise MalformedFile("not a MELB file")
     t, n_mels, reserved = struct.unpack("<III", raw[4:16])
     if reserved != 0:
-        raise MalformedMelb("MELB reserved field must be 0")
+        raise MalformedFile("MELB reserved field must be 0")
     expect = 16 + 4 * t * n_mels
     if len(raw) != expect:
-        raise MalformedMelb(f"MELB payload is {len(raw) - 16} bytes, expected {expect - 16}")
+        raise MalformedFile(f"MELB payload is {len(raw) - 16} bytes, expected {expect - 16}")
     return (
         np.frombuffer(raw[16:], dtype="<f4").reshape(t, n_mels).astype(np.float64)
     )

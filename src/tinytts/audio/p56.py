@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SignalTooShort, SilentSignal
+from ..errors import UnusableSignal
 from .clip import AudioClip
 
 SMOOTHING_TIME_S = 0.03
@@ -140,12 +140,12 @@ def active_speech_level_p56(clip: AudioClip) -> ActiveLevelResult:
     x = clip.samples
     n = len(x)
     if n < MIN_DURATION_S * clip.sample_rate_hz:
-        raise SignalTooShort(
+        raise UnusableSignal(
             f"need at least {MIN_DURATION_S} s, got {n / clip.sample_rate_hz:.3f} s"
         )
     sq = float(np.dot(x, x))
     if sq == 0.0:
-        raise SilentSignal("all-zero signal")
+        raise UnusableSignal("all-zero signal")
     long_term_db = 10.0 * np.log10(sq / n)
 
     hang = int(np.ceil(HANGOVER_S * clip.sample_rate_hz))
@@ -161,7 +161,7 @@ def active_speech_level_p56(clip: AudioClip) -> ActiveLevelResult:
     if counts[0] == 0 or delta[0] <= MARGIN_DB:
         # nothing crossed even the lowest rung, or the signal sits within the
         # margin of it: no meaningful activity
-        raise SilentSignal("no activity above the lowest threshold")
+        raise UnusableSignal("no activity above the lowest threshold")
 
     active_db = None
     for j in range(1, N_THRESHOLDS):

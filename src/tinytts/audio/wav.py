@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import MalformedWav, UnsupportedFormat
+from ..errors import MalformedFile
 from .clip import AudioClip
 
 _FMT_PCM = 1
@@ -31,9 +31,9 @@ def _read_header(fh) -> tuple[int, int, int]:
     head = fh.read(12)
     size = fh.seek(0, 2)
     if len(head) < 12:
-        raise MalformedWav("file shorter than a RIFF header")
+        raise MalformedFile("file shorter than a RIFF header")
     if head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
-        raise MalformedWav("missing RIFF/WAVE magic")
+        raise MalformedFile("missing RIFF/WAVE magic")
     fmt = None
     data = None
     pos = 12
@@ -42,7 +42,7 @@ def _read_header(fh) -> tuple[int, int, int]:
         cid, chunk_size = struct.unpack("<4sI", fh.read(8))
         present = size - pos - 8
         if present < chunk_size:
-            raise MalformedWav(
+            raise MalformedFile(
                 f"chunk {cid!r} declares {chunk_size} bytes but only {present} present"
             )
         if cid == b"fmt ":
@@ -51,22 +51,22 @@ def _read_header(fh) -> tuple[int, int, int]:
             data = (pos + 8, chunk_size)
         pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
     if fmt is None:
-        raise MalformedWav("no fmt chunk")
+        raise MalformedFile("no fmt chunk")
     if data is None:
-        raise MalformedWav("no data chunk")
+        raise MalformedFile("no data chunk")
     if len(fmt) < _FMT.size:
-        raise MalformedWav(f"fmt chunk too short ({len(fmt)} bytes)")
+        raise MalformedFile(f"fmt chunk too short ({len(fmt)} bytes)")
     audio_format, channels, rate, _, _, bits = _FMT.unpack(fmt)
     if audio_format != _FMT_PCM:
-        raise UnsupportedFormat(f"compressed or non-PCM format tag {audio_format}")
+        raise MalformedFile(f"compressed or non-PCM format tag {audio_format}")
     if channels != 1:
-        raise UnsupportedFormat(f"{channels} channels; only mono is supported")
+        raise MalformedFile(f"{channels} channels; only mono is supported")
     if bits != 16:
-        raise UnsupportedFormat(f"{bits}-bit samples; only 16-bit is supported")
+        raise MalformedFile(f"{bits}-bit samples; only 16-bit is supported")
     if rate <= 0:
-        raise MalformedWav("non-positive sample rate")
+        raise MalformedFile("non-positive sample rate")
     if data[1] % 2 != 0:
-        raise MalformedWav("data chunk has an odd byte count")
+        raise MalformedFile("data chunk has an odd byte count")
     return (rate, *data)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .audio import ActiveLevelResult, AudioClip, active_speech_level_p56, read_wav
 from .audio import read_wav_info, write_wav
 from .curation import NULL, NUMBER, CorpusEntry, Subset, read_json_rows, write_json_rows
-from .errors import BuildError, ConfigError, MismatchedCopy, MissingFile, TinyTtsError
+from .errors import BadConfig, MalformedFile, MissingInput, SourcesFailed, TinyTtsError
 from .noisegen import NoiseSpec, mix_at_snr
 from .parallel import map_tasks
 
@@ -56,7 +56,7 @@ def _check_specs(specs: list[NoiseSpec]) -> None:
     """NoiseSpec itself refuses aug_id 0, the clean copy's."""
     ids = [s.aug_id for s in specs]
     if len(set(ids)) != len(ids):
-        raise ConfigError(f"duplicate aug_ids in {ids}")
+        raise BadConfig(f"duplicate aug_ids in {ids}")
 
 
 def _check_rate(entry: CorpusEntry, specs: list[NoiseSpec]) -> None:
@@ -106,7 +106,7 @@ def _build_source(
 
     The source is read once and its P.56 level measured once. Each copy is
     written as soon as it is rendered, so no more than one copy is held. After
-    the rate pre-check, P.56 (SignalTooShort, SilentSignal) is the only step
+    the rate pre-check, P.56 (UnusableSignal) is the only step
     that refuses a source, and it runs before the first write: a source that
     fails writes none of its copies.
     """
@@ -129,7 +129,7 @@ def _failure_of(task, entry: CorpusEntry):
 def _raise_failures(outcomes: list) -> None:
     failures = [o for o in outcomes if isinstance(o, str)]
     if failures:
-        raise BuildError(
+        raise SourcesFailed(
             f"{len(failures)} source failure(s): " + "; ".join(failures[:20])
         )
 
@@ -199,7 +199,7 @@ def _verify_source(source: tuple[str, list[AugManifestEntry]]) -> list[float]:
     mixture gain (on the clean samples themselves at gain 1.0); each noisy
     copy's noise is taken from its own file, in that file's buffer. A copy
     whose sample count or rate differs from the clean file's raises
-    MismatchedCopy.
+    MalformedFile.
     """
     clean_path, noisy = source
     clean = read_wav(clean_path)
@@ -216,7 +216,7 @@ def _verify_source(source: tuple[str, list[AugManifestEntry]]) -> list[float]:
         mixed = read_wav(m.audio_path)
         shape = (mixed.samples.size, mixed.sample_rate_hz)
         if shape != (clean.samples.size, clean.sample_rate_hz):
-            raise MismatchedCopy(
+            raise MalformedFile(
                 f"{m.id}: {shape[0]} samples at {shape[1]} Hz, its clean file"
                 f" {clean.samples.size} at {clean.sample_rate_hz} Hz"
             )
@@ -238,10 +238,10 @@ def verify_augmented_dataset(
     by_source: dict[str, list[AugManifestEntry]] = {}
     for m in noisy:
         if not Path(m.audio_path).exists():
-            raise MissingFile(f"{m.id}: {m.audio_path}")
+            raise MissingInput(f"{m.id}: {m.audio_path}")
         clean_path = clean_paths.get(m.source_id)
         if clean_path is None or not Path(clean_path).exists():
-            raise MissingFile(f"{m.id}: clean source for {m.source_id}")
+            raise MissingInput(f"{m.id}: clean source for {m.source_id}")
         by_source.setdefault(m.source_id, []).append(m)
     sources = [(clean_paths[sid], rows) for sid, rows in by_source.items()]
     per_source = map_tasks(_verify_source, sources, jobs)

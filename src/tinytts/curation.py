@@ -18,13 +18,11 @@ import numpy as np
 
 from .audio import read_wav_info
 from .errors import (
-    EmptySelection,
-    EmptySubset,
-    MalformedRow,
-    MeasurementError,
-    MissingMetadata,
+    BadConfig,
+    MalformedFile,
+    MissingInput,
+    SourcesFailed,
     TinyTtsError,
-    UnknownId,
     read_fields,
     read_utf8,
 )
@@ -65,17 +63,17 @@ class PaddingReport:
 def load_ljspeech_manifest(root_dir: str | Path) -> list[CorpusEntry]:
     """Parse LJSpeech metadata.csv; the normalized-text column is authoritative.
     A row without 3 `|`-separated fields, or whose id an earlier row has,
-    raises MalformedRow naming path:line."""
+    raises MalformedFile naming path:line."""
     root = Path(root_dir)
     meta = root / "metadata.csv"
     if not meta.exists():
-        raise MissingMetadata(f"no metadata.csv under {root}")
+        raise MissingInput(f"no metadata.csv under {root}")
     first_line: dict[str, int] = {}
     entries = []
-    for line_no, (utt_id, _raw, normalized) in read_fields(meta, "|", 3, MalformedRow):
+    for line_no, (utt_id, _raw, normalized) in read_fields(meta, "|", 3, MalformedFile):
         first = first_line.setdefault(utt_id, line_no)
         if first != line_no:
-            raise MalformedRow(f"{meta}:{line_no}: id {utt_id!r} repeats line {first}")
+            raise MalformedFile(f"{meta}:{line_no}: id {utt_id!r} repeats line {first}")
         entries.append(CorpusEntry(utt_id, root / "wavs" / f"{utt_id}.wav", normalized))
     return entries
 
@@ -90,7 +88,7 @@ def measure_durations(entries: list[CorpusEntry]) -> list[CorpusEntry]:
         except (TinyTtsError, OSError) as exc:
             failures.append(f"{entry.id}: {exc}")
     if failures:
-        raise MeasurementError(
+        raise SourcesFailed(
             f"{len(failures)} file(s) unreadable: " + "; ".join(failures[:20])
         )
     return entries
@@ -110,7 +108,7 @@ def _budget_prefix(ordered: list[CorpusEntry], budget_s: float, mode: str) -> Su
         picked.append(entry)
         total += entry.duration_s
     if not picked:
-        raise EmptySelection(f"budget {budget_s} s below the first {mode} sample")
+        raise BadConfig(f"budget {budget_s} s below the first {mode} sample")
     return Subset(picked)
 
 
@@ -165,7 +163,7 @@ def padding_stats(
         try:
             d = [durations[i] for i in batch]
         except KeyError as exc:
-            raise UnknownId(f"batch references unknown id {exc.args[0]!r}") from exc
+            raise BadConfig(f"batch references unknown id {exc.args[0]!r}") from exc
         ratio = 1.0 - sum(d) / (len(d) * max(d)) if max(d) > 0 else 0.0
         per_batch.append((max(d) - min(d), ratio))
     mean = sum(r for _, r in per_batch) / len(per_batch) if per_batch else 0.0
@@ -177,7 +175,7 @@ def symbol_histogram(
 ) -> dict:
     """Case-folded character counts plus coverage of the full-corpus inventory."""
     if not subset.entries:
-        raise EmptySubset("no entries to count")
+        raise BadConfig("no entries to count")
 
     def symbols_of(text: str):
         return [ch for ch in text.casefold() if not ch.isspace()]
@@ -264,7 +262,7 @@ def _check_value(key: str, value, accepted) -> None:
 
 def read_json_rows(
     path: str | Path, types: dict, build, audio_key: str | None = None,
-    key: str | None = None, error: type[TinyTtsError] = MalformedRow,
+    key: str | None = None,
 ) -> list:
     """build(row) for each JSON object of a JSON-lines file, blank lines skipped.
 
@@ -273,13 +271,13 @@ def read_json_rows(
     and the `key` field, if any, holds a value no earlier row holds. Lines may
     end in LF, CR LF or CR. Bad UTF-8 or JSON (NaN and Infinity included), a
     row that is not an object, a missing, mistyped or repeated field, and a
-    KeyError, TypeError or ValueError from build raise `error` naming
-    path:line; a file with no rows raises `error` naming the path.
+    KeyError, TypeError or ValueError from build raise MalformedFile naming
+    path:line; a file with no rows raises MalformedFile naming the path.
     """
     base = Path(path).resolve().parent
     first_line: dict = {}
     out = []
-    for line_no, line in enumerate(read_utf8(path, error).split("\n"), start=1):
+    for line_no, line in enumerate(read_utf8(path, MalformedFile).split("\n"), start=1):
         try:
             if not line.strip():
                 continue
@@ -295,9 +293,9 @@ def read_json_rows(
                 row[audio_key] = str(base / row[audio_key])
             out.append(build(row))
         except (KeyError, TypeError, ValueError) as exc:
-            raise error(f"{path}:{line_no}: {exc!r}") from exc
+            raise MalformedFile(f"{path}:{line_no}: {exc!r}") from exc
     if not out:
-        raise error(f"{path}: no rows")
+        raise MalformedFile(f"{path}: no rows")
     return out
 
 

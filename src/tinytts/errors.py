@@ -2,6 +2,8 @@
 
 Every error raised on a bad input or bad file derives from TinyTtsError so
 callers (and the CLI) can distinguish validation failures from genuine bugs.
+There is one class per thing a caller does differently; the message names the
+failure, and a text reader's names path:line.
 """
 
 
@@ -9,135 +11,35 @@ class TinyTtsError(Exception):
     """Base class for all package errors."""
 
 
-# --- audio ---
-
-class MalformedWav(TinyTtsError):
-    """RIFF/WAVE container is structurally broken (bad magic, truncated chunk)."""
-
-
-class UnsupportedFormat(TinyTtsError):
-    """WAV file is valid but not mono 16-bit integer PCM."""
-
-
-class MalformedMelb(TinyTtsError):
-    """MELB file header/payload mismatch."""
-
-
-class SignalTooShort(TinyTtsError):
-    """Clip shorter than the minimum duration the operation needs."""
-
-
-class SilentSignal(TinyTtsError):
-    """Signal has no measurable speech activity; active level is undefined."""
-
-
-class ClipTooShort(TinyTtsError):
-    """Fewer samples than one analysis window."""
-
-
 class BadConfig(TinyTtsError):
-    """Configuration values violate a documented constraint."""
+    """A parsed value breaks a documented rule: a size, range, shape, id or
+    budget."""
 
 
-# --- noisegen ---
-
-class BadSpectrum(TinyTtsError):
-    """Spectrum definition is unusable (bad PSD table, frequency out of range)."""
-
-
-class TooShort(TinyTtsError):
-    """Requested noise length below the minimum for spectral shaping."""
+class MalformedFile(TinyTtsError):
+    """A file does not parse: WAV, MELB, ATTN1, TOYM, a manifest, a corpus or a
+    PSD table, or a noisy copy that does not match its clean file."""
 
 
-# --- curation ---
-
-class MissingMetadata(TinyTtsError):
-    """Corpus root does not contain metadata.csv."""
+class UnusableSignal(TinyTtsError):
+    """Audio too short for the operation, or with no measurable activity."""
 
 
-class MalformedRow(TinyTtsError):
-    """metadata.csv or JSON-lines manifest row that does not parse; message
-    carries the line number."""
+class MissingInput(TinyTtsError):
+    """A file that an input names does not exist."""
 
 
-class EmptySelection(TinyTtsError):
-    """Duration budget below the shortest available sample."""
+class SourcesFailed(TinyTtsError):
+    """One or more sources could not be measured or built; the message lists
+    their ids."""
 
 
-class UnknownId(TinyTtsError):
-    """Batch plan references an entry id that is not in the corpus."""
-
-
-class EmptySubset(TinyTtsError):
-    """Operation needs at least one entry."""
-
-
-class MeasurementError(TinyTtsError):
-    """One or more audio files could not be measured; message lists the ids."""
-
-
-# --- augment ---
-
-class ConfigError(TinyTtsError):
-    """Noise spec configuration invalid (duplicate aug ids)."""
-
-
-class BuildError(TinyTtsError):
-    """Dataset build failed for one or more utterances; message lists the ids."""
-
-
-class MissingFile(TinyTtsError):
-    """A manifest entry points at a file that does not exist."""
-
-
-class MismatchedCopy(TinyTtsError):
-    """A noisy copy's sample count or rate differs from its clean file's."""
-
-
-# --- evalkit ---
-
-class NotRowStochastic(TinyTtsError):
-    """Attention matrix row does not sum to one (or has weights outside [0, 1])."""
-
-
-class EmptyLabel(TinyTtsError):
-    """Report label with no attention matrices."""
-
-
-class MalformedAttnFile(TinyTtsError):
-    """ATTN1 file header/payload mismatch."""
+class ConfigFileError(TinyTtsError):
+    """Run-config file has unknown keys or unparseable values."""
 
 
 class EmptyReference(TinyTtsError):
     """WER reference has no words."""
-
-
-# --- toytrain ---
-
-class BadRange(TinyTtsError):
-    """Synthetic corpus length range outside the supported interval."""
-
-
-class ShapeMismatch(TinyTtsError):
-    """Batch tensors disagree with the model configuration."""
-
-
-class AugIdOutOfRange(TinyTtsError):
-    """Augmentation id not below the configured table size."""
-
-
-class MalformedCorpus(TinyTtsError):
-    """Toy corpus JSON-lines file does not parse; message carries the line number."""
-
-
-class MalformedCheckpoint(TinyTtsError):
-    """TOYM checkpoint bytes do not parse."""
-
-
-# --- cli / config ---
-
-class ConfigFileError(TinyTtsError):
-    """Run-config file has unknown keys or unparseable values."""
 
 
 def read_utf8(path, error: type[TinyTtsError]) -> str:

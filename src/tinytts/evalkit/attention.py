@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import EmptyLabel, MalformedAttnFile, NotRowStochastic, read_utf8
+from ..errors import BadConfig, MalformedFile, read_utf8
 
 ROW_SUM_TOL = 1e-4
 
@@ -27,7 +27,7 @@ class AttentionMatrix:
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.ndim != 2 or self.weights.size == 0:
-            raise MalformedAttnFile("weights must be a non-empty T x N matrix")
+            raise BadConfig("weights must be a non-empty T x N matrix")
         _check_rows(self.weights)
 
 
@@ -36,12 +36,12 @@ def _check_rows(weights: np.ndarray) -> None:
     outside = ~((weights >= -1e-12) & (weights <= 1.0 + 1e-12))
     if outside.any():
         bad = int(np.argwhere(outside)[0][0])
-        raise NotRowStochastic(f"row {bad}: weight outside [0, 1]")
+        raise BadConfig(f"row {bad}: weight outside [0, 1]")
     sums = weights.sum(axis=1)
     off = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)
     if off.any():
         bad = int(np.argmax(off))
-        raise NotRowStochastic(f"row {bad} sums to {sums[bad]:.6f}")
+        raise BadConfig(f"row {bad} sums to {sums[bad]:.6f}")
 
 
 def sharpness_score(a: AttentionMatrix) -> float:
@@ -71,7 +71,7 @@ def sharpness_report(matrices_by_label: dict[str, list[AttentionMatrix]]) -> str
     for label in sorted(matrices_by_label):
         mats = matrices_by_label[label]
         if not mats:
-            raise EmptyLabel(f"label {label!r} has no matrices")
+            raise BadConfig(f"label {label!r} has no matrices")
         s = sharpness_stats([sharpness_score(m) for m in mats])
         out.write(
             f"{label},{s['min']:.6f},{s['q1']:.6f},{s['median']:.6f},"
@@ -92,26 +92,26 @@ def write_attention(a: AttentionMatrix, path: str | Path) -> None:
 
 def read_attention(path: str | Path) -> AttentionMatrix:
     """A write_attention file, blank lines skipped; its errors name path:line."""
-    numbered = enumerate(read_utf8(path, MalformedAttnFile).split("\n"), start=1)
+    numbered = enumerate(read_utf8(path, MalformedFile).split("\n"), start=1)
     lines = [(line_no, line.split()) for line_no, line in numbered if line.strip()]
     if not lines:
-        raise MalformedAttnFile(f"{path}: empty file")
+        raise MalformedFile(f"{path}: empty file")
     line_no, header = lines[0]
     if len(header) != 3 or header[0] != "ATTN1":
-        raise MalformedAttnFile(f"{path}:{line_no}: bad header: {header}")
+        raise MalformedFile(f"{path}:{line_no}: bad header: {header}")
     try:
         t, n = int(header[1]), int(header[2])
     except ValueError as exc:
-        raise MalformedAttnFile(f"{path}:{line_no}: bad header dimensions") from exc
+        raise MalformedFile(f"{path}:{line_no}: bad header dimensions") from exc
     body = lines[1:]
     if len(body) != t:
-        raise MalformedAttnFile(f"{path}:{line_no}: {t} rows declared, {len(body)} found")
+        raise MalformedFile(f"{path}:{line_no}: {t} rows declared, {len(body)} found")
     rows = []
     for line_no, vals in body:
         if len(vals) != n:
-            raise MalformedAttnFile(f"{path}:{line_no}: {len(vals)} values, not {n}")
+            raise MalformedFile(f"{path}:{line_no}: {len(vals)} values, not {n}")
         try:
             rows.append([float(v) for v in vals])
         except ValueError as exc:
-            raise MalformedAttnFile(f"{path}:{line_no}: {exc}") from exc
+            raise MalformedFile(f"{path}:{line_no}: {exc}") from exc
     return AttentionMatrix(np.array(rows))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import ActiveLevelResult, AudioClip, active_speech_level_p56
-from .errors import BadSpectrum, TooShort, read_fields
+from .errors import BadConfig, MalformedFile, UnusableSignal, read_fields
 
 USASI_HIGHPASS_HZ = 100.0
 USASI_LOWPASS_HZ = 320.0
@@ -61,25 +61,25 @@ class SpectrumSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in (WHITE, USASI, PSD_TABLE):
-            raise BadSpectrum(f"unknown spectrum kind {self.kind!r}")
+            raise BadConfig(f"unknown spectrum kind {self.kind!r}")
         if self.kind == PSD_TABLE:
             pts = self.psd_points
             if pts is None or len(pts) < 2:
-                raise BadSpectrum("PSD table needs at least 2 points")
+                raise BadConfig("PSD table needs at least 2 points")
             freqs = [f for f, _ in pts]
             if not all(0 < f < np.inf for f in freqs):
-                raise BadSpectrum("PSD table frequencies must be finite and positive")
+                raise BadConfig("PSD table frequencies must be finite and positive")
             if any(b <= a for a, b in zip(freqs, freqs[1:])):
-                raise BadSpectrum("PSD table frequencies must strictly increase")
+                raise BadConfig("PSD table frequencies must strictly increase")
             if not all(abs(db) <= MAX_ABS_DB for _, db in pts):
-                raise BadSpectrum(f"PSD table powers must be in +-{MAX_ABS_DB:g} dB")
+                raise BadConfig(f"PSD table powers must be in +-{MAX_ABS_DB:g} dB")
         elif self.psd_points is not None:
-            raise BadSpectrum("psd_points only valid for kind=psd_table")
+            raise BadConfig("psd_points only valid for kind=psd_table")
 
     def check_rate(self, sample_rate_hz: int) -> None:
         """A PSD table may not run above the Nyquist frequency of the audio."""
         if self.kind == PSD_TABLE and self.psd_points[-1][0] > sample_rate_hz / 2.0:
-            raise BadSpectrum("PSD table frequency above Nyquist")
+            raise BadConfig("PSD table frequency above Nyquist")
 
 
 # the named spectra of noise specs (config.parse_spectrum)
@@ -102,7 +102,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         # 0 is the clean copy's, and augment.derive_seed hashes the id as 4 bytes
         if not 1 <= self.aug_id < 2**32:
-            raise BadSpectrum(f"aug_id {self.aug_id} is outside [1, 2**32)")
+            raise BadConfig(f"aug_id {self.aug_id} is outside [1, 2**32)")
 
 
 # the `noise_specs` config default
@@ -158,7 +158,7 @@ def shaped_noise(
 ) -> np.ndarray:
     """Unit-RMS Gaussian noise with the spectrum's long-term magnitude shape."""
     if n < sample_rate_hz:
-        raise TooShort(f"need at least 1 s ({sample_rate_hz} samples), got {n}")
+        raise UnusableSignal(f"need at least 1 s ({sample_rate_hz} samples), got {n}")
     if spectrum.kind == WHITE:
         shaped = white_gaussian(n, seed)
     else:
@@ -216,15 +216,15 @@ def mix_at_snr(
 
 def read_psd_table_csv(path) -> SpectrumSpec:
     """Load `freq_hz,power_db` CSV rows, after that header, into a PSD-table
-    spectrum; BadSpectrum names path:line."""
-    rows = read_fields(path, ",", 2, BadSpectrum) or [(1, [])]
+    spectrum; MalformedFile names path:line."""
+    rows = read_fields(path, ",", 2, MalformedFile) or [(1, [])]
     line_no, header = rows[0]
     if [f.strip() for f in header] != ["freq_hz", "power_db"]:
-        raise BadSpectrum(f"{path}:{line_no}: bad PSD CSV header: {header}")
+        raise MalformedFile(f"{path}:{line_no}: bad PSD CSV header: {header}")
     pts = []
     for line_no, (freq, power) in rows[1:]:
         try:
             pts.append((float(freq), float(power)))
         except ValueError as exc:
-            raise BadSpectrum(f"{path}:{line_no}: {exc}") from exc
+            raise MalformedFile(f"{path}:{line_no}: {exc}") from exc
     return SpectrumSpec(PSD_TABLE, tuple(pts))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ..curation import NUMBER, check_fields, read_json_rows, write_json_rows
-from ..errors import BadRange, MalformedCorpus
+from ..errors import BadConfig, MalformedFile
 
 MIN_EMIT = 2
 MAX_EMIT = 4
@@ -59,11 +59,11 @@ def gen_synthetic_corpus(
     """Token sequences with template-concatenation targets plus noisy copies."""
     lo, hi = len_range
     if not (1 <= lo <= hi <= MAX_LEN):
-        raise BadRange(f"len_range {len_range} outside [1, {MAX_LEN}]")
+        raise BadConfig(f"len_range {len_range} outside [1, {MAX_LEN}]")
     if vocab_size < 2:
-        raise BadRange("need vocab_size >= 2")
+        raise BadConfig("need vocab_size >= 2")
     if n_utts < 1:
-        raise BadRange(f"n_utts {n_utts}: need n_utts >= 1")
+        raise BadConfig(f"n_utts {n_utts}: need n_utts >= 1")
     gen = np.random.Generator(np.random.Philox(key=seed))
     templates = gen.uniform(-1.0, 1.0, size=(vocab_size + 1, feat_dim))
     templates[0] = 0.0
@@ -145,7 +145,7 @@ def _example_from(row: dict, n_aug_profiles: int) -> ToyExample:
 
 
 def load_corpus(path: str | Path) -> SyntheticCorpus:
-    """Read a save_corpus file, blank lines skipped; MalformedCorpus names the
+    """Read a save_corpus file, blank lines skipped; MalformedFile names the
     line that does not parse (NaN and Infinity included) or holds a value out
     of range."""
     corpus = None
@@ -157,7 +157,7 @@ def load_corpus(path: str | Path) -> SyntheticCorpus:
         else:
             corpus.examples.append(_example_from(row, len(corpus.aug_profiles)))
 
-    read_json_rows(path, {}, build, error=MalformedCorpus)
+    read_json_rows(path, {}, build)
     if not corpus.examples:
-        raise MalformedCorpus(f"{path}: no examples")
+        raise MalformedFile(f"{path}: no examples")
     return corpus

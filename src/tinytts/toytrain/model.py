@@ -22,17 +22,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import (
-    AugIdOutOfRange,
-    BadConfig,
-    MalformedCheckpoint,
-    ShapeMismatch,
-)
+from ..errors import BadConfig, MalformedFile
 
 TOYM_MAGIC = b"TOYM"
 TOYM_VERSION = 1
 GATE_THRESHOLD = 0.5  # infer stops once the gate probability exceeds this
 MAX_DECODE_FRAMES = 2**16  # bounds infer's time whatever a checkpoint claims
+# bounds the weights at 8 MB a copy; each study shape has under 4000 parameters
+MAX_PARAMETERS = 2**20
 
 
 @dataclass(frozen=True)
@@ -57,13 +54,22 @@ class ToyConfig:
         # int fields are sizes and counts (>= 1) but for these; seeds key Philox
         floors = {"aug_embed_dim": 0, "steps": 0, "seed": 0}
         for f in fields(self):
+            if type(f.default) is not int:
+                continue
             value, floor = getattr(self, f.name), floors.get(f.name, 1)
-            if type(f.default) is int and value < floor:
+            if value < floor:
                 raise BadConfig(f"dimensions and counts: {f.name} = {value} < {floor}")
+            # TOYM stores the seed in 64 bits and every other int field in 32
+            bits = 64 if f.name == "seed" else 32
+            if value >= 2**bits:
+                raise BadConfig(f"{f.name} = {value} >= 2**{bits}")
         if self.max_decode_frames > MAX_DECODE_FRAMES:
             raise BadConfig(
                 f"max_decode_frames = {self.max_decode_frames} > {MAX_DECODE_FRAMES}"
             )
+        n_params = sum(math.prod(shape) for _, shape in _param_shapes(self))
+        if n_params > MAX_PARAMETERS:
+            raise BadConfig(f"{n_params} parameters > {MAX_PARAMETERS}")
 
     @property
     def memory_dim(self) -> int:
@@ -155,11 +161,11 @@ class ForwardResult:
 def _check_input(tokens: list[int], aug_id: int, cfg: ToyConfig, where: str = ""):
     """Tokens non-empty and in [1, vocab_size], aug id in [0, n_aug_ids)."""
     if not tokens:
-        raise ShapeMismatch(f"{where}need at least one token")
+        raise BadConfig(f"{where}need at least one token")
     if any(tok < 1 or tok > cfg.vocab_size for tok in tokens):
-        raise ShapeMismatch(f"{where}token outside [1, vocab_size]")
+        raise BadConfig(f"{where}token outside [1, vocab_size]")
     if not 0 <= aug_id < cfg.n_aug_ids:
-        raise AugIdOutOfRange(f"{where}aug_id {aug_id} not in [0, {cfg.n_aug_ids})")
+        raise BadConfig(f"{where}aug_id {aug_id} not in [0, {cfg.n_aug_ids})")
 
 
 def make_batch(examples, cfg: ToyConfig) -> Batch:
@@ -176,9 +182,9 @@ def make_batch(examples, cfg: ToyConfig) -> Batch:
         n = len(e.tokens)
         t = e.target_frames.shape[0]
         if t == 0:
-            raise ShapeMismatch(f"example {i}: no target frames")
+            raise BadConfig(f"example {i}: no target frames")
         if e.target_frames.shape[1] != cfg.feat_dim:
-            raise ShapeMismatch(
+            raise BadConfig(
                 f"example {i}: feat dim {e.target_frames.shape[1]} != {cfg.feat_dim}"
             )
         _check_input(e.tokens, e.aug_id, cfg, f"example {i}: ")
@@ -495,7 +501,7 @@ def save_model(model: ToyModel, path: str | Path) -> None:
     for name, shape in _param_shapes(cfg):
         data = model.params[name]
         if data.shape != shape:
-            raise MalformedCheckpoint(f"{name}: shape drifted from config")
+            raise BadConfig(f"{name}: shape drifted from config")
         blob += struct.pack("<Q", data.size)
         blob += data.astype("<f8").tobytes(order="C")
     Path(path).write_bytes(bytes(blob))
@@ -504,11 +510,11 @@ def save_model(model: ToyModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> ToyModel:
     raw = Path(path).read_bytes()
     if raw[:4] != TOYM_MAGIC:
-        raise MalformedCheckpoint("bad magic")
+        raise MalformedFile("bad magic")
     try:
         (version,) = struct.unpack_from("<I", raw, 4)
         if version != TOYM_VERSION:
-            raise MalformedCheckpoint(f"unsupported version {version}")
+            raise MalformedFile(f"unsupported version {version}")
         pos = 8
         values: dict[str, object] = {}
         for name, fmt in _CONFIG_LAYOUT:
@@ -519,18 +525,18 @@ def load_model(path: str | Path) -> ToyModel:
         # the file must hold every block the config claims before any is allocated
         expect = pos + sum(8 + 8 * math.prod(shape) for _, shape in shapes)
         if len(raw) != expect:
-            raise MalformedCheckpoint(f"{len(raw)} bytes, config implies {expect}")
+            raise MalformedFile(f"{len(raw)} bytes, config implies {expect}")
         params: dict[str, np.ndarray] = {}
         for name, shape in shapes:
             (count,) = struct.unpack_from("<Q", raw, pos)
             size = math.prod(shape)
             if count != size:
-                raise MalformedCheckpoint(f"{name}: {count} values, expected {size}")
+                raise MalformedFile(f"{name}: {count} values, expected {size}")
             data = np.frombuffer(raw, dtype="<f8", count=size, offset=pos + 8)
             params[name] = data.reshape(shape).copy()
             pos += 8 + 8 * size
     except (struct.error, ValueError, BadConfig) as exc:
-        raise MalformedCheckpoint(f"checkpoint does not parse: {exc}") from exc
+        raise MalformedFile(f"checkpoint does not parse: {exc}") from exc
     model = ToyModel.__new__(ToyModel)  # the file's parameters, not a random init
     model.config, model.params = cfg, params
     return model

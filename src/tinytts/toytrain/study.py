@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ..curation import BUCKETED, RANDOM_SHUFFLE
-from ..errors import BadRange
+from ..errors import BadConfig
 from ..evalkit import AttentionMatrix, sharpness_score, write_attention
 from ..parallel import map_tasks
 from .data import SyntheticCorpus, gen_synthetic_corpus
@@ -161,12 +161,12 @@ def run_study(
     params: StudyParams | None = None,
 ) -> dict:
     """Execute one study over the seeds; writes CSV (+ ATTN1 dumps) to out_dir.
-    Fewer than 3 seeds, or a repeated seed, raise BadRange before out_dir is
+    Fewer than 3 seeds, or a repeated seed, raise BadConfig before out_dir is
     created."""
     if len(seeds) < 3:
-        raise BadRange("need at least 3 seeds")
+        raise BadConfig("need at least 3 seeds")
     if len(set(seeds)) < len(seeds):
-        raise BadRange(f"seeds {seeds} repeat a seed; each seed is one run")
+        raise BadConfig(f"seeds {seeds} repeat a seed; each seed is one run")
     if study == BATCHING:
         arms = [BUCKETED, RANDOM_SHUFFLE]
         runner = _run_batching_arm

@@ -28,7 +28,7 @@ from tinytts.curation import (
     plan_batches,
     select_informed_subset,
 )
-from tinytts.errors import EmptySelection
+from tinytts.errors import BadConfig
 from tinytts.evalkit import AttentionMatrix, sharpness_score, wer
 from tinytts.noisegen import (
     SpectrumSpec,
@@ -130,7 +130,8 @@ def test_criterion_04_informed_set_property():
         budget = float(rng.uniform(0.8, 40.0))
         try:
             subset = select_informed_subset(corpus, budget)
-        except EmptySelection:
+        except BadConfig as exc:
+            assert "below the first" in str(exc)
             assert budget < min(e.duration_s for e in corpus)
             continue
         checked += 1

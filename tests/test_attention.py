@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from tinytts.errors import (
-    EmptyLabel,
-    MalformedAttnFile,
-    NotRowStochastic,
+    BadConfig,
+    MalformedFile,
 )
 from tinytts.evalkit import (
     AttentionMatrix,
@@ -60,12 +59,12 @@ def test_column_permutation_invariance():
 
 
 def test_non_stochastic_rejected():
-    with pytest.raises(NotRowStochastic, match="row 1"):
+    with pytest.raises(BadConfig, match="row 1 sums to"):
         AttentionMatrix(np.array([[0.5, 0.5], [0.4, 0.4]]))
-    with pytest.raises(NotRowStochastic):
+    with pytest.raises(BadConfig, match=re.escape("row 0: weight outside [0, 1]")):
         AttentionMatrix(np.array([[1.2, -0.2]]))
     # NaN fails every comparison, so each check must ask "is it inside?"
-    with pytest.raises(NotRowStochastic, match="row 1"):
+    with pytest.raises(BadConfig, match=re.escape("row 1: weight outside [0, 1]")):
         AttentionMatrix(np.array([[0.5, 0.5], [np.nan, np.nan]]))
 
 
@@ -82,7 +81,7 @@ def test_report_csv_contract():
     assert lines[0] == "label,min,q1,median,q3,max,mean,n"
     assert len(lines) == 3
     assert lines[1].startswith("x,0.250000,")
-    with pytest.raises(EmptyLabel):
+    with pytest.raises(BadConfig, match="label 'empty' has no matrices"):
         sharpness_report({"empty": []})
 
 
@@ -108,15 +107,15 @@ def test_attn_round_trip(tmp_path):
 def test_attn_dimension_mismatch(tmp_path):
     path = tmp_path / "bad.attn"
     path.write_text("ATTN1 3 4\n0.25 0.25 0.25 0.25\n0.25 0.25 0.25 0.25\n")
-    with pytest.raises(MalformedAttnFile, match=re.escape(f"{path}:1: 3 rows declared")):
+    with pytest.raises(MalformedFile, match=re.escape(f"{path}:1: 3 rows declared")):
         read_attention(path)
     path.write_text("ATTN1 1 2\n\n0.5 x\n")  # blank lines count toward the line number
-    with pytest.raises(MalformedAttnFile, match=re.escape(f"{path}:3: ")):
+    with pytest.raises(MalformedFile, match=re.escape(f"{path}:3: ")):
         read_attention(path)
 
 
 def test_attn_non_stochastic_row_reported(tmp_path):
     path = tmp_path / "bad.attn"
     path.write_text("ATTN1 2 2\n0.5 0.5\n0.4 0.4\n")
-    with pytest.raises(NotRowStochastic, match="row 1"):
+    with pytest.raises(BadConfig, match="row 1 sums to"):
         read_attention(path)

@@ -19,11 +19,10 @@ from tinytts.augment import (
 )
 from tinytts.curation import CorpusEntry, Subset
 from tinytts.errors import (
-    BuildError,
-    ConfigError,
-    MalformedRow,
-    MismatchedCopy,
-    MissingFile,
+    BadConfig,
+    MalformedFile,
+    MissingInput,
+    SourcesFailed,
 )
 from tinytts.noisegen import (
     PSD_TABLE,
@@ -83,7 +82,7 @@ def test_duplicate_aug_id_rejected_before_writing(tmp_path):
         NoiseSpec("a", SpectrumSpec(WHITE), 20.0, 1),
         NoiseSpec("b", SpectrumSpec(WHITE), 10.0, 1),
     ]
-    with pytest.raises(ConfigError):
+    with pytest.raises(BadConfig, match="duplicate aug_ids"):
         build_augmented_dataset(subset, specs, tmp_path / "out", 0)
     assert not (tmp_path / "out" / "wavs").exists()
 
@@ -120,7 +119,7 @@ def test_silent_source_collected_as_failure(tmp_path):
     silent = tmp_path / "clean" / "silent.wav"
     write_wav(AudioClip(np.zeros(22050), 22050), silent)
     subset.entries.append(CorpusEntry("silent", silent, "quiet", 1.0))
-    with pytest.raises(BuildError, match="silent"):
+    with pytest.raises(SourcesFailed, match="source failure.*silent: "):
         build_augmented_dataset(subset, default_noise_specs(), tmp_path / "out", 1)
 
 
@@ -150,7 +149,7 @@ def test_verify_missing_file(tmp_path):
     subset = make_speech_subset(tmp_path, 1)
     manifest = build_augmented_dataset(subset, default_noise_specs(), tmp_path / "out", 5)
     Path(manifest[1].audio_path).unlink()
-    with pytest.raises(MissingFile, match=manifest[1].id):
+    with pytest.raises(MissingInput, match=f"{manifest[1].id}: "):
         verify_augmented_dataset(manifest)
 
 
@@ -178,7 +177,7 @@ def test_verify_refuses_a_copy_unlike_its_clean_file(tmp_path, how, jobs):
     subset = make_speech_subset(tmp_path, 2)
     manifest = build_augmented_dataset(subset, default_noise_specs(), tmp_path / "out", 5)
     victim = mismatch_copy(manifest, how)
-    with pytest.raises(MismatchedCopy, match=f"{victim.id}: "):
+    with pytest.raises(MalformedFile, match=f"{victim.id}: .* its clean file"):
         verify_augmented_dataset(manifest, jobs=jobs)
 
 
@@ -201,7 +200,7 @@ def test_manifest_mistyped_field_names_the_line(tmp_path, field, value):
     path = tmp_path / "manifest.jsonl"
     rows = [asdict(clean), {**asdict(noisy), field: value}]
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
-    with pytest.raises(MalformedRow, match=re.escape(f"{path}:2:") + f".*{field}"):
+    with pytest.raises(MalformedFile, match=re.escape(f"{path}:2:") + f".*{field}"):
         read_aug_manifest(path)
 
 
@@ -209,7 +208,7 @@ def test_manifest_repeated_id_names_both_lines(tmp_path):
     row = asdict(AugManifestEntry("u__aug0", "u", "u.wav", "t", 1.0, 0, "clean", None, 1.0, 5))
     path = tmp_path / "manifest.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in [row, row]))
-    with pytest.raises(MalformedRow, match=re.escape(f"{path}:2:") + ".*repeats line 1"):
+    with pytest.raises(MalformedFile, match=re.escape(f"{path}:2:") + ".*repeats line 1"):
         read_aug_manifest(path)
 
 
@@ -291,7 +290,7 @@ def test_failed_source_writes_no_manifest_and_no_copies(
     subset.entries.insert(1, CorpusEntry("bad", bad, "quiet", bad_clip.duration_s))
     out = tmp_path / "out"
     specs = default_noise_specs() + extra_specs
-    with pytest.raises(BuildError, match="bad: "):
+    with pytest.raises(SourcesFailed, match="source failure.*bad: "):
         build_augmented_dataset(subset, specs, out, 1, jobs=jobs)
     assert not (out / "manifest.jsonl").exists()
     assert list((out / "wavs").glob("bad__*")) == []

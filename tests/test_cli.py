@@ -506,6 +506,7 @@ def test_toy_train_malformed_corpus_exits_cleanly(tmp_path, capsys):
         ("toy.batch_size = 0\n", []),
         ("", ["--steps", "-3"]),
         ("toy.max_decode_frames = 70000\n", []),
+        ("toy.enc_hidden = 65536\n", []),  # past MAX_PARAMETERS
     ],
 )
 def test_toy_train_bad_config_exits_before_out_dir(tmp_path, capsys, config, extra):
@@ -516,6 +517,21 @@ def test_toy_train_bad_config_exits_before_out_dir(tmp_path, capsys, config, ext
     code = main(argv + ["--out-dir", str(run_dir)] + extra)
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not run_dir.exists()
+
+
+def test_toy_train_refuses_a_count_past_its_checkpoint_field(tmp_path, capsys):
+    # TOYM stores batch_size in 32 bits: a larger one would train, then fail to save
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus(gen_synthetic_corpus(4, 3, 3, (2, 4), [], seed=0), corpus_path)
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(TOY_CFG + "toy.batch_size = 4294967296\n")
+    run_dir = tmp_path / "run"
+    argv = ["--config", str(cfg), "toy-train", "--corpus", str(corpus_path),
+            "--steps", "1", "--out-dir", str(run_dir)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "batch_size = 4294967296 >= 2**32" in err
     assert not run_dir.exists()
 
 

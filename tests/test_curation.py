@@ -21,11 +21,10 @@ from tinytts.curation import (
     write_subset_manifest,
 )
 from tinytts.errors import (
-    EmptySelection,
-    MalformedRow,
-    MeasurementError,
-    MissingMetadata,
-    UnknownId,
+    BadConfig,
+    MalformedFile,
+    MissingInput,
+    SourcesFailed,
 )
 
 
@@ -60,7 +59,7 @@ def test_manifest_wrong_arity_reports_line(tmp_path):
     meta = tmp_path / "metadata.csv"
     for end in ("\n", "\r\n", "\r"):  # each ends a line, as in text mode
         meta.write_bytes(f"a1|x|y{end}a2|only-two{end}".encode())
-        with pytest.raises(MalformedRow, match=re.escape(f"{meta}:2:")):
+        with pytest.raises(MalformedFile, match=re.escape(f"{meta}:2:")):
             load_ljspeech_manifest(tmp_path)
 
 
@@ -68,12 +67,12 @@ def test_repeated_metadata_id_names_both_lines(tmp_path):
     rows = [("a", "x", "hello"), ("b", "x", "b"), ("a", "x", "hello again")]
     write_ljspeech_fixture(tmp_path, rows)
     meta = tmp_path / "metadata.csv"
-    with pytest.raises(MalformedRow, match=re.escape(f"{meta}:3: id 'a' repeats line 1")):
+    with pytest.raises(MalformedFile, match=re.escape(f"{meta}:3: id 'a' repeats line 1")):
         load_ljspeech_manifest(tmp_path)
 
 
 def test_missing_metadata(tmp_path):
-    with pytest.raises(MissingMetadata):
+    with pytest.raises(MissingInput, match="no metadata.csv under"):
         load_ljspeech_manifest(tmp_path)
 
 
@@ -91,7 +90,7 @@ def test_measure_missing_file_names_id(tmp_path):
     write_ljspeech_fixture(tmp_path, rows)
     entries = load_ljspeech_manifest(tmp_path)
     entries.append(CorpusEntry("ghost", tmp_path / "wavs" / "ghost.wav", "n"))
-    with pytest.raises(MeasurementError, match="ghost"):
+    with pytest.raises(SourcesFailed, match="unreadable: .*ghost: "):
         measure_durations(entries)
 
 
@@ -106,7 +105,7 @@ def test_informed_prefix_hand_case():
 
 
 def test_informed_empty_selection():
-    with pytest.raises(EmptySelection):
+    with pytest.raises(BadConfig, match="below the first informed sample"):
         select_informed_subset(make_corpus([5, 7]), 4.0)
 
 
@@ -119,7 +118,8 @@ def test_informed_invariants_random_corpora():
         budget = float(rng.uniform(1.0, 30.0))
         try:
             subset = select_informed_subset(corpus, budget)
-        except EmptySelection:
+        except BadConfig as exc:
+            assert "below the first" in str(exc)
             assert budget < min(e.duration_s for e in corpus)
             continue
         selected = {e.id for e in subset.entries}
@@ -176,7 +176,7 @@ def test_padding_formula():
 
 
 def test_padding_unknown_id():
-    with pytest.raises(UnknownId):
+    with pytest.raises(BadConfig, match="batch references unknown id 'nope'"):
         padding_stats([["nope"]], make_corpus([1.0]))
 
 
@@ -243,14 +243,14 @@ def test_repeated_manifest_id_names_both_lines(tmp_path):
     row = {"id": "u0", "audio": "u0.wav", "text": "t", "duration_s": 1.0}
     path = tmp_path / "subset.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in [row, {**row, "id": "u1"}, row]))
-    with pytest.raises(MalformedRow, match=re.escape(f"{path}:3:") + ".*repeats line 1"):
+    with pytest.raises(MalformedFile, match=re.escape(f"{path}:3:") + ".*repeats line 1"):
         read_subset_manifest(path)
 
 
 def test_empty_manifest_names_the_file(tmp_path):
     path = tmp_path / "subset.jsonl"
     path.write_bytes(b"\n")
-    with pytest.raises(MalformedRow, match=f"{re.escape(str(path))}: no rows"):
+    with pytest.raises(MalformedFile, match=f"{re.escape(str(path))}: no rows"):
         read_subset_manifest(path)
 
 
@@ -262,5 +262,5 @@ def test_manifest_mistyped_field_names_the_line(tmp_path, field, value):
     row = {"id": "u0", "audio": "u0.wav", "text": "t", "duration_s": 1.0}
     path = tmp_path / "subset.jsonl"  # no summary sidecar: durations are summed
     path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field: value}) + "\n")
-    with pytest.raises(MalformedRow, match=re.escape(f"{path}:2:") + f".*{field}"):
+    with pytest.raises(MalformedFile, match=re.escape(f"{path}:2:") + f".*{field}"):
         read_subset_manifest(path)

@@ -11,7 +11,7 @@ from tinytts.audio import (
     write_melb,
 )
 from tinytts.audio.mel import hz_to_mel, mel_to_hz
-from tinytts.errors import BadConfig, ClipTooShort, MalformedMelb
+from tinytts.errors import BadConfig, MalformedFile, UnusableSignal
 
 from conftest import FS, tone
 
@@ -90,24 +90,24 @@ def test_frame_count_formula_property():
 
 
 def test_too_short_raises():
-    with pytest.raises(ClipTooShort):
+    with pytest.raises(UnusableSignal, match="samples < win_length"):
         mel_spectrogram(AudioClip(np.zeros(CFG.win_length - 1), FS), CFG)
 
 
 def test_fmax_above_nyquist_rejected():
     cfg = MelConfig(fmax_hz=9000.0)
-    with pytest.raises(BadConfig):
+    with pytest.raises(BadConfig, match="fmax_hz 9000.0 above Nyquist"):
         mel_spectrogram(AudioClip(np.zeros(4096), 16000), cfg)
 
 
 def test_bad_config_combinations():
-    with pytest.raises(BadConfig):
+    with pytest.raises(BadConfig, match="hop_length must not exceed win_length"):
         MelConfig(hop_length=2048)  # hop > win
-    with pytest.raises(BadConfig):
+    with pytest.raises(BadConfig, match="win_length must not exceed n_fft"):
         MelConfig(win_length=2048)  # win > n_fft
-    with pytest.raises(BadConfig):
+    with pytest.raises(BadConfig, match="need 0 <= fmin_hz < fmax_hz"):
         MelConfig(fmin_hz=500.0, fmax_hz=100.0)
-    with pytest.raises(BadConfig):
+    with pytest.raises(BadConfig, match="log_floor must be positive"):
         MelConfig(log_floor=0.0)
     # caps on the filterbank, 512 x 16385 doubles at most; a config allocates none
     MelConfig(n_fft=2**15, n_mels=512)
@@ -153,5 +153,5 @@ def test_melb_truncated_payload(tmp_path):
     mel = mel_spectrogram(AudioClip(rng.standard_normal(5000) * 0.3, FS), CFG)
     write_melb(mel, path)
     path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(MalformedMelb):
+    with pytest.raises(MalformedFile, match="MELB payload is .* bytes, expected"):
         read_melb(path)

@@ -5,7 +5,7 @@ import pytest
 from scipy.signal import welch
 
 from tinytts.audio import AudioClip, active_speech_level_p56
-from tinytts.errors import BadSpectrum, SilentSignal, TooShort
+from tinytts.errors import BadConfig, MalformedFile, UnusableSignal
 from tinytts.noisegen import (
     MAX_ABS_DB,
     PSD_TABLE,
@@ -88,24 +88,24 @@ def test_shaped_noise_unit_rms_property():
 
 
 def test_shaped_noise_too_short():
-    with pytest.raises(TooShort):
+    with pytest.raises(UnusableSignal, match="need at least 1 s"):
         shaped_noise(FS - 1, SpectrumSpec(USASI), FS, seed=0)
 
 
 def test_bad_tables_rejected():
-    with pytest.raises(BadSpectrum):
+    with pytest.raises(BadConfig, match="needs at least 2 points"):
         SpectrumSpec(PSD_TABLE, ((100.0, 0.0),))  # one point
-    with pytest.raises(BadSpectrum):
+    with pytest.raises(BadConfig, match="frequencies must strictly increase"):
         SpectrumSpec(PSD_TABLE, ((100.0, 0.0), (50.0, 0.0)))  # not increasing
-    with pytest.raises(BadSpectrum):
+    with pytest.raises(BadConfig, match="frequencies must be finite and positive"):
         SpectrumSpec(PSD_TABLE, ((0.0, 0.0), (50.0, 0.0)))  # f=0
-    with pytest.raises(BadSpectrum):
+    with pytest.raises(BadConfig, match="PSD table powers must be in"):
         SpectrumSpec(PSD_TABLE, ((10.0, np.inf), (50.0, 0.0)))
     # a NaN frequency compares false with everything, so order checks pass it
     for points in (((np.nan, 0.0), (50.0, 0.0)), ((100.0, 0.0), (np.nan, 0.0))):
-        with pytest.raises(BadSpectrum, match="finite"):
+        with pytest.raises(BadConfig, match="frequencies must be finite"):
             SpectrumSpec(PSD_TABLE, points)
-    with pytest.raises(BadSpectrum):
+    with pytest.raises(BadConfig, match="PSD table frequency above Nyquist"):
         shaped_noise(2 * FS, SpectrumSpec(PSD_TABLE, ((100.0, 0.0), (20000.0, 0.0))), FS, seed=0)
 
 
@@ -117,7 +117,7 @@ def test_table_powers_bounded():
         assert np.all(np.isfinite(x))
         assert np.sqrt(np.mean(x**2)) == pytest.approx(1.0)
     for power in (300.5, -300.5, 7000.0, -7000.0, np.nan, -np.inf):
-        with pytest.raises(BadSpectrum, match="300 dB"):
+        with pytest.raises(BadConfig, match="PSD table powers must be in .*300 dB"):
             SpectrumSpec(PSD_TABLE, ((20.0, power), (8000.0, 7.0)))
 
 
@@ -152,7 +152,7 @@ def test_remeasured_snr_within_tolerance(snr_db):
 
 
 def test_mix_silent_speech_raises():
-    with pytest.raises(SilentSignal):
+    with pytest.raises(UnusableSignal, match="all-zero signal"):
         mix_at_snr(AudioClip(np.zeros(FS), FS), SpectrumSpec(WHITE), 20.0, seed=0)
 
 
@@ -196,14 +196,14 @@ def test_default_specs_match_configuration_contract():
 
 
 def test_noise_spec_rejects_reserved_aug_id():
-    with pytest.raises(BadSpectrum):
+    with pytest.raises(BadConfig, match=re.escape("aug_id 0 is outside [1, 2**32)")):
         NoiseSpec("bad", SpectrumSpec(WHITE), 10.0, 0)
 
 
 def test_noise_spec_aug_id_fits_derive_seed():
     # derive_seed hashes the aug id as 4 bytes
     NoiseSpec("top", SpectrumSpec(WHITE), 10.0, 2**32 - 1)
-    with pytest.raises(BadSpectrum, match=re.escape("outside [1, 2**32)")):
+    with pytest.raises(BadConfig, match=re.escape("outside [1, 2**32)")):
         NoiseSpec("bad", SpectrumSpec(WHITE), 10.0, 2**32)
 
 
@@ -218,8 +218,8 @@ def test_psd_csv_round_trip(tmp_path):
     assert read_psd_table_csv(path).psd_points == spec.psd_points
     bad = tmp_path / "bad.csv"
     bad.write_text("frequency,power\n100,0\n", encoding="utf-8")
-    with pytest.raises(BadSpectrum, match=re.escape(f"{bad}:1:")):
+    with pytest.raises(MalformedFile, match=re.escape(f"{bad}:1: bad PSD CSV header")):
         read_psd_table_csv(bad)
     bad.write_text("freq_hz,power_db\n100,3,4\n", encoding="utf-8")
-    with pytest.raises(BadSpectrum, match=re.escape(f"{bad}:2: expected 2")):
+    with pytest.raises(MalformedFile, match=re.escape(f"{bad}:2: expected 2")):
         read_psd_table_csv(bad)

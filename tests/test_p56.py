@@ -19,7 +19,7 @@ from tinytts.audio.p56 import (
     _active_counts,
     _envelope,
 )
-from tinytts.errors import SignalTooShort, SilentSignal
+from tinytts.errors import UnusableSignal
 
 from conftest import gated_noise, scaled, speech_like, tone
 
@@ -49,12 +49,12 @@ def test_gated_noise_50_percent_duty():
 
 
 def test_all_zero_raises_silent():
-    with pytest.raises(SilentSignal):
+    with pytest.raises(UnusableSignal, match="all-zero signal"):
         active_speech_level_p56(AudioClip(np.zeros(22050), 22050))
 
 
 def test_too_short_raises():
-    with pytest.raises(SignalTooShort):
+    with pytest.raises(UnusableSignal, match="need at least .* s, got"):
         active_speech_level_p56(AudioClip(np.ones(1000), 22050))
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tinytts.curation import BUCKETED, RANDOM_SHUFFLE
-from tinytts.errors import BadRange
+from tinytts.errors import BadConfig
 from tinytts.evalkit import read_attention
 from tinytts.toytrain import ToyConfig, run_study
 from tinytts.toytrain.study import (
@@ -105,13 +105,13 @@ def test_augemb_study_outputs(tmp_path):
 
 
 def test_study_rejects_too_few_seeds(tmp_path):
-    with pytest.raises(BadRange):
+    with pytest.raises(BadConfig, match="need at least 3 seeds"):
         run_study(BATCHING, [1, 2], tmp_path, params=MINI_BATCHING)
 
 
 def test_study_rejects_repeated_seeds(tmp_path):
     # three runs of one seed would pass as three seeds' medians
-    with pytest.raises(BadRange, match="repeat"):
+    with pytest.raises(BadConfig, match="repeat a seed"):
         run_study(BATCHING, [1, 1, 1], tmp_path / "out", params=MINI_BATCHING)
     assert not (tmp_path / "out").exists()
 

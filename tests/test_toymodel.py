@@ -7,14 +7,7 @@ import numpy as np
 import pytest
 
 from tinytts.cli import main
-from tinytts.errors import (
-    AugIdOutOfRange,
-    BadConfig,
-    BadRange,
-    MalformedCheckpoint,
-    MalformedCorpus,
-    ShapeMismatch,
-)
+from tinytts.errors import BadConfig, MalformedFile
 from tinytts.toytrain import (
     ToyConfig,
     ToyModel,
@@ -28,7 +21,7 @@ from tinytts.toytrain import (
     save_model,
     train,
 )
-from tinytts.toytrain.model import MAX_DECODE_FRAMES, backward
+from tinytts.toytrain.model import MAX_DECODE_FRAMES, MAX_PARAMETERS, backward
 
 TINY = ToyConfig(
     vocab_size=4,
@@ -72,7 +65,7 @@ def test_batch_gate_fires_at_each_rows_last_frame_only():
 def test_batch_refuses_an_example_without_frames():
     examples = tiny_corpus().examples[:2]
     examples[1] = replace(examples[1], target_frames=np.zeros((0, TINY.feat_dim)))
-    with pytest.raises(ShapeMismatch, match="example 1: no target frames"):
+    with pytest.raises(BadConfig, match="example 1: no target frames"):
         make_batch(examples, TINY)
 
 
@@ -97,14 +90,14 @@ def test_token_repetition_expands_templates():
 
 
 def test_bad_length_range():
-    with pytest.raises(BadRange):
+    with pytest.raises(BadConfig, match="len_range .* outside"):
         gen_synthetic_corpus(4, 3, 2, (0, 4), [], seed=0)
-    with pytest.raises(BadRange):
+    with pytest.raises(BadConfig, match="len_range .* outside"):
         gen_synthetic_corpus(4, 3, 2, (3, 65), [], seed=0)
-    with pytest.raises(BadRange):
+    with pytest.raises(BadConfig, match="need vocab_size >= 2"):
         gen_synthetic_corpus(1, 3, 2, (2, 4), [], seed=0)
     for n_utts in (0, -4):  # an empty corpus, which toy-train would refuse
-        with pytest.raises(BadRange, match="n_utts"):
+        with pytest.raises(BadConfig, match="need n_utts >= 1"):
             gen_synthetic_corpus(4, 3, n_utts, (2, 4), [(0.5, 0.1)], seed=0)
 
 
@@ -146,11 +139,11 @@ def test_corpus_blank_lines_are_skipped_and_an_empty_file_refused(tmp_path):
         assert np.array_equal(a.target_frames, b.target_frames)
     # a line is numbered in the file, blank lines counted
     padded.write_text("\n" + text.replace('"aug_id": 0', '"aug_id": -1', 1), encoding="utf-8")
-    with pytest.raises(MalformedCorpus, match=f"{padded}:3:"):
+    with pytest.raises(MalformedFile, match=f"{padded}:3:"):
         load_corpus(padded)
     for content in ("", "\n\n"):
         padded.write_text(content)
-        with pytest.raises(MalformedCorpus, match=f"{padded}: no rows"):
+        with pytest.raises(MalformedFile, match=f"{padded}: no rows"):
             load_corpus(padded)
 
 
@@ -169,7 +162,7 @@ def test_malformed_corpus_file_rejected(tmp_path, line, old, new):
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     lines[line] = new if old is None else lines[line].replace(old, new, 1)
     path.write_text("".join(lines), encoding="utf-8")
-    with pytest.raises(MalformedCorpus):
+    with pytest.raises(MalformedFile, match=f"{path}:{line + 1}:"):
         load_corpus(path)
 
 
@@ -194,7 +187,7 @@ def test_mistyped_corpus_field_names_the_line(tmp_path, line, key, mistyped):
     rows = [json.loads(r) for r in path.read_text(encoding="utf-8").splitlines()]
     rows[line][key] = mistyped(rows[line][key])
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-    with pytest.raises(MalformedCorpus, match=f"{path}:{line + 1}:"):
+    with pytest.raises(MalformedFile, match=f"{path}:{line + 1}:"):
         load_corpus(path)
 
 
@@ -218,7 +211,7 @@ def test_out_of_range_corpus_value_names_the_line(tmp_path, line, key, bad):
     rows = [json.loads(r) for r in path.read_text(encoding="utf-8").splitlines()]
     rows[line][key] = bad(rows[line][key])
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-    with pytest.raises(MalformedCorpus, match=f"{path}:{line + 1}:"):
+    with pytest.raises(MalformedFile, match=f"{path}:{line + 1}:"):
         load_corpus(path)
 
 
@@ -316,11 +309,11 @@ def test_shape_and_range_validation():
     corpus = tiny_corpus()
     bad = corpus.examples[0]
     bad.aug_id = 99
-    with pytest.raises(AugIdOutOfRange):
+    with pytest.raises(BadConfig, match=r"example 0: aug_id 99 not in \[0, 3\)"):
         make_batch([bad], TINY)
     bad.aug_id = 0
     bad.tokens = [0, 1]
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(BadConfig, match="example 0: token outside"):
         make_batch([bad], TINY)
 
 
@@ -371,12 +364,12 @@ def test_infer_memory_follows_decoded_frames_not_the_cap():
 
 def test_infer_rejects_bad_aug_id():
     model = ToyModel(TINY)
-    with pytest.raises(AugIdOutOfRange):
+    with pytest.raises(BadConfig, match=r"aug_id 7 not in \[0, 3\)"):
         infer(model, [1], 7)
 
 
 def test_infer_rejects_empty_tokens():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(BadConfig, match="need at least one token"):
         infer(ToyModel(TINY), [], 0)
 
 
@@ -416,32 +409,33 @@ def test_checkpoint_truncation_detected(tmp_path):
     path = tmp_path / "model.toym"
     save_model(model, path)
     path.write_bytes(path.read_bytes()[:-16])
-    with pytest.raises(MalformedCheckpoint):
+    with pytest.raises(MalformedFile, match="bytes, config implies"):
         load_model(path)
 
 
-def test_checkpoint_with_invalid_config_block_rejected(tmp_path):
-    model = ToyModel(TINY)
-    path = tmp_path / "model.toym"
-    save_model(model, path)
+def _with_enc_hidden(path, enc_hidden: int) -> None:
+    """Save TINY to path with its header's enc_hidden, the 4th int, replaced."""
+    save_model(ToyModel(TINY), path)
     raw = bytearray(path.read_bytes())
-    raw[8 + 4 * 3 : 8 + 4 * 4] = struct.pack("<I", 0)  # enc_hidden, the 4th int
+    raw[8 + 4 * 3 : 8 + 4 * 4] = struct.pack("<I", enc_hidden)
     path.write_bytes(bytes(raw))
-    with pytest.raises(MalformedCheckpoint, match="dimensions"):
+
+
+def test_checkpoint_with_invalid_config_block_rejected(tmp_path):
+    path = tmp_path / "model.toym"
+    _with_enc_hidden(path, 0)
+    with pytest.raises(MalformedFile, match="does not parse: dimensions"):
         load_model(path)
 
 
 def test_checkpoint_claiming_more_than_it_holds_loads_nothing(tmp_path, capsys):
-    # a small file whose header claims enc_hidden = 6000: the parameters at that
-    # size would take hundreds of MB, so the length is checked before any is built
+    # a small file whose header claims enc_hidden = 1000, within MAX_PARAMETERS:
+    # its parameters would take 8 MB, so the length is checked before any is built
     path = tmp_path / "model.toym"
-    save_model(ToyModel(TINY), path)
-    raw = bytearray(path.read_bytes())
-    raw[8 + 4 * 3 : 8 + 4 * 4] = struct.pack("<I", 6000)  # enc_hidden, the 4th int
-    path.write_bytes(bytes(raw))
+    _with_enc_hidden(path, 1000)
     tracemalloc.start()
     try:
-        with pytest.raises(MalformedCheckpoint):
+        with pytest.raises(MalformedFile, match="bytes, config implies"):
             load_model(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -452,20 +446,44 @@ def test_checkpoint_claiming_more_than_it_holds_loads_nothing(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_checkpoint_past_the_parameter_cap_rejected(tmp_path, capsys):
+    path = tmp_path / "model.toym"
+    _with_enc_hidden(path, 2**16)  # enc_w_rec alone is 2**32 weights
+    with pytest.raises(MalformedFile, match=f"does not parse: .* > {MAX_PARAMETERS}"):
+        load_model(path)
+    assert main(["toy-infer", "--model", str(path), "--tokens", "1"]) == 1
+    assert f"parameters > {MAX_PARAMETERS}" in capsys.readouterr().err
+
+
+INVALID_CONFIGS = [
+    ("enc_hidden", 0, "dimensions and counts: enc_hidden = 0 < 1"),
+    ("batch_size", 0, "dimensions and counts: batch_size = 0 < 1"),
+    ("steps", -3, "dimensions and counts: steps = -3 < 0"),
+    ("aug_embed_dim", -1, "dimensions and counts: aug_embed_dim = -1 < 0"),
+    ("seed", -1, "dimensions and counts: seed = -1 < 0"),
+    ("max_decode_frames", MAX_DECODE_FRAMES + 1, "max_decode_frames = 65537 > 65536"),
+    # TOYM stores the seed in 64 bits and every other int field in 32
+    ("batch_size", 2**32, r"batch_size = 4294967296 >= 2\*\*32"),
+    ("steps", 2**32, r"steps = 4294967296 >= 2\*\*32"),
+    ("seed", 2**64, r"seed = 18446744073709551616 >= 2\*\*64"),
+    ("enc_hidden", 2**40, r"enc_hidden = 1099511627776 >= 2\*\*32"),
+    # enc_w_rec alone is 2**32 weights
+    ("enc_hidden", 2**16, f"parameters > {MAX_PARAMETERS}"),
+    ("vocab_size", MAX_PARAMETERS, f"parameters > {MAX_PARAMETERS}"),
+]
+
+
 @pytest.mark.parametrize(
-    "field, value",
-    [
-        ("enc_hidden", 0),
-        ("batch_size", 0),
-        ("steps", -3),
-        ("aug_embed_dim", -1),
-        ("seed", -1),
-        ("max_decode_frames", MAX_DECODE_FRAMES + 1),
-    ],
+    "field, value, words", INVALID_CONFIGS, ids=[f"{f}-{v}" for f, v, _ in INVALID_CONFIGS]
 )
-def test_invalid_config_raises_bad_config(field, value):
-    with pytest.raises(BadConfig):
+def test_invalid_config_raises_bad_config(field, value, words):
+    with pytest.raises(BadConfig, match=words):
         replace(TINY, **{field: value})
+
+
+def test_toy_config_at_the_size_limits():
+    replace(TINY, batch_size=2**32 - 1, steps=2**32 - 1, seed=2**64 - 1)
+    replace(TINY, max_decode_frames=MAX_DECODE_FRAMES)
 
 
 def test_parameter_count_pure_function_of_config():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import tinytts.audio.wav
 from tinytts.audio import AudioClip, read_wav, read_wav_info, write_wav
-from tinytts.errors import MalformedWav, TinyTtsError, UnsupportedFormat
+from tinytts.errors import MalformedFile, TinyTtsError
 
 from conftest import tone
 
@@ -63,14 +63,14 @@ def test_truncated_data_chunk(tmp_path):
     raw = path.read_bytes()
     bad = tmp_path / "trunc.wav"
     bad.write_bytes(raw[: 44 + 100])  # data chunk declares 1000 bytes
-    with pytest.raises(MalformedWav):
+    with pytest.raises(MalformedFile, match="declares 1000 bytes but only 100 present"):
         read_wav(bad)
 
 
 def test_bad_magic(tmp_path):
     bad = tmp_path / "bad.wav"
     bad.write_bytes(b"JUNK" + b"\x00" * 60)
-    with pytest.raises(MalformedWav):
+    with pytest.raises(MalformedFile, match="missing RIFF/WAVE magic"):
         read_wav(bad)
 
 
@@ -87,7 +87,7 @@ def _pcm16_wav(data: bytes, channels: int = 1, rate: int = 8000) -> bytes:
 def test_stereo_rejected(tmp_path):
     path = tmp_path / "stereo.wav"
     path.write_bytes(_pcm16_wav(np.zeros(40, dtype="<i2").tobytes(), channels=2))
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(MalformedFile, match="2 channels; only mono"):
         read_wav(path)
 
 
@@ -148,7 +148,7 @@ def test_wav_info_reads_headers_only(tmp_path, monkeypatch):
     assert 0 < sum(counts) < 4096
     truncated = tmp_path / "truncated.wav"
     truncated.write_bytes(raw[:-1])  # the data chunk declares one byte more
-    with pytest.raises(MalformedWav, match="declares"):
+    with pytest.raises(MalformedFile, match="declares"):
         read_wav_info(truncated)
 
 
@@ -156,7 +156,7 @@ def test_wav_info_applies_the_full_header_check(tmp_path):
     path = tmp_path / "odd.wav"
     path.write_bytes(_pcm16_wav(b"\x00" * 5) + b"\x00")  # with the pad byte
     for reader in (read_wav, read_wav_info):
-        with pytest.raises(MalformedWav, match="odd byte count"):
+        with pytest.raises(MalformedFile, match="odd byte count"):
             reader(path)
 
 
@@ -164,7 +164,7 @@ def _outcome(reader, path):
     try:
         result = reader(path)
     except TinyTtsError as exc:
-        return type(exc)
+        return type(exc), str(exc)
     if isinstance(result, AudioClip):
         return len(result.samples), result.sample_rate_hz
     return result
@@ -175,7 +175,8 @@ VALID_WAV = _pcm16_wav((np.arange(-50, 50) * 300).astype("<i2").tobytes())
 
 def _assert_readers_agree(path) -> None:
     """Both readers return the same (sample count, rate), or both raise the
-    same TinyTtsError subclass; any other exception fails the test."""
+    same TinyTtsError subclass with the same message; any other exception fails
+    the test."""
     assert _outcome(read_wav, path) == _outcome(read_wav_info, path)
 
 
