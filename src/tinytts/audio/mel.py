@@ -154,16 +154,19 @@ def write_melb(frames: np.ndarray, path: str | Path) -> None:
 
 
 def read_melb(path: str | Path) -> np.ndarray:
-    """Read a MELB file back as a T x n_mels float array."""
+    """Read a MELB file back as a T x n_mels float array; a MalformedFile
+    names the path."""
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != _MELB_MAGIC:
-        raise MalformedFile("not a MELB file")
+        raise MalformedFile(f"{path}: not a MELB file")
     t, n_mels, reserved = struct.unpack("<III", raw[4:16])
     if reserved != 0:
-        raise MalformedFile("MELB reserved field must be 0")
+        raise MalformedFile(f"{path}: MELB reserved field must be 0")
     expect = 16 + 4 * t * n_mels
     if len(raw) != expect:
-        raise MalformedFile(f"MELB payload is {len(raw) - 16} bytes, expected {expect - 16}")
+        raise MalformedFile(
+            f"{path}: MELB payload is {len(raw) - 16} bytes, expected {expect - 16}"
+        )
     return (
         np.frombuffer(raw[16:], dtype="<f4").reshape(t, n_mels).astype(np.float64)
     )

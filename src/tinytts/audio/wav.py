@@ -21,19 +21,20 @@ _FMT_PCM = 1
 _FMT = struct.Struct("<HHIIHH")
 
 
-def _read_header(fh) -> tuple[int, int, int]:
+def _read_header(fh, path) -> tuple[int, int, int]:
     """Check an open mono 16-bit PCM WAV: (sample rate, data offset, data bytes).
 
     Reads the RIFF header, the 8-byte chunk headers and the PCM fields of the
     fmt chunk, never the audio; a chunk that declares more bytes than the
-    file holds is malformed. Later chunks of a kind replace earlier ones.
+    file holds is malformed. Later chunks of a kind replace earlier ones. Each
+    MalformedFile names the path.
     """
     head = fh.read(12)
     size = fh.seek(0, 2)
     if len(head) < 12:
-        raise MalformedFile("file shorter than a RIFF header")
+        raise MalformedFile(f"{path}: file shorter than a RIFF header")
     if head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
-        raise MalformedFile("missing RIFF/WAVE magic")
+        raise MalformedFile(f"{path}: missing RIFF/WAVE magic")
     fmt = None
     data = None
     pos = 12
@@ -43,7 +44,8 @@ def _read_header(fh) -> tuple[int, int, int]:
         present = size - pos - 8
         if present < chunk_size:
             raise MalformedFile(
-                f"chunk {cid!r} declares {chunk_size} bytes but only {present} present"
+                f"{path}: chunk {cid!r} declares {chunk_size} bytes"
+                f" but only {present} present"
             )
         if cid == b"fmt ":
             fmt = fh.read(min(chunk_size, _FMT.size))
@@ -51,29 +53,29 @@ def _read_header(fh) -> tuple[int, int, int]:
             data = (pos + 8, chunk_size)
         pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
     if fmt is None:
-        raise MalformedFile("no fmt chunk")
+        raise MalformedFile(f"{path}: no fmt chunk")
     if data is None:
-        raise MalformedFile("no data chunk")
+        raise MalformedFile(f"{path}: no data chunk")
     if len(fmt) < _FMT.size:
-        raise MalformedFile(f"fmt chunk too short ({len(fmt)} bytes)")
+        raise MalformedFile(f"{path}: fmt chunk too short ({len(fmt)} bytes)")
     audio_format, channels, rate, _, _, bits = _FMT.unpack(fmt)
     if audio_format != _FMT_PCM:
-        raise MalformedFile(f"compressed or non-PCM format tag {audio_format}")
+        raise MalformedFile(f"{path}: compressed or non-PCM format tag {audio_format}")
     if channels != 1:
-        raise MalformedFile(f"{channels} channels; only mono is supported")
+        raise MalformedFile(f"{path}: {channels} channels; only mono is supported")
     if bits != 16:
-        raise MalformedFile(f"{bits}-bit samples; only 16-bit is supported")
+        raise MalformedFile(f"{path}: {bits}-bit samples; only 16-bit is supported")
     if rate <= 0:
-        raise MalformedFile("non-positive sample rate")
+        raise MalformedFile(f"{path}: non-positive sample rate")
     if data[1] % 2 != 0:
-        raise MalformedFile("data chunk has an odd byte count")
+        raise MalformedFile(f"{path}: data chunk has an odd byte count")
     return (rate, *data)
 
 
 def read_wav(path: str | Path) -> AudioClip:
     """Read a mono 16-bit PCM WAV file; samples scaled by 1/32768 into [-1, 1)."""
     with open(path, "rb") as fh:
-        rate, offset, n_bytes = _read_header(fh)
+        rate, offset, n_bytes = _read_header(fh, path)
         fh.seek(offset)
         data = fh.read(n_bytes)
     samples = np.frombuffer(data, dtype="<i2").astype(np.float64)
@@ -84,7 +86,7 @@ def read_wav(path: str | Path) -> AudioClip:
 def read_wav_info(path: str | Path) -> tuple[int, int]:
     """Header-only probe: (sample count, sample rate) without reading audio."""
     with open(path, "rb") as fh:
-        rate, _, n_bytes = _read_header(fh)
+        rate, _, n_bytes = _read_header(fh, path)
     return n_bytes // 2, rate
 
 

@@ -60,10 +60,18 @@ class PaddingReport:
     mean_padding_ratio: float
 
 
+def _plain_file_name(utt_id: str) -> str:
+    """utt_id, if it names one file beside its siblings: not empty, `.` or
+    `..`, and without `/`, `\\` or NUL. Else ValueError."""
+    if utt_id in ("", ".", "..") or any(c in utt_id for c in "/\\\0"):
+        raise ValueError(f"id {utt_id!r} is not a plain file name")
+    return utt_id
+
+
 def load_ljspeech_manifest(root_dir: str | Path) -> list[CorpusEntry]:
     """Parse LJSpeech metadata.csv; the normalized-text column is authoritative.
-    A row without 3 `|`-separated fields, or whose id an earlier row has,
-    raises MalformedFile naming path:line."""
+    A row without 3 `|`-separated fields, whose id an earlier row has, or
+    whose id is not a plain file name raises MalformedFile naming path:line."""
     root = Path(root_dir)
     meta = root / "metadata.csv"
     if not meta.exists():
@@ -71,6 +79,10 @@ def load_ljspeech_manifest(root_dir: str | Path) -> list[CorpusEntry]:
     first_line: dict[str, int] = {}
     entries = []
     for line_no, (utt_id, _raw, normalized) in read_fields(meta, "|", 3, MalformedFile):
+        try:
+            _plain_file_name(utt_id)
+        except ValueError as exc:
+            raise MalformedFile(f"{meta}:{line_no}: {exc}") from exc
         first = first_line.setdefault(utt_id, line_no)
         if first != line_no:
             raise MalformedFile(f"{meta}:{line_no}: id {utt_id!r} repeats line {first}")
@@ -300,10 +312,13 @@ def read_json_rows(
 
 
 def read_subset_manifest(manifest_path: str | Path) -> Subset:
-    """Read a write_subset_manifest file; a legacy `.summary.json` is ignored."""
+    """Read a write_subset_manifest file; a legacy `.summary.json` is ignored.
+    An id that is not a plain file name raises MalformedFile naming path:line,
+    since augment names its copies after it."""
     types = {"id": (str,), "audio": (str,), "text": (str,), "duration_s": NUMBER}
 
     def entry(row: dict) -> CorpusEntry:
-        return CorpusEntry(row["id"], Path(row["audio"]), row["text"], row["duration_s"])
+        utt_id = _plain_file_name(row["id"])
+        return CorpusEntry(utt_id, Path(row["audio"]), row["text"], row["duration_s"])
 
     return Subset(read_json_rows(manifest_path, types, entry, "audio", key="id"))

@@ -149,11 +149,13 @@ class ForwardResult:
     loss: float
     mse: float
     bce: float
-    # the activations backward() reads, one read-only copy each; the encoder
-    # states are memory[..., :d_enc] and the token embeddings tok_emb[tokens]
+    # The tape backward() reads is predicted, gate_logits, attention, memory,
+    # head_in and scores, one read-only copy each. Nothing in it is kept twice:
+    # the encoder states are memory[..., :d_enc], the token embeddings
+    # tok_emb[tokens], and the decoder inputs (B, T, M + mem) are the targets
+    # and head_in's contexts one step late, rebuilt for dec_w_in's gradient.
     batch: Batch
     memory: np.ndarray  # (B, N, mem)
-    dec_in: np.ndarray  # (B, T, M + mem) previous frame and previous context
     head_in: np.ndarray  # (B, T, d_dec + mem) decoder state and context
     scores: np.ndarray  # (B, T, N, d_att) tanh of the attention pre-activation
 
@@ -278,7 +280,11 @@ def _decoder_step(p, sc: _StepScratch, prev, state, context, dec_in, alpha, head
 
 
 def forward(model: ToyModel, batch: Batch) -> ForwardResult:
-    """Teacher-forced pass with masked MSE + gate BCE loss."""
+    """Teacher-forced pass with masked MSE + gate BCE loss.
+
+    Keeps the tape backward() reads: head_in, scores, attention, predicted,
+    gate_logits and memory. The decoder inputs go through one reused row.
+    """
     cfg = model.config
     p = model.params
     b, t_max = batch.frame_mask.shape
@@ -288,25 +294,25 @@ def forward(model: ToyModel, batch: Batch) -> ForwardResult:
     state = np.zeros((b, cfg.dec_hidden))
     context = np.zeros((b, cfg.memory_dim))
     prev = np.zeros((b, cfg.feat_dim))
+    # one decoder-input row, refilled by every step; backward rebuilds the rows
+    dec_in = np.empty((b, cfg.feat_dim + cfg.memory_dim))
     # batch-major (B, T, ...): the weight-gradient GEMMs sum their rows in this order
-    dec_in = np.empty((b, t_max, cfg.feat_dim + cfg.memory_dim))
     head_in = np.empty((b, t_max, cfg.dec_hidden + cfg.memory_dim))
     scores = np.empty((b, t_max) + scratch.scores.shape[1:])
     attention = np.empty((b, t_max, memory.shape[1]))
     predicted = np.empty((b, t_max, cfg.feat_dim))
     gate_logits = np.empty((b, t_max))
-    # The step writes dec_in, attention and head_in straight into slice t: the
+    # The step writes attention and head_in straight into slice t: the
     # concatenate and divide that fill them round exactly, whatever the stride.
     # tanh and exp write only contiguous scratch, copied out here.
     for t in range(t_max):
         s = _decoder_step(
-            p, scratch, prev, state, context,
-            dec_in[:, t], attention[:, t], head_in[:, t],
+            p, scratch, prev, state, context, dec_in, attention[:, t], head_in[:, t]
         )
         scores[:, t], predicted[:, t] = scratch.scores, s.frame
         gate_logits[:, t] = scratch.gate[:, 0]
         state, context, prev = s.state, s.context, batch.targets[:, t, :]
-    for a in (dec_in, head_in, scores, attention, predicted, gate_logits, memory):
+    for a in (head_in, scores, attention, predicted, gate_logits, memory):
         a.setflags(write=False)
 
     # means over the valid frames: MSE on frames, stable BCE on gate logits
@@ -319,13 +325,24 @@ def forward(model: ToyModel, batch: Batch) -> ForwardResult:
     loss = mse + bce * cfg.gate_loss_weight
     return ForwardResult(
         predicted, gate_logits, attention, float(loss), float(mse), float(bce),
-        batch, memory, dec_in, head_in, scores,
+        batch, memory, head_in, scores,
     )
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
     """All leading axes flattened into rows: weight gradients sum over them."""
     return x.reshape(-1, x.shape[-1])
+
+
+def _decoder_inputs(targets: np.ndarray, contexts: np.ndarray) -> np.ndarray:
+    """The (B, T, M + mem) inputs forward() gave its decoder steps, from the
+    targets (B, T, M) and the steps' contexts (B, T, mem): row t holds frame
+    t - 1 and context t - 1, and row 0 zeros."""
+    b, t_max, m = targets.shape
+    dec_in = np.zeros((b, t_max, m + contexts.shape[2]))
+    dec_in[:, 1:, :m] = targets[:, :-1]
+    dec_in[:, 1:, m:] = contexts[:, :-1]
+    return dec_in
 
 
 def _recurrent_weights_grad(states: np.ndarray, d_pre: np.ndarray) -> np.ndarray:
@@ -419,7 +436,10 @@ def backward(model: ToyModel, result: ForwardResult) -> dict[str, np.ndarray]:
     # batch-major again: the sums below run over its rows in (B, N) order
     d_mem_proj = np.ascontiguousarray(d_mem_proj_t.transpose(1, 0, 2))
 
-    g["dec_w_in"] = _rows(result.dec_in).T @ _rows(d_dec_pre)
+    # built for this one product, after the loop's largest buffers are gone
+    dec_in = _decoder_inputs(batch.targets, result.head_in[..., hd:])
+    g["dec_w_in"] = _rows(dec_in).T @ _rows(d_dec_pre)
+    del dec_in
     g["dec_w_rec"] = _recurrent_weights_grad(states, d_dec_pre)
     g["dec_b"] = d_dec_pre.sum(axis=(0, 1))
     g["attn_w_query"] = _rows(states).T @ _rows(d_queries)
@@ -508,13 +528,14 @@ def save_model(model: ToyModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ToyModel:
+    """Read a save_model checkpoint; a MalformedFile names the path."""
     raw = Path(path).read_bytes()
     if raw[:4] != TOYM_MAGIC:
-        raise MalformedFile("bad magic")
+        raise MalformedFile(f"{path}: bad magic")
     try:
         (version,) = struct.unpack_from("<I", raw, 4)
         if version != TOYM_VERSION:
-            raise MalformedFile(f"unsupported version {version}")
+            raise MalformedFile(f"{path}: unsupported version {version}")
         pos = 8
         values: dict[str, object] = {}
         for name, fmt in _CONFIG_LAYOUT:
@@ -525,18 +546,18 @@ def load_model(path: str | Path) -> ToyModel:
         # the file must hold every block the config claims before any is allocated
         expect = pos + sum(8 + 8 * math.prod(shape) for _, shape in shapes)
         if len(raw) != expect:
-            raise MalformedFile(f"{len(raw)} bytes, config implies {expect}")
+            raise MalformedFile(f"{path}: {len(raw)} bytes, config implies {expect}")
         params: dict[str, np.ndarray] = {}
         for name, shape in shapes:
             (count,) = struct.unpack_from("<Q", raw, pos)
             size = math.prod(shape)
             if count != size:
-                raise MalformedFile(f"{name}: {count} values, expected {size}")
+                raise MalformedFile(f"{path}: {name}: {count} values, expected {size}")
             data = np.frombuffer(raw, dtype="<f8", count=size, offset=pos + 8)
             params[name] = data.reshape(shape).copy()
             pos += 8 + 8 * size
     except (struct.error, ValueError, BadConfig) as exc:
-        raise MalformedFile(f"checkpoint does not parse: {exc}") from exc
+        raise MalformedFile(f"{path}: checkpoint does not parse: {exc}") from exc
     model = ToyModel.__new__(ToyModel)  # the file's parameters, not a random init
     model.config, model.params = cfg, params
     return model

@@ -292,6 +292,47 @@ def test_verify_aug_refuses_a_copy_unlike_its_clean_file(tmp_path, capsys, how):
     assert err.startswith("error: ") and f"{victim.id}: " in err
 
 
+def test_verify_aug_names_an_unreadable_copy(tmp_path, capsys):
+    manifest = tmp_path / "aug" / "manifest.jsonl"
+    argv = ["augment", "--manifest", _curated_subset(tmp_path, capsys),
+            "--out-dir", str(tmp_path / "aug")]
+    assert run_cli(capsys, *argv)[0] == 0
+    victim = [m for m in read_aug_manifest(manifest) if m.snr_db is not None][-1]
+    Path(victim.audio_path).write_bytes(b"RIFF")
+    assert main(["verify-aug", "--manifest", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{victim.audio_path}: file shorter than a RIFF header" in err
+
+
+@pytest.mark.parametrize("bad_id", ["../esc", "sub/x"])
+def test_curate_refuses_an_id_that_is_not_a_file_name(tmp_path, capsys, bad_id):
+    root = tmp_path / "corpus"
+    write_ljspeech_fixture(root, [("u0", "r", "t")])
+    write_wav(tone(440.0, 0.5, 1.0), root / "esc.wav")  # what ../esc would read
+    meta = root / "metadata.csv"
+    meta.write_text(meta.read_text() + f"{bad_id}|r|t\n")
+    out = tmp_path / "out"
+    argv = ["curate", "--corpus-root", str(root), "--budget-s", "10", "--out-dir", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{meta}:2: id {bad_id!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad_id", ["../esc", "../../esc", "sub/x"])
+def test_augment_refuses_an_id_that_is_not_a_file_name(tmp_path, capsys, bad_id):
+    manifest = Path(_curated_subset(tmp_path, capsys))
+    rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+    rows[1]["id"] = bad_id  # a hand edit: curate no longer writes such an id
+    manifest.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out = tmp_path / "aug"
+    assert main(["augment", "--manifest", str(manifest), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{manifest}:2:" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["augment", "verify-aug"])
 def test_empty_manifest_exits_cleanly(tmp_path, capsys, command):
     manifest = tmp_path / "manifest.jsonl"
@@ -472,6 +513,13 @@ def test_toy_infer_bad_tokens_exit_cleanly(tmp_path, capsys, tokens):
     code = main(["toy-infer", "--model", str(model_path), "--tokens", tokens])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_toy_infer_names_a_file_that_is_not_a_checkpoint(tmp_path, capsys):
+    path = tmp_path / "model.toym"
+    path.write_bytes(b"not a checkpoint")
+    assert main(["toy-infer", "--model", str(path), "--tokens", "1"]) == 1
+    assert f"error: {path}: bad magic" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

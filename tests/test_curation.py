@@ -71,6 +71,20 @@ def test_repeated_metadata_id_names_both_lines(tmp_path):
         load_ljspeech_manifest(tmp_path)
 
 
+# ids that are not one plain file name: each would read or write outside wavs/
+BAD_IDS = ["", ".", "..", "../esc", "../../esc", "sub/x", "sub\\x", "a\0b"]
+
+
+@pytest.mark.parametrize("bad_id", BAD_IDS)
+def test_metadata_id_must_be_a_plain_file_name(tmp_path, bad_id):
+    write_ljspeech_fixture(tmp_path, [("a", "x", "hello")])
+    meta = tmp_path / "metadata.csv"
+    meta.write_text(meta.read_text(encoding="utf-8") + f"{bad_id}|x|y\n", encoding="utf-8")
+    message = f"{meta}:2: id {bad_id!r} is not a plain file name"
+    with pytest.raises(MalformedFile, match=re.escape(message)):
+        load_ljspeech_manifest(tmp_path)
+
+
 def test_missing_metadata(tmp_path):
     with pytest.raises(MissingInput, match="no metadata.csv under"):
         load_ljspeech_manifest(tmp_path)
@@ -244,6 +258,17 @@ def test_repeated_manifest_id_names_both_lines(tmp_path):
     path = tmp_path / "subset.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in [row, {**row, "id": "u1"}, row]))
     with pytest.raises(MalformedFile, match=re.escape(f"{path}:3:") + ".*repeats line 1"):
+        read_subset_manifest(path)
+
+
+@pytest.mark.parametrize("bad_id", BAD_IDS)
+def test_subset_manifest_id_must_be_a_plain_file_name(tmp_path, bad_id):
+    row = {"id": "u0", "audio": "u0.wav", "text": "t", "duration_s": 1.0}
+    path = tmp_path / "subset.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in [row, {**row, "id": bad_id}]))
+    with pytest.raises(
+        MalformedFile, match=re.escape(f"{path}:2:") + ".*is not a plain file name"
+    ):
         read_subset_manifest(path)
 
 

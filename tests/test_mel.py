@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,13 @@ def test_melb_round_trip(tmp_path):
     assert raw[:4] == b"MELB"
     assert int.from_bytes(raw[4:8], "little") == mel.shape[0]
     assert int.from_bytes(raw[8:12], "little") == CFG.n_mels
+
+
+def test_melb_errors_name_the_file(tmp_path):
+    path = tmp_path / "bad.melb"
+    path.write_bytes(b"MELB")
+    with pytest.raises(MalformedFile, match=re.escape(f"{path}: not a MELB file")):
+        read_melb(path)
 
 
 def test_melb_truncated_payload(tmp_path):

@@ -4,6 +4,8 @@ The reference below is the allocating form they replaced: every intermediate a
 fresh array, with the same operations in the same grouping. Scratch buffers
 must not change one bit of any output, because the studies' criteria flip on
 last-bit differences (criterion 10 fails when one bias entry moves by 1e-15).
+forward keeps no decoder inputs: the reference keeps its own, and the matrix
+backward rebuilds must equal them bit for bit.
 """
 
 from dataclasses import replace
@@ -13,6 +15,7 @@ import pytest
 
 from tinytts.toytrain import ToyModel, gen_synthetic_corpus, make_batch
 from tinytts.toytrain.model import (
+    _decoder_inputs,
     _decoder_step,
     _encode,
     _StepScratch,
@@ -78,7 +81,7 @@ def _rows(x):
     return x.reshape(-1, x.shape[-1])
 
 
-def _ref_backward(model, result):
+def _ref_backward(model, result, dec_in):
     cfg, p = model.config, model.params
     batch, memory, scores = result.batch, result.memory, result.scores
     m, hd, he = cfg.feat_dim, cfg.dec_hidden, cfg.enc_hidden
@@ -121,7 +124,7 @@ def _ref_backward(model, result):
         d_state = d_pre @ p["dec_w_rec"].T
         d_context = d_pre @ p["dec_w_in"][m:].T
 
-    g["dec_w_in"] = _rows(result.dec_in).T @ _rows(d_dec_pre)
+    g["dec_w_in"] = _rows(dec_in).T @ _rows(d_dec_pre)
     g["dec_w_rec"] = _rows(states[:, :-1]).T @ _rows(d_dec_pre[:, 1:])
     g["dec_b"] = d_dec_pre.sum(axis=(0, 1))
     g["attn_w_query"] = _rows(states).T @ _rows(d_queries)
@@ -186,10 +189,14 @@ def test_forward_and_backward_match_allocating_reference(shape):
 
     result = forward(model, batch)
     ref = _ref_forward(model, batch)
+    # forward keeps no decoder inputs; backward rebuilds them with this helper
+    ref_dec_in = ref.pop("dec_in")
+    contexts = result.head_in[..., cfg.dec_hidden:]
+    assert _same_bits(_decoder_inputs(batch.targets, contexts), ref_dec_in)
     for name, expected in ref.items():
         assert _same_bits(getattr(result, name), expected), name
     grads = backward(model, result)
-    for name, expected in _ref_backward(model, result).items():
+    for name, expected in _ref_backward(model, result, ref_dec_in).items():
         assert _same_bits(grads[name], expected), name
 
 

@@ -5,6 +5,7 @@ byte counts and do not depend on the machine. The shapes are those of the
 worst batching-study batch: 16 utterances of 128 frames over 40 tokens.
 """
 
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -32,6 +33,34 @@ def equal_shape_examples(count: int, seed: int = 0) -> list[ToyExample]:
         )
         for _ in range(count)
     ]
+
+
+def _kept_arrays(result: ForwardResult) -> dict[str, np.ndarray]:
+    return {
+        f.name: getattr(result, f.name)
+        for f in fields(ForwardResult)
+        if isinstance(getattr(result, f.name), np.ndarray)
+    }
+
+
+def test_forward_keeps_one_tape_and_no_decoder_inputs():
+    model = ToyModel(CFG)
+    batch = make_batch(equal_shape_examples(CFG.batch_size), CFG)
+    b, t, n, mem = CFG.batch_size, N_FRAMES, N_TOKENS, CFG.memory_dim
+    tape = {
+        "head_in": (b, t, CFG.dec_hidden + mem),
+        "scores": (b, t, n, CFG.attn_dim),
+        "attention": (b, t, n),
+        "predicted": (b, t, CFG.feat_dim),
+        "gate_logits": (b, t),
+        "memory": (b, n, mem),
+    }
+    tape_bytes = sum(8 * math.prod(shape) for shape in tape.values())
+    # 9,609,216 bytes of tape, and about 0.62 MB of step rows and loss
+    # temporaries; a (B, T, M + mem) decoder-input tape would add 557,056 more
+    assert traced_peak(lambda: forward(model, batch)) < 1.1 * tape_bytes
+    kept = _kept_arrays(forward(model, batch))
+    assert {name: a.shape for name, a in kept.items()} == tape
 
 
 def test_backward_keeps_no_second_copy_of_the_activations():
@@ -75,11 +104,7 @@ def test_backward_leaves_the_forward_activations_untouched():
     runs = []
     for _ in range(2):
         result = forward(model, batch)
-        kept = {
-            f.name: getattr(result, f.name)
-            for f in fields(ForwardResult)
-            if isinstance(getattr(result, f.name), np.ndarray)
-        }
+        kept = _kept_arrays(result)
         before = {name: a.tobytes() for name, a in kept.items()}
         grads = backward(model, result)
         for name, a in kept.items():

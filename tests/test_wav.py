@@ -1,4 +1,5 @@
 import builtins
+import re
 import struct
 
 import numpy as np
@@ -150,6 +151,16 @@ def test_wav_info_reads_headers_only(tmp_path, monkeypatch):
     truncated.write_bytes(raw[:-1])  # the data chunk declares one byte more
     with pytest.raises(MalformedFile, match="declares"):
         read_wav_info(truncated)
+
+
+def test_header_errors_name_the_file(tmp_path):
+    path = tmp_path / "short.wav"
+    path.write_bytes(b"RIFF")
+    for reader in (read_wav, read_wav_info):
+        with pytest.raises(
+            MalformedFile, match=re.escape(f"{path}: file shorter than a RIFF header")
+        ):
+            reader(path)
 
 
 def test_wav_info_applies_the_full_header_check(tmp_path):
