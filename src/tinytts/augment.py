@@ -26,6 +26,8 @@ CLEAN_NAME = "clean"
 CLEAN_AUG_ID = 0
 # verify flags a noisy copy whose re-measured SNR is further than this from its target
 SNR_TOLERANCE_DB = 0.5
+# the longest file name, in bytes, that common file systems take
+MAX_NAME_BYTES = 255
 
 
 @dataclass
@@ -59,8 +61,20 @@ def _check_specs(specs: list[NoiseSpec]) -> None:
         raise BadConfig(f"duplicate aug_ids in {ids}")
 
 
-def _check_rate(entry: CorpusEntry, specs: list[NoiseSpec]) -> None:
-    """Every spec must suit the source's sample rate (read from its header)."""
+def _copy_id(source_id: str, aug_id: int) -> str:
+    """A copy's id; wavs/<copy id>.wav is its file."""
+    return f"{source_id}__aug{aug_id}"
+
+
+def _check_source(entry: CorpusEntry, specs: list[NoiseSpec]) -> None:
+    """Every copy's file name must fit MAX_NAME_BYTES, and every spec must suit
+    the source's sample rate (read from its header)."""
+    for aug_id in (CLEAN_AUG_ID, *(spec.aug_id for spec in specs)):
+        name = _copy_id(entry.id, aug_id) + ".wav"
+        if len(name.encode("utf-8")) > MAX_NAME_BYTES:
+            raise BadConfig(
+                f"copy file name for aug_id {aug_id} is over {MAX_NAME_BYTES} bytes"
+            )
     _, rate = read_wav_info(entry.audio_path)
     for spec in specs:
         spec.spectrum.check_rate(rate)
@@ -82,7 +96,7 @@ def _write_copy(
     if spec is not None:
         mix = mix_at_snr(clip, spec.spectrum, spec.snr_db, seed, level=level)
         out_clip, mixture_gain = mix.clip, mix.mixture_gain
-    out_id = f"{entry.id}__aug{aug_id}"
+    out_id = _copy_id(entry.id, aug_id)
     row = AugManifestEntry(
         id=out_id,
         source_id=entry.id,
@@ -106,9 +120,9 @@ def _build_source(
 
     The source is read once and its P.56 level measured once. Each copy is
     written as soon as it is rendered, so no more than one copy is held. After
-    the rate pre-check, P.56 (UnusableSignal) is the only step
-    that refuses a source, and it runs before the first write: a source that
-    fails writes none of its copies.
+    the name and rate pre-check, P.56 (UnusableSignal) is the only step that
+    refuses a source, and it runs before the first write: a source that fails
+    writes none of its copies.
     """
     clip = read_wav(entry.audio_path)
     level = active_speech_level_p56(clip) if specs else None
@@ -143,13 +157,13 @@ def build_augmented_dataset(
 ) -> list[AugManifestEntry]:
     """Write |subset| * (len(specs) + 1) WAVs plus a JSON-lines manifest.
 
-    Every source's sample rate is checked against every spec before any WAV
-    is written. Then one task per source utterance renders and writes that
-    utterance's WAVs, so memory holds one utterance's copies at a time; the
-    manifest is written only if every source succeeded.
+    Every source's copy file names and sample rate are checked against every
+    spec before any WAV is written. Then one task per source utterance renders
+    and writes that utterance's WAVs, so memory holds one utterance's copies at
+    a time; the manifest is written only if every source succeeded.
     """
     _check_specs(specs)
-    check = partial(_check_rate, specs=specs)
+    check = partial(_check_source, specs=specs)
     _raise_failures([_failure_of(check, entry) for entry in subset.entries])
     out = Path(out_dir)
     wav_dir = out / "wavs"

@@ -38,14 +38,9 @@ class SyntheticCorpus:
     seed: int
 
     def clean_frames_for(self, tokens: list[int]) -> np.ndarray:
-        """Ground-truth frames for a token sequence (the clean templates)."""
-        rows = [
-            np.repeat(
-                self.templates[tok][None, :], self.emission_counts[tok], axis=0
-            )
-            for tok in tokens
-        ]
-        return np.concatenate(rows, axis=0)
+        """Ground-truth frames for a token sequence: each token's template row,
+        repeated as many times as its emission count, in token order."""
+        return np.repeat(self.templates[tokens], self.emission_counts[tokens], axis=0)
 
 
 def gen_synthetic_corpus(

@@ -386,9 +386,11 @@ def backward(model: ToyModel, result: ForwardResult) -> dict[str, np.ndarray]:
     w_context_t = p["dec_w_in"][m:].T  # the context half of dec_in
     d_state = np.zeros((b, hd))
     d_context = np.zeros((b, cfg.memory_dim))
-    d_contexts, d_energies, d_queries, d_dec_pre = (
-        np.empty((b, t_max, k)) for k in (cfg.memory_dim, n_tok, cfg.attn_dim, hd)
-    )
+    # Step t reads row t of d_head, then writes its two halves: d_dec_pre
+    # holds each step's pre-activation gradient, d_contexts its context
+    # gradient. No later step reads row t, so the head gradient is their buffer.
+    d_dec_pre, d_contexts = d_head[..., :hd], d_head[..., hd:]
+    d_energies, d_queries = (np.empty((b, t_max, k)) for k in (n_tok, cfg.attn_dim))
     # Contiguous scratch, reused by every step. The attention block is
     # token-major (N, B, A), so the sum over tokens for d_query, in token order
     # as before, is one axis-0 reduce. Its operands are copied in first and
@@ -403,9 +405,10 @@ def backward(model: ToyModel, result: ForwardResult) -> dict[str, np.ndarray]:
     for t in reversed(range(t_max)):
         alpha, state = result.attention[:, t], states[:, t]
         score = scores[:, t].transpose(1, 0, 2)
-        d_e, d_query, d_pre = d_energies[:, t], d_queries[:, t], d_dec_pre[:, t]
-        d_state += d_head[:, t, :hd]
-        d_context += d_head[:, t, hd:]
+        d_e, d_query = d_energies[:, t], d_queries[:, t]
+        d_pre, d_ctx = d_dec_pre[:, t], d_contexts[:, t]
+        d_state += d_pre
+        d_context += d_ctx
         np.matmul(memory, d_context[:, :, None], out=d_alpha3)
         d_alpha = d_alpha3[:, :, 0]
         np.multiply(d_alpha, alpha, out=tmp_n)
@@ -425,16 +428,26 @@ def backward(model: ToyModel, result: ForwardResult) -> dict[str, np.ndarray]:
         np.multiply(state, state, out=state_slope)
         np.subtract(1.0, state_slope, out=state_slope)
         np.multiply(tmp_h, state_slope, out=d_pre)
-        d_contexts[:, t] = d_context
+        np.copyto(d_ctx, d_context)
         np.dot(d_pre, w_rec_t, out=d_state)
         np.dot(d_pre, w_context_t, out=d_context)
-    # drop what the loop alone read, and d_energies after its one product, so
-    # the weight-gradient products below allocate beside less
-    del d_head, d_score_pre, score_slope, v
+    # Each buffer goes at its last read, so the products below allocate beside
+    # less. The loop's row views hold their bases, so they go first.
+    del d_e, d_query, d_pre, d_ctx, d_score_pre, score_slope, v
     g["attn_v"] = _rows(scores).T @ d_energies.reshape(-1, 1)
     del d_energies
+    g["attn_w_query"] = _rows(states).T @ _rows(d_queries)
+    del d_queries
     # batch-major again: the sums below run over its rows in (B, N) order
     d_mem_proj = np.ascontiguousarray(d_mem_proj_t.transpose(1, 0, 2))
+    del d_mem_proj_t
+    g["attn_b"] = d_mem_proj.sum(axis=(0, 1))
+    g["attn_w_memory"] = _rows(memory).T @ _rows(d_mem_proj)
+    d_memory = (
+        result.attention.transpose(0, 2, 1) @ d_contexts
+        + d_mem_proj @ p["attn_w_memory"].T
+    )
+    del d_mem_proj, d_contexts
 
     # built for this one product, after the loop's largest buffers are gone
     dec_in = _decoder_inputs(batch.targets, result.head_in[..., hd:])
@@ -442,13 +455,7 @@ def backward(model: ToyModel, result: ForwardResult) -> dict[str, np.ndarray]:
     del dec_in
     g["dec_w_rec"] = _recurrent_weights_grad(states, d_dec_pre)
     g["dec_b"] = d_dec_pre.sum(axis=(0, 1))
-    g["attn_w_query"] = _rows(states).T @ _rows(d_queries)
-    g["attn_b"] = d_mem_proj.sum(axis=(0, 1))
-    g["attn_w_memory"] = _rows(memory).T @ _rows(d_mem_proj)
-    d_memory = (
-        result.attention.transpose(0, 2, 1) @ d_contexts
-        + d_mem_proj @ p["attn_w_memory"].T
-    )
+    del d_dec_pre, d_head
 
     g["aug_emb"] = np.zeros_like(p["aug_emb"])
     np.add.at(g["aug_emb"], batch.aug_ids, d_memory[:, :, he:].sum(axis=1))

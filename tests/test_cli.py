@@ -227,14 +227,14 @@ def test_tsv_wrong_field_count_names_the_line(tmp_path, capsys):
     assert f"error: {tsv}:3: expected 2 fields, got 1" in capsys.readouterr().err
 
 
-def _curated_subset(tmp_path, capsys) -> str:
+def _curated_subset(tmp_path, capsys, ids=("u0", "u1")) -> str:
     """Curate a two-utterance speech corpus; the subset manifest's path."""
     (tmp_path / "corpus" / "wavs").mkdir(parents=True)
     lines = []
-    for i in range(2):
+    for i, utt_id in enumerate(ids):
         clip = speech_like(40 + i, duration_s=1.1)
-        write_wav(clip, tmp_path / "corpus" / "wavs" / f"u{i}.wav")
-        lines.append(f"u{i}|raw|text {i}")
+        write_wav(clip, tmp_path / "corpus" / "wavs" / f"{utt_id}.wav")
+        lines.append(f"{utt_id}|raw|text {i}")
     (tmp_path / "corpus" / "metadata.csv").write_text("\n".join(lines) + "\n")
 
     code, _ = run_cli(
@@ -330,6 +330,24 @@ def test_augment_refuses_an_id_that_is_not_a_file_name(tmp_path, capsys, bad_id)
     assert main(["augment", "--manifest", str(manifest), "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{manifest}:2:" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("id_len", [245, 250])
+def test_augment_refuses_an_id_too_long_for_its_copies(tmp_path, capsys, id_len):
+    # <id>__aug1.wav is 255 bytes at 245 characters, the longest name allowed
+    long_id = "x" * id_len
+    manifest = _curated_subset(tmp_path, capsys, ids=("u0", long_id))
+    out = tmp_path / "aug"
+    code = main(["augment", "--manifest", manifest, "--out-dir", str(out)])
+    if id_len == 245:
+        assert code == 0
+        assert (out / "wavs" / f"{long_id}__aug1.wav").exists()
+        return
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{long_id}: copy file name" in err
+    assert "u0:" not in err
     assert not out.exists()
 
 

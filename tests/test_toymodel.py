@@ -22,6 +22,7 @@ from tinytts.toytrain import (
     train,
 )
 from tinytts.toytrain.model import MAX_DECODE_FRAMES, MAX_PARAMETERS, backward
+from tinytts.toytrain.study import BATCHING_PARAMS
 
 TINY = ToyConfig(
     vocab_size=4,
@@ -87,6 +88,23 @@ def test_token_repetition_expands_templates():
     assert np.allclose(e.target_frames[:d], np.tile(corpus.templates[tok], (d, 1)))
     total = sum(corpus.emission_counts[t] for t in e.tokens)
     assert e.target_frames.shape == (total, 3)
+
+    # the same bytes as one repeated template block per token, concatenated,
+    # on every utterance of a batching-study corpus, one token and a repeat
+    cfg = BATCHING_PARAMS.config
+    corpus = gen_synthetic_corpus(
+        cfg.vocab_size, cfg.feat_dim, BATCHING_PARAMS.n_utts,
+        BATCHING_PARAMS.len_range, [], seed=1017,
+    )
+    for tokens in [e.tokens for e in corpus.examples] + [[3], [5, 5, 5], [2, 7, 7, 2]]:
+        blocks = [
+            np.repeat(corpus.templates[t][None, :], corpus.emission_counts[t], axis=0)
+            for t in tokens
+        ]
+        reference = np.concatenate(blocks, axis=0)
+        frames = corpus.clean_frames_for(tokens)
+        assert frames.shape == reference.shape
+        assert frames.tobytes() == reference.tobytes()
 
 
 def test_bad_length_range():
