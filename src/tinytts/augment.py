@@ -120,9 +120,9 @@ def _build_source(
 
     The source is read once and its P.56 level measured once. Each copy is
     written as soon as it is rendered, so no more than one copy is held. After
-    the name and rate pre-check, P.56 (UnusableSignal) is the only step that
-    refuses a source, and it runs before the first write: a source that fails
-    writes none of its copies.
+    the name and rate pre-check, P.56 (UnusableSignal) refuses a source before
+    its first write, so that source writes none of its copies; an I/O error
+    (OSError) while a copy is written leaves the source's earlier copies on disk.
     """
     clip = read_wav(entry.audio_path)
     level = active_speech_level_p56(clip) if specs else None
@@ -133,10 +133,11 @@ def _build_source(
 
 
 def _failure_of(task, entry: CorpusEntry):
-    """task(entry), or the text "<id>: <error>" of the TinyTtsError it raised."""
+    """task(entry), or the text "<id>: <error>" of the TinyTtsError or OSError
+    it raised."""
     try:
         return task(entry)
-    except TinyTtsError as exc:
+    except (TinyTtsError, OSError) as exc:
         return f"{entry.id}: {exc}"
 
 
@@ -160,7 +161,8 @@ def build_augmented_dataset(
     Every source's copy file names and sample rate are checked against every
     spec before any WAV is written. Then one task per source utterance renders
     and writes that utterance's WAVs, so memory holds one utterance's copies at
-    a time; the manifest is written only if every source succeeded.
+    a time. Every source is attempted, and the manifest is written only if
+    every source succeeded; otherwise SourcesFailed names each failed id.
     """
     _check_specs(specs)
     check = partial(_check_source, specs=specs)

@@ -6,10 +6,10 @@ plus the decoder consume that concatenated memory. Additive (content-based)
 attention; single tanh-RNN decoder with teacher forcing; linear output and
 gate heads over (state, context).
 
-Parameters are plain numpy arrays. One batched decoder step serves both the
-teacher-forced forward pass and autoregressive inference; backward() is
-hand-written backpropagation through time over the activations the forward
-pass keeps.
+Parameters are plain numpy arrays. One decoder pass (_Decoder) holds a
+batch's memory and carries, and its one step serves both the teacher-forced
+forward pass and autoregressive inference; backward() is hand-written
+backpropagation through time over the activations the forward pass keeps.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -132,15 +131,6 @@ class Batch:
     gate_targets: np.ndarray  # (B, T) 1.0 at each row's last frame, else 0.0
 
 
-class Step(NamedTuple):
-    """What one decoder step returns besides the arrays it fills; its scores
-    and gate logits stay in the scratch's buffers."""
-
-    state: np.ndarray  # (B, d_dec)
-    context: np.ndarray  # (B, mem)
-    frame: np.ndarray  # (B, M)
-
-
 @dataclass
 class ForwardResult:
     predicted: np.ndarray  # (B, T, M)
@@ -216,20 +206,23 @@ def _encode(model: ToyModel, tokens: np.ndarray, aug_ids: np.ndarray):
     return np.concatenate([enc, aug], axis=2)
 
 
-class _StepScratch:
-    """What the decoder steps of one pass share: the memory, its attention
-    projection, the padding (token 0) as an additive bias, the biases tiled to
-    the batch, and contiguous buffers for the step's intermediates.
+class _Decoder:
+    """One decoder pass: the memory, its attention projection, the padding
+    (token 0) as an additive bias, the biases tiled to the batch, contiguous
+    buffers for a step's intermediates, and the carries, which start at zero:
+    the state (B, d_dec), the context (B, 1, mem) and the frame (B, M).
 
     Writing a ufunc or product into a contiguous buffer with out= rounds as a
     fresh result does, and a tiled bias adds the same value to each element as
-    a broadcast one, so the step's bits do not depend on this scratch.
+    a broadcast one, so the step's bits do not depend on these buffers.
     """
 
-    def __init__(self, p: dict[str, np.ndarray], memory: np.ndarray, tokens):
-        b, n, _ = memory.shape
+    def __init__(self, model: ToyModel, tokens: np.ndarray, aug_ids: np.ndarray):
+        cfg, p = model.config, model.params
+        self.p = p
+        self.memory = memory = _encode(model, tokens, aug_ids)
+        b, n, mem = memory.shape
         hd, att = p["attn_w_query"].shape
-        self.memory = memory
         self.mem_proj = memory @ p["attn_w_memory"]
         self.mask_bias = np.where(tokens != 0, 0.0, -np.inf)  # padding: weight 0
         self.dec_b = np.tile(p["dec_b"], (b, 1))
@@ -242,41 +235,46 @@ class _StepScratch:
         self.energies = np.empty((b, n, 1))
         self.row = np.empty((b, 1))
         self.gate = np.empty((b, 1))
+        # one decoder-input row, refilled by every step; backward rebuilds the rows
+        self.dec_in = np.empty((b, cfg.feat_dim + mem))
+        self.state = np.zeros((b, hd))
+        self.context = np.zeros((b, 1, mem))
+        self.frame = np.zeros((b, cfg.feat_dim))
 
+    def step(self, prev: np.ndarray, alpha: np.ndarray, head_in: np.ndarray) -> None:
+        """Decoder RNN, additive attention over memory, output and gate heads.
 
-def _decoder_step(p, sc: _StepScratch, prev, state, context, dec_in, alpha, head_in):
-    """Decoder RNN, additive attention over memory, output and gate heads.
-
-    Fills the step's dec_in (B, M + mem), alpha (B, N) and head_in
-    (B, d_dec + mem) in place, and its scores (B, N, d_att) and gate logits
-    (B, 1) into sc.scores and sc.gate, which the next step overwrites.
-    """
-    np.concatenate([prev, context], axis=1, out=dec_in)
-    np.dot(dec_in, p["dec_w_in"], out=sc.x_in)
-    np.dot(state, p["dec_w_rec"], out=sc.x_rec)
-    state = np.add(sc.x_in, sc.x_rec)
-    state += sc.dec_b
-    np.tanh(state, out=state)
-    np.dot(state, p["attn_w_query"], out=sc.query)
-    np.add(sc.query[:, None, :], sc.mem_proj, out=sc.scores)
-    sc.scores += sc.attn_b
-    np.tanh(sc.scores, out=sc.scores)
-    np.matmul(sc.scores, p["attn_v"], out=sc.energies)
-    # softmax over the valid tokens
-    z = sc.energies[:, :, 0]
-    z += sc.mask_bias
-    np.maximum.reduce(z, axis=1, keepdims=True, out=sc.row)
-    z -= sc.row
-    np.exp(z, out=z)
-    np.add.reduce(z, axis=1, keepdims=True, out=sc.row)
-    np.divide(z, sc.row, out=alpha)
-    context = (alpha[:, None, :] @ sc.memory)[:, 0, :]
-    np.concatenate([state, context], axis=1, out=head_in)
-    frame = np.dot(head_in, p["out_w"])
-    frame += sc.out_b
-    np.dot(head_in, p["gate_w"], out=sc.gate)
-    sc.gate += sc.gate_b
-    return Step(state, context, frame)
+        Fills alpha (B, N) and head_in (B, d_dec + mem) in place, and
+        overwrites the carries, dec_in, the scores (B, N, d_att) and the gate
+        logits (B, 1). prev (B, M) is read before the frame is overwritten, so
+        it may be self.frame.
+        """
+        p, context = self.p, self.context[:, 0]
+        np.concatenate([prev, context], axis=1, out=self.dec_in)
+        np.dot(self.dec_in, p["dec_w_in"], out=self.x_in)
+        np.dot(self.state, p["dec_w_rec"], out=self.x_rec)
+        state = np.add(self.x_in, self.x_rec, out=self.state)
+        state += self.dec_b
+        np.tanh(state, out=state)
+        np.dot(state, p["attn_w_query"], out=self.query)
+        np.add(self.query[:, None, :], self.mem_proj, out=self.scores)
+        self.scores += self.attn_b
+        np.tanh(self.scores, out=self.scores)
+        np.matmul(self.scores, p["attn_v"], out=self.energies)
+        # softmax over the valid tokens
+        z = self.energies[:, :, 0]
+        z += self.mask_bias
+        np.maximum.reduce(z, axis=1, keepdims=True, out=self.row)
+        z -= self.row
+        np.exp(z, out=z)
+        np.add.reduce(z, axis=1, keepdims=True, out=self.row)
+        np.divide(z, self.row, out=alpha)
+        np.matmul(alpha[:, None, :], self.memory, out=self.context)
+        np.concatenate([state, context], axis=1, out=head_in)
+        np.dot(head_in, p["out_w"], out=self.frame)
+        self.frame += self.out_b
+        np.dot(head_in, p["gate_w"], out=self.gate)
+        self.gate += self.gate_b
 
 
 def forward(model: ToyModel, batch: Batch) -> ForwardResult:
@@ -286,32 +284,25 @@ def forward(model: ToyModel, batch: Batch) -> ForwardResult:
     gate_logits and memory. The decoder inputs go through one reused row.
     """
     cfg = model.config
-    p = model.params
     b, t_max = batch.frame_mask.shape
-    memory = _encode(model, batch.tokens, batch.aug_ids)
-    scratch = _StepScratch(p, memory, batch.tokens)
+    dec = _Decoder(model, batch.tokens, batch.aug_ids)
+    memory = dec.memory
 
-    state = np.zeros((b, cfg.dec_hidden))
-    context = np.zeros((b, cfg.memory_dim))
-    prev = np.zeros((b, cfg.feat_dim))
-    # one decoder-input row, refilled by every step; backward rebuilds the rows
-    dec_in = np.empty((b, cfg.feat_dim + cfg.memory_dim))
     # batch-major (B, T, ...): the weight-gradient GEMMs sum their rows in this order
     head_in = np.empty((b, t_max, cfg.dec_hidden + cfg.memory_dim))
-    scores = np.empty((b, t_max) + scratch.scores.shape[1:])
+    scores = np.empty((b, t_max) + dec.scores.shape[1:])
     attention = np.empty((b, t_max, memory.shape[1]))
     predicted = np.empty((b, t_max, cfg.feat_dim))
     gate_logits = np.empty((b, t_max))
     # The step writes attention and head_in straight into slice t: the
     # concatenate and divide that fill them round exactly, whatever the stride.
     # tanh and exp write only contiguous scratch, copied out here.
+    prev = dec.frame  # zeros before the first step
     for t in range(t_max):
-        s = _decoder_step(
-            p, scratch, prev, state, context, dec_in, attention[:, t], head_in[:, t]
-        )
-        scores[:, t], predicted[:, t] = scratch.scores, s.frame
-        gate_logits[:, t] = scratch.gate[:, 0]
-        state, context, prev = s.state, s.context, batch.targets[:, t, :]
+        dec.step(prev, attention[:, t], head_in[:, t])
+        scores[:, t], predicted[:, t] = dec.scores, dec.frame
+        gate_logits[:, t] = dec.gate[:, 0]
+        prev = batch.targets[:, t, :]
     for a in (head_in, scores, attention, predicted, gate_logits, memory):
         a.setflags(write=False)
 
@@ -480,25 +471,17 @@ def infer(model: ToyModel, tokens: list[int], aug_id: int):
     """
     cfg = model.config
     _check_input(tokens, aug_id, cfg)
-    p = model.params
     token_row = np.asarray(tokens, dtype=np.int64)[None, :]
-    memory = _encode(model, token_row, np.asarray([aug_id]))
-    scratch = _StepScratch(p, memory, token_row)
-
-    state = np.zeros((1, cfg.dec_hidden))
-    context = np.zeros((1, cfg.memory_dim))
-    prev = np.zeros((1, cfg.feat_dim))
-    dec_in = np.empty((1, cfg.feat_dim + cfg.memory_dim))
+    dec = _Decoder(model, token_row, np.asarray([aug_id]))
     head_in = np.empty((1, cfg.dec_hidden + cfg.memory_dim))
     # grown one row per decoded step, so memory follows the frames decoded,
     # not the max_decode_frames a checkpoint claims
     frames, gate_probs, attention = [], [], []
     for _ in range(cfg.max_decode_frames):
         alpha = np.empty((1, len(tokens)))
-        step = _decoder_step(p, scratch, prev, state, context, dec_in, alpha, head_in)
-        state, context, prev = step.state, step.context, step.frame
-        gate_prob = 1.0 / (1.0 + np.exp(-float(scratch.gate[0, 0])))
-        frames.append(step.frame[0])
+        dec.step(dec.frame, alpha, head_in)
+        gate_prob = 1.0 / (1.0 + np.exp(-float(dec.gate[0, 0])))
+        frames.append(dec.frame[0].copy())  # the next step overwrites dec.frame
         gate_probs.append(gate_prob)
         attention.append(alpha[0])
         if gate_prob > GATE_THRESHOLD:

@@ -297,6 +297,20 @@ def test_failed_source_writes_no_manifest_and_no_copies(
     assert len(list((out / "wavs").glob("*.wav"))) == n_written
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_write_error_is_collected_and_every_source_attempted(tmp_path, jobs):
+    subset = make_speech_subset(tmp_path, 2)
+    out = tmp_path / "out"
+    # a directory where utt000's second noisy copy goes: writing it is an OSError
+    (out / "wavs" / "utt000__aug2.wav").mkdir(parents=True)
+    with pytest.raises(SourcesFailed, match=r"^1 source failure.*utt000: ") as caught:
+        build_augmented_dataset(subset, default_noise_specs(), out, 1, jobs=jobs)
+    assert "utt001" not in str(caught.value)
+    assert not (out / "manifest.jsonl").exists()
+    written = sorted(p.name for p in (out / "wavs").glob("utt001__*.wav"))
+    assert written == [f"utt001__aug{k}.wav" for k in range(4)]
+
+
 def test_16khz_source_augments_with_default_specs(tmp_path):
     clip = speech_like(8, duration_s=1.2, fs=16000)
     path = tmp_path / "u16k.wav"

@@ -351,6 +351,29 @@ def test_augment_refuses_an_id_too_long_for_its_copies(tmp_path, capsys, id_len)
     assert not out.exists()
 
 
+def test_augment_write_error_exits_1_naming_its_source(tmp_path, capsys):
+    manifest = _curated_subset(tmp_path, capsys)
+    out = tmp_path / "aug"
+    # a directory where u0's second noisy copy goes; --force reuses the out-dir
+    (out / "wavs" / "u0__aug2.wav").mkdir(parents=True)
+    code = main(["augment", "--manifest", manifest, "--out-dir", str(out), "--force"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "u0: " in err and "u1" not in err
+    assert not (out / "manifest.jsonl").exists()
+    assert len(list((out / "wavs").glob("u1__aug*.wav"))) == 4
+
+
+def test_augment_unreadable_source_exits_1_before_any_output(tmp_path, capsys):
+    manifest = _curated_subset(tmp_path, capsys)
+    (tmp_path / "corpus" / "wavs" / "u1.wav").unlink()
+    out = tmp_path / "aug"
+    assert main(["augment", "--manifest", manifest, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "u1: " in err and "u0" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["augment", "verify-aug"])
 def test_empty_manifest_exits_cleanly(tmp_path, capsys, command):
     manifest = tmp_path / "manifest.jsonl"

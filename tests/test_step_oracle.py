@@ -13,12 +13,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tinytts.toytrain import ToyModel, gen_synthetic_corpus, make_batch
+from tinytts.toytrain import ToyModel, gen_synthetic_corpus, infer, make_batch
 from tinytts.toytrain.model import (
+    GATE_THRESHOLD,
+    _Decoder,
     _decoder_inputs,
-    _decoder_step,
-    _encode,
-    _StepScratch,
     backward,
     forward,
 )
@@ -207,24 +206,87 @@ def test_single_utterance_steps_match_allocating_reference():
     p = model.params
     tokens = np.array([[3, 1, 4, 1, 5]])
     mask = np.ones(tokens.shape, dtype=bool)
-    memory = _encode(model, tokens, np.array([2]))
+    dec = _Decoder(model, tokens, np.array([2]))
+    memory = dec.memory
     ref_memory = _ref_encode(p, cfg, tokens, np.array([2]))
     assert _same_bits(memory, ref_memory)
-    scratch = _StepScratch(p, memory, tokens)
     mem_proj = memory @ p["attn_w_memory"]
+    ref_state = np.zeros((1, cfg.dec_hidden))
+    ref_context = np.zeros((1, cfg.memory_dim))
+    ref_prev = np.zeros((1, cfg.feat_dim))
+    for _ in range(6):
+        alpha = np.empty((1, tokens.shape[1]))
+        head_in = np.empty((1, cfg.dec_hidden + cfg.memory_dim))
+        dec.step(dec.frame, alpha, head_in)
+        r = _ref_step(p, memory, mem_proj, mask, ref_prev, ref_state, ref_context)
+        got = (dec.dec_in, dec.state, dec.scores, alpha, dec.context[:, 0], head_in,
+               dec.frame, dec.gate[:, 0])
+        for i, (a, b) in enumerate(zip(got, r)):
+            assert _same_bits(a, b), i
+        ref_state, ref_context, ref_prev = r[1], r[4], r[6]
+
+
+def _ref_infer(model, tokens, aug_id):
+    """Autoregressive decoding through the reference step, every row fresh."""
+    cfg, p = model.config, model.params
+    token_row = np.array([tokens])
+    memory = _ref_encode(p, cfg, token_row, np.array([aug_id]))
+    mem_proj = memory @ p["attn_w_memory"]
+    mask = np.ones(token_row.shape, dtype=bool)
     state = np.zeros((1, cfg.dec_hidden))
     context = np.zeros((1, cfg.memory_dim))
     prev = np.zeros((1, cfg.feat_dim))
-    ref_state, ref_context, ref_prev = state, context, prev
-    for _ in range(6):
-        dec_in = np.empty((1, cfg.feat_dim + cfg.memory_dim))
-        alpha = np.empty((1, tokens.shape[1]))
-        head_in = np.empty((1, cfg.dec_hidden + cfg.memory_dim))
-        s = _decoder_step(p, scratch, prev, state, context, dec_in, alpha, head_in)
-        r = _ref_step(p, memory, mem_proj, mask, ref_prev, ref_state, ref_context)
-        got = (dec_in, s.state, scratch.scores, alpha, s.context, head_in, s.frame,
-               scratch.gate[:, 0])
-        for i, (a, b) in enumerate(zip(got, r)):
-            assert _same_bits(a, b), i
-        state, context, prev = s.state, s.context, s.frame
-        ref_state, ref_context, ref_prev = r[1], r[4], r[6]
+    frames, gate_probs, attention = [], [], []
+    for _ in range(cfg.max_decode_frames):
+        _, state, _, alpha, context, _, prev, gate = _ref_step(
+            p, memory, mem_proj, mask, prev, state, context
+        )
+        gate_prob = 1.0 / (1.0 + np.exp(-float(gate[0])))
+        frames.append(prev[0])
+        gate_probs.append(gate_prob)
+        attention.append(alpha[0])
+        if gate_prob > GATE_THRESHOLD:
+            break
+    return np.array(frames), np.array(gate_probs), np.array(attention)
+
+
+def test_infer_matches_allocating_reference():
+    cfg = AUGEMB_PARAMS.config
+    model = _model_at_generic_point(cfg, seed=7)
+    # a gate bias that stops some decodes early and lets others run to the cap
+    model.params["gate_b"][...] = -2.0
+    corpus = gen_synthetic_corpus(cfg.vocab_size, cfg.feat_dim, 6, (3, 6), [], seed=3)
+    lengths = set()
+    for example in corpus.examples[:4]:
+        for aug_id in range(cfg.n_aug_ids):
+            got = infer(model, example.tokens, aug_id)
+            expected = _ref_infer(model, example.tokens, aug_id)
+            for i, (a, b) in enumerate(zip(got, expected)):
+                assert _same_bits(a, b), (example.tokens, aug_id, i)
+            lengths.add(len(got[0]))
+    assert cfg.max_decode_frames in lengths  # decodes that never stop
+    # several stop on the gate, each after two or more frames
+    assert min(lengths) > 1 and len(lengths) > 2
+
+
+def _decode_steps(dec, n_steps):
+    """Copies of what each of n_steps steps fills or overwrites, fed its own frames."""
+    b, n = dec.mask_bias.shape
+    head_in = np.empty((b, dec.state.shape[1] + dec.memory.shape[2]))
+    for _ in range(n_steps):
+        alpha = np.empty((b, n))
+        dec.step(dec.frame, alpha, head_in)
+        yield [a.copy() for a in (alpha, head_in, dec.dec_in, dec.state, dec.context,
+                                  dec.scores, dec.frame, dec.gate)]
+
+
+def test_decoder_passes_share_no_state():
+    cfg = AUGEMB_PARAMS.config
+    model = _model_at_generic_point(cfg, seed=11)
+    inputs = [(np.array([[3, 1, 4, 1, 5]]), np.array([2])),
+              (np.array([[2, 7, 1, 8, 2]]), np.array([1]))]
+    alone = [list(_decode_steps(_Decoder(model, *x), 8)) for x in inputs]
+    first, second = (_decode_steps(_Decoder(model, *x), 8) for x in inputs)
+    for step_alone in zip(*alone):
+        for got, expected in zip((next(first), next(second)), step_alone):
+            assert all(_same_bits(a, b) for a, b in zip(got, expected))
