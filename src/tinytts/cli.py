@@ -42,8 +42,7 @@ from .evalkit import (
 )
 from .noisegen import mix_at_snr
 from .toytrain import (
-    AUG_EMBEDDING,
-    BATCHING,
+    STUDIES,
     ToyModel,
     gen_synthetic_corpus,
     infer,
@@ -403,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_toy_infer)
 
     p = sub.add_parser("study", help="run a batching or augmentation-embedding study")
-    p.add_argument("--study", choices=[BATCHING, AUG_EMBEDDING], required=True)
+    p.add_argument("--study", choices=list(STUDIES), required=True)
     p.add_argument("--seeds", required=True, help="comma-separated seed list")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--jobs", dest="jobs")

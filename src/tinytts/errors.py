@@ -13,7 +13,7 @@ class TinyTtsError(Exception):
 
 class BadConfig(TinyTtsError):
     """A parsed value breaks a documented rule: a size, range, shape, id or
-    budget."""
+    budget, or training on the values leaves the finite range."""
 
 
 class MalformedFile(TinyTtsError):

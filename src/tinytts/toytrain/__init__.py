@@ -18,5 +18,5 @@ from .model import (
     make_batch,
     save_model,
 )
-from .study import AUG_EMBEDDING, BATCHING, run_study
+from .study import AUG_EMBEDDING, BATCHING, STUDIES, run_study
 from .train import TrainReport, train

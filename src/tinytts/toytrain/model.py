@@ -191,19 +191,16 @@ def make_batch(examples, cfg: ToyConfig) -> Batch:
 def _encode(model: ToyModel, tokens: np.ndarray, aug_ids: np.ndarray):
     """Token RNN + augmentation embedding concat: the memory (B, N, mem), whose
     first d_enc columns are the RNN states."""
-    p = model.params
+    p, he = model.params, model.config.enc_hidden
     b, n = tokens.shape
     emb = p["tok_emb"][tokens]
-    h = np.zeros((b, model.config.enc_hidden))
-    states = []
+    memory = np.empty((b, n, model.config.memory_dim))
+    memory[:, :, he:] = p["aug_emb"][aug_ids][:, None, :]
+    h = np.zeros((b, he))
     for step in range(n):
         h = np.tanh(emb[:, step] @ p["enc_w_in"] + h @ p["enc_w_rec"] + p["enc_b"])
-        states.append(h)
-    enc = np.stack(states, axis=1)
-    aug = np.broadcast_to(
-        p["aug_emb"][aug_ids][:, None, :], (b, n, model.config.aug_embed_dim)
-    )
-    return np.concatenate([enc, aug], axis=2)
+        memory[:, step, :he] = h
+    return memory
 
 
 class _Decoder:
@@ -518,7 +515,8 @@ def save_model(model: ToyModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ToyModel:
-    """Read a save_model checkpoint; a MalformedFile names the path."""
+    """Read a save_model checkpoint; a MalformedFile names the path, and the
+    parameter block of a value that is not finite."""
     raw = Path(path).read_bytes()
     if raw[:4] != TOYM_MAGIC:
         raise MalformedFile(f"{path}: bad magic")
@@ -544,6 +542,8 @@ def load_model(path: str | Path) -> ToyModel:
             if count != size:
                 raise MalformedFile(f"{path}: {name}: {count} values, expected {size}")
             data = np.frombuffer(raw, dtype="<f8", count=size, offset=pos + 8)
+            if not np.isfinite(data).all():
+                raise MalformedFile(f"{path}: {name}: a value is not finite")
             params[name] = data.reshape(shape).copy()
             pos += 8 + 8 * size
     except (struct.error, ValueError, BadConfig) as exc:

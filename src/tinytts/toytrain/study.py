@@ -1,4 +1,4 @@
-"""Controlled toy studies: batching policy and augmentation embeddings.
+"""Controlled toy studies, one STUDIES row each: batching policy and aug embeddings.
 
 Batching study: same model/init/corpus, one arm trained with duration-bucketed
 batches, the other with fully shuffled batches; compares held-out alignment
@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from ..curation import BUCKETED, RANDOM_SHUFFLE
 from ..errors import BadConfig
 from ..evalkit import AttentionMatrix, sharpness_score, write_attention
 from ..parallel import map_tasks
-from .data import SyntheticCorpus, gen_synthetic_corpus
+from .data import gen_synthetic_corpus
 from .model import ToyConfig, ToyModel, infer
 from .train import train
 
@@ -91,66 +92,81 @@ AUGEMB_PARAMS = StudyParams(
 )
 
 
-def rmse_to_templates(
-    model: ToyModel, corpus: SyntheticCorpus, tokens: list[int], aug_id: int
-) -> float:
-    """Inference RMSE against the clean template frames (overlapping prefix)."""
-    frames, _gates, _attn = infer(model, tokens, aug_id)
-    truth = corpus.clean_frames_for(tokens)
-    t = min(frames.shape[0], truth.shape[0])
-    return float(np.sqrt(np.mean((frames[:t] - truth[:t]) ** 2)))
-
-
-def _corpus(params: StudyParams, seed: int, salt: int):
-    """(corpus, training part, held-out clean examples of the last utterances)."""
-    corpus = gen_synthetic_corpus(
-        params.config.vocab_size,
-        params.config.feat_dim,
-        params.n_utts,
-        params.len_range,
-        list(params.aug_profiles),
-        seed=seed * 1000 + salt,
-    )
-    cut = len(corpus.examples) - params.n_heldout_utts * params.copies_per_utt
-    train_part = replace(corpus, examples=corpus.examples[:cut])
-    heldout_clean = [e for e in corpus.examples[cut:] if e.aug_id == 0]
-    return corpus, train_part, heldout_clean
-
-
-def _run_batching_arm(args):
-    seed, mode, params = args
-    _, train_part, heldout = _corpus(params, seed, salt=17)
-    model = ToyModel(replace(params.config, seed=seed))
-    train(model, train_part, batch_plan_mode=mode)
+def _sharpness(model, corpus, heldout):
+    """Median and mean alignment sharpness, and each utterance's attention."""
     attns = [AttentionMatrix(infer(model, e.tokens, 0)[2]) for e in heldout]
     scores = [sharpness_score(a) for a in attns]
-    return {
-        "median_sharpness": float(np.median(scores)),
-        "mean_sharpness": float(np.mean(scores)),
-    }, attns
+    metrics = {"median_sharpness": np.median(scores), "mean_sharpness": np.mean(scores)}
+    return {name: float(value) for name, value in metrics.items()}, attns
 
 
-def _run_augemb_arm(args):
-    seed, arm, params = args
-    corpus, train_part, heldout = _corpus(params, seed, salt=29)
-    cfg = replace(
-        params.config,
-        seed=seed,
-        aug_embed_dim=params.config.aug_embed_dim if arm == "embed" else 0,
-    )
-    model = ToyModel(cfg)
-    train(model, train_part, batch_plan_mode=BUCKETED)
+def _rmse_to_templates(model, corpus, heldout):
+    """Per aug id, the median inference RMSE against the clean template frames."""
+
+    def rmse(tokens, aug_id):
+        frames = infer(model, tokens, aug_id)[0]
+        truth = corpus.clean_frames_for(tokens)
+        t = min(frames.shape[0], truth.shape[0])  # their overlapping prefix
+        return float(np.sqrt(np.mean((frames[:t] - truth[:t]) ** 2)))
+
     # without an embedding table the model never reads its aug id, so every id
     # decodes the same frames: aug id 0 alone is measured
-    aug_ids = range(cfg.n_aug_ids) if cfg.aug_embed_dim else [0]
+    ids = range(model.config.n_aug_ids) if model.config.aug_embed_dim else [0]
+    rmses = {i: [rmse(e.tokens, i) for e in heldout] for i in ids}
+    return {f"rmse_aug{i}": float(np.median(r)) for i, r in rmses.items()}, []
+
+
+def _batching_verdicts(medians) -> dict:
+    b, r = (medians[arm]["median_sharpness"] for arm in (BUCKETED, RANDOM_SHUFFLE))
+    return {"bucketed_sharper": b > r}
+
+
+def _augemb_verdicts(medians) -> dict:
+    noisy = dict(medians["embed"])
+    clean = noisy.pop("rmse_aug0")
     return {
-        f"rmse_aug{aug_id}": float(
-            np.median(
-                [rmse_to_templates(model, corpus, e.tokens, aug_id) for e in heldout]
-            )
-        )
-        for aug_id in aug_ids
-    }, []
+        "clean_id_beats_noisy_ids": all(clean < value for value in noisy.values()),
+        "embedding_beats_no_embedding": clean < medians["noembed"]["rmse_aug0"],
+    }
+
+
+class Study(NamedTuple):
+    params: StudyParams  # the default; run_study may be given others
+    salt: int  # seed s draws its corpus with seed s * 1000 + salt
+    arms: dict  # name: (batch-plan mode, ToyConfig changes), in study.csv order
+    measure: Callable  # (model, corpus, held-out) -> (metrics, attentions to dump)
+    verdicts: Callable  # {arm: {metric: median over seeds}} -> {verdict: bool}
+
+
+STUDIES = {
+    BATCHING: Study(
+        BATCHING_PARAMS, 17,
+        {BUCKETED: (BUCKETED, {}), RANDOM_SHUFFLE: (RANDOM_SHUFFLE, {})},
+        _sharpness, _batching_verdicts,
+    ),
+    AUG_EMBEDDING: Study(
+        AUGEMB_PARAMS, 29,
+        {"embed": (BUCKETED, {}), "noembed": (BUCKETED, {"aug_embed_dim": 0})},
+        _rmse_to_templates, _augemb_verdicts,
+    ),
+}
+
+
+def _run_arm(task):
+    """One (study, arm, seed, params) run: generate the seed's corpus, train the
+    arm on all but its last utterances, and measure it on their clean examples."""
+    name, arm, seed, params = task
+    study, cfg = STUDIES[name], params.config
+    plan_mode, config_changes = study.arms[arm]
+    corpus = gen_synthetic_corpus(
+        cfg.vocab_size, cfg.feat_dim, params.n_utts, params.len_range,
+        list(params.aug_profiles), seed=seed * 1000 + study.salt,
+    )
+    cut = len(corpus.examples) - params.n_heldout_utts * params.copies_per_utt
+    model = ToyModel(replace(cfg, seed=seed, **config_changes))
+    train(model, replace(corpus, examples=corpus.examples[:cut]), plan_mode)
+    heldout = [e for e in corpus.examples[cut:] if e.aug_id == 0]
+    return study.measure(model, corpus, heldout)
 
 
 def run_study(
@@ -161,29 +177,22 @@ def run_study(
     params: StudyParams | None = None,
 ) -> dict:
     """Execute one study over the seeds; writes CSV (+ ATTN1 dumps) to out_dir.
-    Fewer than 3 seeds, or a repeated seed, raise BadConfig before out_dir is
-    created."""
+    An unknown study, fewer than 3 seeds, or a repeated seed raise BadConfig
+    before out_dir is created."""
+    if study not in STUDIES:
+        raise BadConfig(f"unknown study {study!r}; known: {', '.join(STUDIES)}")
     if len(seeds) < 3:
         raise BadConfig("need at least 3 seeds")
     if len(set(seeds)) < len(seeds):
         raise BadConfig(f"seeds {seeds} repeat a seed; each seed is one run")
-    if study == BATCHING:
-        arms = [BUCKETED, RANDOM_SHUFFLE]
-        runner = _run_batching_arm
-        params = params or BATCHING_PARAMS
-    elif study == AUG_EMBEDDING:
-        arms = ["embed", "noembed"]
-        runner = _run_augemb_arm
-        params = params or AUGEMB_PARAMS
-    else:
-        raise ValueError(f"unknown study {study!r}")
+    arms, params = STUDIES[study].arms, params or STUDIES[study].params
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # arm-major, seed-minor: the canonical order of study.csv and the dumps
-    tasks = [(seed, arm, params) for arm in arms for seed in seeds]
-    rows = []
-    for (seed, arm, _), (metrics, attns) in zip(tasks, map_tasks(runner, tasks, jobs)):
+    tasks = [(study, arm, seed, params) for arm in arms for seed in seeds]
+    rows, results = [], map_tasks(_run_arm, tasks, jobs)
+    for (_, arm, seed, _), (metrics, attns) in zip(tasks, results):
         rows += [(arm, seed, name, metrics[name]) for name in sorted(metrics)]
         for i, attn in enumerate(attns):
             attn_dir = out / "attn" / f"{arm}_seed{seed}"
@@ -194,32 +203,13 @@ def run_study(
     csv_lines += [f"{study},{a},{sd},{m},{v:.8g}" for a, sd, m, v in rows]
     (out / "study.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
 
-    summary = _summarize(study, seeds, rows)
+    medians: dict[str, dict[str, float]] = {}
+    for arm, name in dict.fromkeys((a, m) for a, _seed, m, _value in rows):
+        values = [v for a, _seed, m, v in rows if (a, m) == (arm, name)]
+        medians.setdefault(arm, {})[name] = float(np.median(values))
+    summary = {"study": study, "seeds": list(seeds), "medians": medians}
+    summary |= STUDIES[study].verdicts(medians)
     (out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    return summary
-
-
-def _summarize(study, seeds, rows) -> dict:
-    """The per-arm medians over seeds of each metric in rows, and the verdicts."""
-    values: dict[str, dict[str, list[float]]] = {}
-    for arm, _seed, name, value in rows:
-        values.setdefault(arm, {}).setdefault(name, []).append(value)
-    medians = {
-        arm: {name: float(np.median(vals)) for name, vals in per_metric.items()}
-        for arm, per_metric in values.items()
-    }
-    summary: dict = {"study": study, "seeds": list(seeds), "medians": medians}
-    if study == BATCHING:
-        b = medians[BUCKETED]["median_sharpness"]
-        r = medians[RANDOM_SHUFFLE]["median_sharpness"]
-        summary["bucketed_sharper"] = b > r
-    else:
-        embed = medians["embed"]
-        clean = embed["rmse_aug0"]
-        summary["clean_id_beats_noisy_ids"] = all(
-            clean < value for name, value in embed.items() if name != "rmse_aug0"
-        )
-        summary["embedding_beats_no_embedding"] = clean < medians["noembed"]["rmse_aug0"]
     return summary

@@ -7,12 +7,14 @@ epoch-derived seed, so a run is a pure function of (config, corpus).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..curation import BUCKETED, CorpusEntry, Subset, plan_batches
+from ..errors import BadConfig
 from .data import SyntheticCorpus, ToyExample
 from .model import ToyModel, backward, forward, make_batch
 
@@ -85,10 +87,17 @@ def mean_corpus_loss(model: ToyModel, examples: list[ToyExample]) -> float:
 def _train_step(
     model: ToyModel, optimizer: Adam, examples: list[ToyExample]
 ) -> tuple[float, float]:
-    """One Adam update, whose activations and grads die with it: (loss, norm)."""
+    """One Adam update, whose activations and grads die with it: (loss, norm).
+    A loss or pre-clip gradient norm that is not finite raises BadConfig before
+    the update is applied."""
     result = forward(model, make_batch(examples, model.config))
     grads = backward(model, result)
     norm = clip_global_norm(grads, model.config.grad_clip_norm)
+    if not (math.isfinite(result.loss) and math.isfinite(norm)):
+        raise BadConfig(
+            f"step {optimizer.t}: loss {result.loss:g} or gradient norm {norm:g} "
+            "is not finite"
+        )
     optimizer.step(model, grads)
     return result.loss, norm
 
@@ -96,7 +105,8 @@ def _train_step(
 def train(
     model: ToyModel, corpus: SyntheticCorpus, batch_plan_mode: str = BUCKETED
 ) -> TrainReport:
-    """Run config.steps Adam updates with teacher forcing throughout."""
+    """Run config.steps Adam updates with teacher forcing throughout; BadConfig
+    if a step's loss or gradient norm, or the final loss, is not finite."""
     cfg = model.config
     if not corpus.examples:
         raise ValueError("corpus is empty")
@@ -124,8 +134,11 @@ def train(
             curve.append(loss)
             norms.append(norm)
             step += 1
+    final_loss = mean_corpus_loss(model, corpus.examples)
+    if not math.isfinite(final_loss):
+        raise BadConfig(f"final loss {final_loss:g} over the corpus is not finite")
     return TrainReport(
-        final_loss=mean_corpus_loss(model, corpus.examples),
+        final_loss=final_loss,
         loss_curve=curve,
         grad_norms=norms,
         wall_clock_s=time.perf_counter() - started,

@@ -777,6 +777,51 @@ def test_toy_gen_refuses_an_empty_corpus(tmp_path, capsys, n_utts):
     assert not corpus.exists()
 
 
+def test_toy_gen_refuses_an_aug_profile_whose_copies_overflow(tmp_path, capsys):
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(TOY_CFG.replace("0.1:0.05", "1e308:1e308"))
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["--config", str(cfg), "toy-gen", "--out", str(corpus)]) == 1
+    assert "aug profile 1e+308:1e+308: copies overflow" in capsys.readouterr().err
+    assert not corpus.exists()
+
+
+@pytest.mark.parametrize(
+    "profiles, extra_cfg, argv",
+    [
+        # Adam's first update leaves the weights near 1e300: the next loss is not finite
+        ("0.1:0.05", "toy.learning_rate = 1e300\n", []),
+        # copies at 1e308 are finite, their squared error is not
+        ("1e308:1", "", ["--steps", "0"]),
+    ],
+    ids=["learning-rate-1e300", "steps-0-on-a-corpus-near-the-float-limit"],
+)
+def test_toy_train_outside_the_finite_range_exits_before_out_dir(
+    tmp_path, capsys, profiles, extra_cfg, argv
+):
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(TOY_CFG.replace("0.1:0.05", profiles))
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["--config", str(cfg), "toy-gen", "--out", str(corpus)]) == 0
+    cfg.write_text(TOY_CFG + extra_cfg)
+    run_dir = tmp_path / "run"
+    code = main(["--config", str(cfg), "toy-train", "--corpus", str(corpus),
+                 "--out-dir", str(run_dir), *argv])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not finite" in err
+    assert not run_dir.exists()
+
+
+def test_toy_infer_refuses_a_checkpoint_with_a_non_finite_parameter(tmp_path, capsys):
+    model = ToyModel(ToyConfig(vocab_size=4, max_decode_frames=5))
+    model.params["out_b"][:] = np.nan
+    path = tmp_path / "model.toym"
+    save_model(model, path)
+    assert main(["toy-infer", "--model", str(path), "--tokens", "1,2"]) == 1
+    assert f"error: {path}: out_b: a value is not finite" in capsys.readouterr().err
+
+
 def test_toy_train_snapshot_records_seed_and_steps(tmp_path, capsys):
     cfg = tmp_path / "toy.cfg"
     cfg.write_text("toy.vocab_size = 4\ntoy.feat_dim = 3\ntoy.n_utts = 4\n")

@@ -120,3 +120,16 @@ def test_study_rerun_byte_identical(tmp_path):
     run_study(BATCHING, [1, 2, 3], tmp_path / "a", params=MINI_BATCHING)
     run_study(BATCHING, [1, 2, 3], tmp_path / "b", params=MINI_BATCHING)
     assert tree_sha256(tmp_path / "a") == tree_sha256(tmp_path / "b")
+
+
+def test_unknown_study_is_refused_before_any_output(tmp_path):
+    with pytest.raises(BadConfig, match="unknown study 'nope'; known: batching, augembedding"):
+        run_study("nope", [1, 2, 3], tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_augemb_study_tree_is_the_same_on_two_workers(tmp_path):
+    # each worker process looks its arm up in the study table by name
+    run_study(AUG_EMBEDDING, [1, 2, 3], tmp_path / "serial", params=MINI_AUGEMB)
+    run_study(AUG_EMBEDDING, [1, 2, 3], tmp_path / "pool", jobs=2, params=MINI_AUGEMB)
+    assert tree_sha256(tmp_path / "serial") == tree_sha256(tmp_path / "pool")
