@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ..config import MelConfig
 from ..errors import BadConfig, MalformedFile, UnusableSignal
 from .clip import AudioClip
 
@@ -22,34 +22,6 @@ _MEL_BREAK_HZ = 1000.0
 _MEL_BELOW_BREAK = 3.0 / 200.0  # mels per Hz in the linear region
 _MEL_LOG_STEP = np.log(6.4) / 27.0
 STFT_BLOCK = 64  # frames per rfft call of the STFT
-# bound the filterbank, n_mels x (n_fft // 2 + 1) doubles, at 67 MB
-MAX_N_FFT = 2**15
-MAX_N_MELS = 512
-
-
-@dataclass(frozen=True)
-class MelConfig:
-    n_fft: int = 1024
-    hop_length: int = 256
-    win_length: int = 1024
-    n_mels: int = 80
-    fmin_hz: float = 0.0
-    fmax_hz: float = 8000.0
-    log_floor: float = 1e-5
-
-    def __post_init__(self) -> None:
-        if min(self.n_fft, self.hop_length, self.win_length, self.n_mels) < 1:
-            raise BadConfig("n_fft, hop_length, win_length, n_mels must be >= 1")
-        if self.n_fft > MAX_N_FFT or self.n_mels > MAX_N_MELS:
-            raise BadConfig(f"need n_fft <= {MAX_N_FFT} and n_mels <= {MAX_N_MELS}")
-        if self.win_length > self.n_fft:
-            raise BadConfig("win_length must not exceed n_fft")
-        if self.hop_length > self.win_length:
-            raise BadConfig("hop_length must not exceed win_length")
-        if not 0 <= self.fmin_hz < self.fmax_hz:
-            raise BadConfig("need 0 <= fmin_hz < fmax_hz")
-        if self.log_floor <= 0:
-            raise BadConfig("log_floor must be positive")
 
 
 def hz_to_mel(f):

@@ -9,6 +9,7 @@ so serial and parallel builds produce byte-identical trees.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -214,8 +215,9 @@ def _verify_source(source: tuple[str, list[AugManifestEntry]]) -> list[float]:
     The clean file is read once, and P.56 is measured once per distinct
     mixture gain (on the clean samples themselves at gain 1.0); each noisy
     copy's noise is taken from its own file, in that file's buffer. A copy
-    whose sample count or rate differs from the clean file's raises
-    MalformedFile.
+    whose noise rounded away at 16 bits has an unbounded SNR, and deviation
+    inf. A copy whose sample count or rate differs from the clean file's
+    raises MalformedFile.
     """
     clean_path, noisy = source
     clean = read_wav(clean_path)
@@ -239,7 +241,8 @@ def _verify_source(source: tuple[str, list[AugManifestEntry]]) -> list[float]:
         noise = mixed.samples
         noise -= scaled_clean
         noise *= noise
-        achieved = active_db - 10.0 * np.log10(np.mean(noise))
+        power = np.mean(noise)
+        achieved = active_db - 10.0 * np.log10(power) if power > 0 else math.inf
         deviations.append(abs(achieved - m.snr_db))
     return deviations
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import read_wav_info
+from .config import BUCKETED, INFORMED, RANDOM, RANDOM_SHUFFLE
 from .errors import (
     BadConfig,
     MalformedFile,
@@ -26,11 +27,6 @@ from .errors import (
     read_fields,
     read_utf8,
 )
-
-INFORMED = "informed"
-RANDOM = "random"
-BUCKETED = "bucketed"
-RANDOM_SHUFFLE = "random_shuffle"
 
 
 @dataclass

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import ActiveLevelResult, AudioClip, active_speech_level_p56
+from .config import DEFAULT_NOISE_TRIPLES, MAX_ABS_DB
 from .errors import BadConfig, MalformedFile, UnusableSignal, read_fields
 
 USASI_HIGHPASS_HZ = 100.0
@@ -26,11 +27,6 @@ USASI_LOWPASS_HZ = 320.0
 WHITE = "white"
 USASI = "usasi"
 PSD_TABLE = "psd_table"
-
-# the bound of every dB value a user gives, a PSD table's powers and every SNR:
-# far beyond the ~96 dB that 16-bit audio can show, and inside the range where
-# 10 ** (db / 10) neither overflows nor underflows
-MAX_ABS_DB = 300.0
 
 # Electret capsule noise floor approximation: ~10 dB/decade rise below 1 kHz,
 # flat above. An approximation for a sensor-noise-like spectrum, not a
@@ -106,10 +102,9 @@ class NoiseSpec:
 
 
 # the `noise_specs` config default
-DEFAULT_NOISE_SPECS = (
-    NoiseSpec("white", SPECTRA["white"], 25.0, 1),
-    NoiseSpec("usasi", SPECTRA["usasi"], 15.0, 2),
-    NoiseSpec("sensor", SPECTRA["sensor"], 20.0, 3),
+DEFAULT_NOISE_SPECS = tuple(
+    NoiseSpec(name, SPECTRA[name], snr_db, aug_id)
+    for name, snr_db, aug_id in DEFAULT_NOISE_TRIPLES
 )
 
 

@@ -21,81 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
+from ..config import ToyConfig, param_shapes
 from ..errors import BadConfig, MalformedFile
 
 TOYM_MAGIC = b"TOYM"
 TOYM_VERSION = 1
 GATE_THRESHOLD = 0.5  # infer stops once the gate probability exceeds this
-MAX_DECODE_FRAMES = 2**16  # bounds infer's time whatever a checkpoint claims
-# bounds the weights at 8 MB a copy; each study shape has under 4000 parameters
-MAX_PARAMETERS = 2**20
-
-
-@dataclass(frozen=True)
-class ToyConfig:
-    vocab_size: int = 12
-    feat_dim: int = 16
-    embed_dim: int = 16
-    enc_hidden: int = 32
-    aug_embed_dim: int = 4
-    dec_hidden: int = 32
-    attn_dim: int = 16
-    n_aug_ids: int = 4
-    max_decode_frames: int = 200
-    gate_loss_weight: float = 1.0
-    learning_rate: float = 1e-3
-    grad_clip_norm: float = 1.0
-    batch_size: int = 16
-    steps: int = 2000
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        # int fields are sizes and counts (>= 1) but for these; seeds key Philox
-        floors = {"aug_embed_dim": 0, "steps": 0, "seed": 0}
-        for f in fields(self):
-            if type(f.default) is not int:
-                continue
-            value, floor = getattr(self, f.name), floors.get(f.name, 1)
-            if value < floor:
-                raise BadConfig(f"dimensions and counts: {f.name} = {value} < {floor}")
-            # TOYM stores the seed in 64 bits and every other int field in 32
-            bits = 64 if f.name == "seed" else 32
-            if value >= 2**bits:
-                raise BadConfig(f"{f.name} = {value} >= 2**{bits}")
-        if self.max_decode_frames > MAX_DECODE_FRAMES:
-            raise BadConfig(
-                f"max_decode_frames = {self.max_decode_frames} > {MAX_DECODE_FRAMES}"
-            )
-        n_params = sum(math.prod(shape) for _, shape in _param_shapes(self))
-        if n_params > MAX_PARAMETERS:
-            raise BadConfig(f"{n_params} parameters > {MAX_PARAMETERS}")
-
-    @property
-    def memory_dim(self) -> int:
-        return self.enc_hidden + self.aug_embed_dim
-
-
-def _param_shapes(cfg: ToyConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Fixed parameter order; row 0 of tok_emb is the padding token."""
-    mem = cfg.memory_dim
-    return [
-        ("tok_emb", (cfg.vocab_size + 1, cfg.embed_dim)),
-        ("enc_w_in", (cfg.embed_dim, cfg.enc_hidden)),
-        ("enc_w_rec", (cfg.enc_hidden, cfg.enc_hidden)),
-        ("enc_b", (cfg.enc_hidden,)),
-        ("aug_emb", (cfg.n_aug_ids, cfg.aug_embed_dim)),
-        ("attn_w_query", (cfg.dec_hidden, cfg.attn_dim)),
-        ("attn_w_memory", (mem, cfg.attn_dim)),
-        ("attn_b", (cfg.attn_dim,)),
-        ("attn_v", (cfg.attn_dim, 1)),
-        ("dec_w_in", (cfg.feat_dim + mem, cfg.dec_hidden)),
-        ("dec_w_rec", (cfg.dec_hidden, cfg.dec_hidden)),
-        ("dec_b", (cfg.dec_hidden,)),
-        ("out_w", (cfg.dec_hidden + mem, cfg.feat_dim)),
-        ("out_b", (cfg.feat_dim,)),
-        ("gate_w", (cfg.dec_hidden + mem, 1)),
-        ("gate_b", (1,)),
-    ]
 
 
 class ToyModel:
@@ -106,7 +37,7 @@ class ToyModel:
         seed = config.seed if init_seed is None else init_seed
         gen = np.random.Generator(np.random.Philox(key=seed))
         self.params: dict[str, np.ndarray] = {}
-        for name, shape in _param_shapes(config):
+        for name, shape in param_shapes(config):
             if name.endswith("_b"):
                 data = np.zeros(shape)
             elif name.endswith("_emb"):
@@ -505,7 +436,7 @@ def save_model(model: ToyModel, path: str | Path) -> None:
     blob += struct.pack("<I", TOYM_VERSION)
     for name, fmt in _CONFIG_LAYOUT:
         blob += struct.pack(fmt, getattr(cfg, name))
-    for name, shape in _param_shapes(cfg):
+    for name, shape in param_shapes(cfg):
         data = model.params[name]
         if data.shape != shape:
             raise BadConfig(f"{name}: shape drifted from config")
@@ -530,7 +461,7 @@ def load_model(path: str | Path) -> ToyModel:
             (values[name],) = struct.unpack_from(fmt, raw, pos)
             pos += struct.calcsize(fmt)
         cfg = ToyConfig(**values)
-        shapes = _param_shapes(cfg)
+        shapes = param_shapes(cfg)
         # the file must hold every block the config claims before any is allocated
         expect = pos + sum(8 + 8 * math.prod(shape) for _, shape in shapes)
         if len(raw) != expect:

@@ -20,18 +20,20 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..curation import BUCKETED, RANDOM_SHUFFLE
+from ..config import (
+    AUG_EMBEDDING,
+    BATCHING,
+    BUCKETED,
+    DEFAULT_AUG_PROFILES,
+    RANDOM_SHUFFLE,
+    ToyConfig,
+)
 from ..errors import BadConfig
 from ..evalkit import AttentionMatrix, sharpness_score, write_attention
 from ..parallel import map_tasks
 from .data import gen_synthetic_corpus
-from .model import ToyConfig, ToyModel, infer
+from .model import ToyModel, infer
 from .train import train
-
-BATCHING = "batching"
-AUG_EMBEDDING = "augembedding"
-
-DEFAULT_AUG_PROFILES = ((0.0, 0.1), (0.2, 0.05), (-0.15, 0.08))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..curation import BUCKETED, CorpusEntry, Subset, plan_batches
+from ..config import BUCKETED
+from ..curation import CorpusEntry, Subset, plan_batches
 from ..errors import BadConfig
 from .data import SyntheticCorpus, ToyExample
 from .model import ToyModel, backward, forward, make_batch
@@ -121,20 +122,23 @@ def train(
     ])
     step = 0
     epoch = 0
-    while step < cfg.steps:
-        batches = plan_batches(
-            subset, cfg.batch_size, batch_plan_mode, cfg.seed + epoch
-        )
-        epoch += 1
-        for batch_ids in batches:
-            if step >= cfg.steps:
-                break
-            examples = [corpus.examples[int(i)] for i in batch_ids]
-            loss, norm = _train_step(model, optimizer, examples)
-            curve.append(loss)
-            norms.append(norm)
-            step += 1
-    final_loss = mean_corpus_loss(model, corpus.examples)
+    # a value that leaves the finite range raises BadConfig below, so numpy's
+    # overflow and invalid-value warnings would only repeat it on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step < cfg.steps:
+            batches = plan_batches(
+                subset, cfg.batch_size, batch_plan_mode, cfg.seed + epoch
+            )
+            epoch += 1
+            for batch_ids in batches:
+                if step >= cfg.steps:
+                    break
+                examples = [corpus.examples[int(i)] for i in batch_ids]
+                loss, norm = _train_step(model, optimizer, examples)
+                curve.append(loss)
+                norms.append(norm)
+                step += 1
+        final_loss = mean_corpus_loss(model, corpus.examples)
     if not math.isfinite(final_loss):
         raise BadConfig(f"final loss {final_loss:g} over the corpus is not finite")
     return TrainReport(

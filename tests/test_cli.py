@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from tinytts.cli import main
 from tinytts.evalkit import read_attention
 from tinytts.toytrain import ToyConfig, ToyModel, gen_synthetic_corpus, save_corpus, save_model
 
-from conftest import speech_like, tone
+from conftest import BLAS_THREAD_VARS, speech_like, tone
 from test_augment import mismatch_copy
 from test_curation import write_ljspeech_fixture
 
@@ -280,6 +281,30 @@ def test_augment_verify_pipeline(tmp_path, capsys):
     assert payload["max_deviation_db"] <= 0.5
 
 
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_verify_aug_of_noise_that_rounds_away_prints_strict_json(tmp_path, capsys):
+    # at 120 dB SNR the noise is far below one 16-bit step, so each copy's
+    # samples equal its clean file's and the achieved SNR is unbounded
+    manifest = tmp_path / "aug" / "manifest.jsonl"
+    argv = ["augment", "--manifest", _curated_subset(tmp_path, capsys),
+            "--out-dir", str(tmp_path / "aug"), "--noise-specs", "white:120:1"]
+    assert run_cli(capsys, *argv)[0] == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["--json", "verify-aug", "--manifest", str(manifest)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    payload = _strict_json(captured.out)
+    assert payload["flagged_ids"] == ["u0__aug1", "u1__aug1"]
+    assert payload["max_deviation_db"] is None
+
+
 @pytest.mark.parametrize("how", ["longer", "rate"])
 def test_verify_aug_refuses_a_copy_unlike_its_clean_file(tmp_path, capsys, how):
     manifest = tmp_path / "aug" / "manifest.jsonl"
@@ -396,7 +421,7 @@ def test_study_cli_wiring(tmp_path, capsys, monkeypatch):
         (tmp_path / "out" / "study.csv").write_text("study,arm,seed,metric,value\n")
         return {"study": study, "medians": {}}
 
-    monkeypatch.setattr("tinytts.cli.run_study", fake_run_study)
+    monkeypatch.setattr("tinytts.toytrain.run_study", fake_run_study)
     code, _ = run_cli(
         capsys,
         "--json",
@@ -456,7 +481,7 @@ def test_study_bad_seeds_exit_cleanly(tmp_path, capsys, monkeypatch):
     def no_study(*args, **kwargs):
         raise AssertionError("the study was started")
 
-    monkeypatch.setattr("tinytts.cli.run_study", no_study)
+    monkeypatch.setattr("tinytts.toytrain.run_study", no_study)
     out = tmp_path / "out"
     # each seed goes through the seed rule, [0, 2**64), before the study starts
     for seeds, reason in [("1,x", "invalid literal"), ("-1,2,3", "seed -1 is outside"),
@@ -813,6 +838,22 @@ def test_toy_train_outside_the_finite_range_exits_before_out_dir(
     assert not run_dir.exists()
 
 
+def test_toy_train_outside_the_finite_range_prints_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(TOY_CFG)
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["--config", str(cfg), "toy-gen", "--out", str(corpus)]) == 0
+    cfg.write_text(TOY_CFG + "toy.learning_rate = 1e300\n")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+        code = main(["--config", str(cfg), "toy-train", "--corpus", str(corpus),
+                     "--out-dir", str(tmp_path / "run")])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 def test_toy_infer_refuses_a_checkpoint_with_a_non_finite_parameter(tmp_path, capsys):
     model = ToyModel(ToyConfig(vocab_size=4, max_decode_frames=5))
     model.params["out_b"][:] = np.nan
@@ -877,6 +918,51 @@ def test_cli_import_loads_no_process_pool_machinery():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# the tinytts modules and BLAS setting a fresh interpreter ends with after the
+# statements in argv[1]; the BLAS variables are unset at the start
+LOADED = """
+import json, os, sys
+exec(sys.argv[1])
+print(json.dumps({
+    "tinytts": sorted(m for m in sys.modules if m.split(".")[0] == "tinytts"),
+    "numpy": "numpy" in sys.modules,
+    "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+}))
+"""
+
+
+def _fresh_interpreter(statements: str) -> dict:
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED, statements],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**env, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_only_settings_and_errors():
+    loaded = _fresh_interpreter("import tinytts.cli")
+    assert loaded["numpy"] is False
+    assert loaded["tinytts"] == ["tinytts", "tinytts.cli", "tinytts.config", "tinytts.errors"]
+    assert loaded["blas_threads"] == "1"  # set for the numpy a command loads later
+
+
+def test_p56_command_loads_no_other_pipeline(tmp_path):
+    wav = tmp_path / "speech.wav"
+    write_wav(speech_like(3, duration_s=1.1), wav)
+    loaded = _fresh_interpreter(
+        f"from tinytts.cli import main; assert main(['p56', '--in', {str(wav)!r}]) == 0"
+    )
+    assert loaded["numpy"] is True and "tinytts.audio.p56" in loaded["tinytts"]
+    others = {f"tinytts.{m}" for m in ("toytrain", "evalkit", "augment", "curation", "noisegen")}
+    assert [m for m in loaded["tinytts"] if ".".join(m.split(".")[:2]) in others] == []
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -1078,7 +1164,7 @@ def test_every_command_prints_one_json_object(tmp_path, capsys, monkeypatch):
         Path(out_dir).mkdir(parents=True)  # as run_study makes it
         return {"study": study, "medians": {}}
 
-    monkeypatch.setattr("tinytts.cli.run_study", fake_run_study)
+    monkeypatch.setattr("tinytts.toytrain.run_study", fake_run_study)
     subset = _curated_subset(tmp_path, capsys)
     wav = tmp_path / "speech.wav"
     write_wav(speech_like(3, duration_s=1.1), wav)

@@ -12,6 +12,8 @@ from tinytts.config import (
     parse_aug_profiles,
     parse_noise_specs,
     parse_spectrum,
+    seed_int,
+    selection_mode,
 )
 from tinytts.errors import ConfigFileError
 from tinytts.noisegen import MAX_ABS_DB, PSD_TABLE, USASI, WHITE
@@ -65,6 +67,99 @@ def test_snapshot_is_stable_and_excludes_jobs():
     # job count is an execution detail: snapshots match the defaults exactly
     assert snap == RunConfig().snapshot()
     assert "budget_s = 7200.0" in snap
+
+
+# RunConfig().snapshot(), the resolved_config.txt of a run on the defaults, line
+# by line: a default that moves between modules must keep these bytes
+DEFAULT_SNAPSHOT_LINES = [
+    "budget_s = 7200.0",
+    "corpus_root = ",
+    "master_seed = 0",
+    "mel.fmax_hz = 8000.0",
+    "mel.fmin_hz = 0.0",
+    "mel.hop_length = 256",
+    "mel.log_floor = 1e-05",
+    "mel.n_fft = 1024",
+    "mel.n_mels = 80",
+    "mel.win_length = 1024",
+    "noise_specs = white:25:1,usasi:15:2,sensor:20:3",
+    "seed = 0",
+    "selection_mode = informed",
+    "toy.attn_dim = 16",
+    "toy.aug_embed_dim = 4",
+    "toy.aug_profiles = 0:0.1,0.2:0.05,-0.15:0.08",
+    "toy.batch_size = 16",
+    "toy.dec_hidden = 32",
+    "toy.embed_dim = 16",
+    "toy.enc_hidden = 32",
+    "toy.feat_dim = 16",
+    "toy.gate_loss_weight = 1.0",
+    "toy.grad_clip_norm = 1.0",
+    "toy.learning_rate = 0.001",
+    "toy.len_max = 8",
+    "toy.len_min = 3",
+    "toy.max_decode_frames = 200",
+    "toy.n_aug_ids = 4",
+    "toy.n_utts = 200",
+    "toy.seed = 0",
+    "toy.steps = 2000",
+    "toy.vocab_size = 12",
+]
+
+# the parser of every key, jobs included
+DEFAULT_PARSERS = {
+    "budget_s": float,
+    "corpus_root": str,
+    "jobs": int,
+    "master_seed": seed_int,
+    "noise_specs": str,
+    "seed": seed_int,
+    "selection_mode": selection_mode,
+    **{f"mel.{name}": float for name in ("fmax_hz", "fmin_hz", "log_floor")},
+    **{f"mel.{name}": int for name in ("hop_length", "n_fft", "n_mels", "win_length")},
+    **{
+        f"toy.{name}": int
+        for name in (
+            "attn_dim", "aug_embed_dim", "batch_size", "dec_hidden", "embed_dim",
+            "enc_hidden", "feat_dim", "len_max", "len_min", "max_decode_frames",
+            "n_aug_ids", "n_utts", "steps", "vocab_size",
+        )
+    },
+    **{
+        f"toy.{name}": float
+        for name in ("gate_loss_weight", "grad_clip_norm", "learning_rate")
+    },
+    "toy.aug_profiles": str,
+    "toy.seed": seed_int,
+}
+
+
+def test_default_snapshot_and_parsers_are_pinned_key_by_key():
+    assert RunConfig().snapshot() == "\n".join(DEFAULT_SNAPSHOT_LINES) + "\n"
+    assert {key: parser for key, (_, parser) in DEFAULTS.items()} == DEFAULT_PARSERS
+
+
+def test_pipeline_modules_reexport_the_settings():
+    import tinytts.config as config
+    from tinytts import audio, curation, noisegen, toytrain
+    from tinytts.toytrain import model, study
+
+    assert audio.MelConfig is config.MelConfig
+    assert toytrain.ToyConfig is model.ToyConfig is config.ToyConfig
+    assert (curation.INFORMED, curation.RANDOM) == (config.INFORMED, config.RANDOM)
+    assert (curation.BUCKETED, curation.RANDOM_SHUFFLE) == (
+        config.BUCKETED, config.RANDOM_SHUFFLE
+    )
+    assert noisegen.MAX_ABS_DB == config.MAX_ABS_DB
+    assert [(s.name, s.snr_db, s.aug_id) for s in noisegen.DEFAULT_NOISE_SPECS] == list(
+        config.DEFAULT_NOISE_TRIPLES
+    )
+    assert study.DEFAULT_AUG_PROFILES == config.DEFAULT_AUG_PROFILES
+    # the order of the CLI's --study choices
+    assert list(study.STUDIES) == [config.BATCHING, config.AUG_EMBEDDING]
+    assert (toytrain.BATCHING, toytrain.AUG_EMBEDDING) == (
+        config.BATCHING, config.AUG_EMBEDDING
+    )
 
 
 def test_default_snapshot_bytes_are_pinned():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tinytts.cli import main
+from tinytts.config import MAX_DECODE_FRAMES, MAX_PARAMETERS
 from tinytts.errors import BadConfig, MalformedFile
 from tinytts.toytrain import (
     ToyConfig,
@@ -21,7 +22,7 @@ from tinytts.toytrain import (
     save_model,
     train,
 )
-from tinytts.toytrain.model import MAX_DECODE_FRAMES, MAX_PARAMETERS, backward
+from tinytts.toytrain.model import backward
 from tinytts.toytrain.study import BATCHING_PARAMS
 
 TINY = ToyConfig(
