@@ -19,9 +19,9 @@ import numpy as np
 from .audio import ActiveLevelResult, AudioClip, active_speech_level_p56, read_wav
 from .audio import read_wav_info, write_wav
 from .curation import NULL, NUMBER, CorpusEntry, Subset, read_json_rows, write_json_rows
-from .errors import BadConfig, MalformedFile, MissingInput, SourcesFailed, TinyTtsError
+from .errors import BadConfig, MalformedFile, MissingInput
 from .noisegen import NoiseSpec, mix_at_snr
-from .parallel import map_tasks
+from .parallel import map_sources
 
 CLEAN_NAME = "clean"
 CLEAN_AUG_ID = 0
@@ -53,13 +53,6 @@ def derive_seed(master_seed: int, source_id: str, aug_id: int) -> int:
     h.update(b"\x00")
     h.update(aug_id.to_bytes(4, "little", signed=False))
     return int.from_bytes(h.digest(), "little")
-
-
-def _check_specs(specs: list[NoiseSpec]) -> None:
-    """NoiseSpec itself refuses aug_id 0, the clean copy's."""
-    ids = [s.aug_id for s in specs]
-    if len(set(ids)) != len(ids):
-        raise BadConfig(f"duplicate aug_ids in {ids}")
 
 
 def _copy_id(source_id: str, aug_id: int) -> str:
@@ -133,23 +126,6 @@ def _build_source(
     ]
 
 
-def _failure_of(task, entry: CorpusEntry):
-    """task(entry), or the text "<id>: <error>" of the TinyTtsError or OSError
-    it raised."""
-    try:
-        return task(entry)
-    except (TinyTtsError, OSError) as exc:
-        return f"{entry.id}: {exc}"
-
-
-def _raise_failures(outcomes: list) -> None:
-    failures = [o for o in outcomes if isinstance(o, str)]
-    if failures:
-        raise SourcesFailed(
-            f"{len(failures)} source failure(s): " + "; ".join(failures[:20])
-        )
-
-
 def build_augmented_dataset(
     subset: Subset,
     specs: list[NoiseSpec],
@@ -165,16 +141,17 @@ def build_augmented_dataset(
     a time. Every source is attempted, and the manifest is written only if
     every source succeeded; otherwise SourcesFailed names each failed id.
     """
-    _check_specs(specs)
-    check = partial(_check_source, specs=specs)
-    _raise_failures([_failure_of(check, entry) for entry in subset.entries])
+    aug_ids = [s.aug_id for s in specs]  # NoiseSpec itself refuses 0, the clean copy's
+    if len(set(aug_ids)) != len(aug_ids):
+        raise BadConfig(f"duplicate aug_ids in {aug_ids}")
+    ids = [entry.id for entry in subset.entries]
+    map_sources(partial(_check_source, specs=specs), subset.entries, ids)
     out = Path(out_dir)
     wav_dir = out / "wavs"
     wav_dir.mkdir(parents=True, exist_ok=True)
 
     task = partial(_build_source, specs=specs, wav_dir=wav_dir, master_seed=master_seed)
-    per_source = map_tasks(partial(_failure_of, task), subset.entries, jobs)
-    _raise_failures(per_source)
+    per_source = map_sources(task, subset.entries, ids, jobs)
     manifest = [row for rows in per_source for row in rows]
 
     write_json_rows(out / "manifest.jsonl", [asdict(m) for m in manifest], "audio_path")
@@ -208,9 +185,10 @@ class VerifyReport:
     flagged_ids: list[str]  # deviation over SNR_TOLERANCE_DB
 
 
-def _verify_source(source: tuple[str, list[AugManifestEntry]]) -> list[float]:
+def _verify_source(source: tuple[str | None, list[AugManifestEntry]]) -> list[float]:
     """Deviations in dB between achieved active-speech SNR and target for the
-    noisy copies of one source, given as (clean path, noisy rows).
+    noisy copies of one source, given as (clean path or None, noisy rows). A
+    copy whose file or clean file does not exist raises MissingInput first.
 
     The clean file is read once, and P.56 is measured once per distinct
     mixture gain (on the clean samples themselves at gain 1.0); each noisy
@@ -220,6 +198,11 @@ def _verify_source(source: tuple[str, list[AugManifestEntry]]) -> list[float]:
     raises MalformedFile.
     """
     clean_path, noisy = source
+    for m in noisy:
+        if not Path(m.audio_path).exists():
+            raise MissingInput(f"{m.id}: {m.audio_path}")
+        if clean_path is None or not Path(clean_path).exists():
+            raise MissingInput(f"{m.id}: clean source for {m.source_id}")
     clean = read_wav(clean_path)
     by_gain: dict[float, tuple[np.ndarray, float]] = {}
     deviations = []
@@ -250,20 +233,15 @@ def _verify_source(source: tuple[str, list[AugManifestEntry]]) -> list[float]:
 def verify_augmented_dataset(
     manifest: list[AugManifestEntry], jobs: int = 1
 ) -> VerifyReport:
-    """Re-measure the achieved active-speech SNR of every noisy file."""
+    """Re-measure the achieved active-speech SNR of every noisy file, per source."""
     clean = [m for m in manifest if m.aug_id == CLEAN_AUG_ID]
     clean_paths = {m.source_id: m.audio_path for m in clean}
     noisy = [m for m in manifest if m.aug_id != CLEAN_AUG_ID]
     by_source: dict[str, list[AugManifestEntry]] = {}
     for m in noisy:
-        if not Path(m.audio_path).exists():
-            raise MissingInput(f"{m.id}: {m.audio_path}")
-        clean_path = clean_paths.get(m.source_id)
-        if clean_path is None or not Path(clean_path).exists():
-            raise MissingInput(f"{m.id}: clean source for {m.source_id}")
         by_source.setdefault(m.source_id, []).append(m)
-    sources = [(clean_paths[sid], rows) for sid, rows in by_source.items()]
-    per_source = map_tasks(_verify_source, sources, jobs)
+    sources = [(clean_paths.get(sid), rows) for sid, rows in by_source.items()]
+    per_source = map_sources(_verify_source, sources, list(by_source), jobs)
     deviation: dict[str, float] = {}  # noisy row id -> its deviation
     for (_, rows), devs in zip(sources, per_source):
         deviation.update(zip([m.id for m in rows], devs))

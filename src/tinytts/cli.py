@@ -271,10 +271,13 @@ def cmd_toy_gen(args, cfg: RunConfig) -> Result:
 
 def cmd_toy_train(args, cfg: RunConfig) -> Result:
     from .toytrain import ToyModel, load_corpus, save_model, train
+    from .toytrain.model import check_example
     from .toytrain.train import clipped, mean_corpus_loss
 
     toy_cfg = cfg.build("toy")
     corpus = load_corpus(args.corpus)
+    for i, example in enumerate(corpus.examples):  # an error names its corpus index
+        check_example(example, toy_cfg, f"example {i}: ")
     model = ToyModel(toy_cfg)
     initial_loss = mean_corpus_loss(model, corpus.examples)
     report = train(model, corpus, batch_plan_mode=args.batch_mode)

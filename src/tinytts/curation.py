@@ -18,15 +18,8 @@ import numpy as np
 
 from .audio import read_wav_info
 from .config import BUCKETED, INFORMED, RANDOM, RANDOM_SHUFFLE
-from .errors import (
-    BadConfig,
-    MalformedFile,
-    MissingInput,
-    SourcesFailed,
-    TinyTtsError,
-    read_fields,
-    read_utf8,
-)
+from .errors import BadConfig, MalformedFile, MissingInput, read_fields, read_utf8
+from .parallel import map_sources
 
 
 @dataclass
@@ -87,18 +80,10 @@ def load_ljspeech_manifest(root_dir: str | Path) -> list[CorpusEntry]:
 
 
 def measure_durations(entries: list[CorpusEntry]) -> list[CorpusEntry]:
-    """Fill duration_s from WAV headers; failures are collected, not skipped."""
-    failures = []
-    for entry in entries:
-        try:
-            n, rate = read_wav_info(entry.audio_path)
-            entry.duration_s = n / rate
-        except (TinyTtsError, OSError) as exc:
-            failures.append(f"{entry.id}: {exc}")
-    if failures:
-        raise SourcesFailed(
-            f"{len(failures)} file(s) unreadable: " + "; ".join(failures[:20])
-        )
+    """Fill duration_s from WAV headers; SourcesFailed names each unreadable one."""
+    paths, ids = [e.audio_path for e in entries], [e.id for e in entries]
+    for entry, (n, rate) in zip(entries, map_sources(read_wav_info, paths, ids)):
+        entry.duration_s = n / rate
     return entries
 
 

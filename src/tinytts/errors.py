@@ -30,8 +30,8 @@ class MissingInput(TinyTtsError):
 
 
 class SourcesFailed(TinyTtsError):
-    """One or more sources could not be measured or built; the message lists
-    their ids."""
+    """One or more sources could not be measured, built or verified; the
+    message lists their ids."""
 
 
 class ConfigFileError(TinyTtsError):

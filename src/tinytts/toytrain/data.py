@@ -72,7 +72,8 @@ def gen_synthetic_corpus(
         clean = corpus.clean_frames_for(tokens)
         corpus.examples.append(ToyExample(tokens, 0, clean))
         for aug_id, (shift, std) in enumerate(aug_profiles, start=1):
-            noisy = clean + shift + std * gen.standard_normal(clean.shape)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                noisy = clean + shift + std * gen.standard_normal(clean.shape)
             if not np.isfinite(noisy).all():
                 raise BadConfig(f"aug profile {shift:g}:{std:g}: copies overflow")
             corpus.examples.append(ToyExample(tokens, aug_id, noisy))

@@ -91,8 +91,19 @@ def _check_input(tokens: list[int], aug_id: int, cfg: ToyConfig, where: str = ""
         raise BadConfig(f"{where}aug_id {aug_id} not in [0, {cfg.n_aug_ids})")
 
 
+def check_example(example, cfg: ToyConfig, where: str) -> None:
+    """A ToyExample has target frames of width feat_dim, and _check_input's
+    tokens and aug id; else BadConfig, its message led by `where`."""
+    t, width = example.target_frames.shape
+    if t == 0:
+        raise BadConfig(f"{where}no target frames")
+    if width != cfg.feat_dim:
+        raise BadConfig(f"{where}feat dim {width} != {cfg.feat_dim}")
+    _check_input(example.tokens, example.aug_id, cfg, where)
+
+
 def make_batch(examples, cfg: ToyConfig) -> Batch:
-    """Pad a list of ToyExample to rectangular arrays with masks."""
+    """Pad a list of ToyExample, each checked by check_example, into masked arrays."""
     b = len(examples)
     n_max = max(len(e.tokens) for e in examples)
     t_max = max(e.target_frames.shape[0] for e in examples)
@@ -104,13 +115,7 @@ def make_batch(examples, cfg: ToyConfig) -> Batch:
     for i, e in enumerate(examples):
         n = len(e.tokens)
         t = e.target_frames.shape[0]
-        if t == 0:
-            raise BadConfig(f"example {i}: no target frames")
-        if e.target_frames.shape[1] != cfg.feat_dim:
-            raise BadConfig(
-                f"example {i}: feat dim {e.target_frames.shape[1]} != {cfg.feat_dim}"
-            )
-        _check_input(e.tokens, e.aug_id, cfg, f"example {i}: ")
+        check_example(e, cfg, f"example {i}: ")
         tokens[i, :n] = e.tokens
         aug_ids[i] = e.aug_id
         targets[i, :t] = e.target_frames

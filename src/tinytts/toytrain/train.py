@@ -74,15 +74,18 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 def mean_corpus_loss(model: ToyModel, examples: list[ToyExample]) -> float:
-    """Teacher-forced loss over the whole corpus in deterministic batches."""
+    """Teacher-forced loss over the whole corpus in deterministic batches; one
+    that is not finite raises BadConfig, with numpy's warnings silenced."""
     cfg = model.config
     total = 0.0
-    n = 0
-    for start in range(0, len(examples), cfg.batch_size):
-        chunk = examples[start : start + cfg.batch_size]
-        total += forward(model, make_batch(chunk, cfg)).loss * len(chunk)
-        n += len(chunk)
-    return total / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(examples), cfg.batch_size):
+            chunk = examples[start : start + cfg.batch_size]
+            total += forward(model, make_batch(chunk, cfg)).loss * len(chunk)
+    loss = total / len(examples)
+    if not math.isfinite(loss):
+        raise BadConfig(f"corpus loss {loss:g} is not finite")
+    return loss
 
 
 def _train_step(
@@ -107,7 +110,7 @@ def train(
     model: ToyModel, corpus: SyntheticCorpus, batch_plan_mode: str = BUCKETED
 ) -> TrainReport:
     """Run config.steps Adam updates with teacher forcing throughout; BadConfig
-    if a step's loss or gradient norm, or the final loss, is not finite."""
+    if a step's loss or gradient norm, or the final corpus loss, is not finite."""
     cfg = model.config
     if not corpus.examples:
         raise ValueError("corpus is empty")
@@ -122,8 +125,7 @@ def train(
     ])
     step = 0
     epoch = 0
-    # a value that leaves the finite range raises BadConfig below, so numpy's
-    # overflow and invalid-value warnings would only repeat it on stderr
+    # _train_step refuses a non-finite value, so numpy's warnings would repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         while step < cfg.steps:
             batches = plan_batches(
@@ -138,11 +140,8 @@ def train(
                 curve.append(loss)
                 norms.append(norm)
                 step += 1
-        final_loss = mean_corpus_loss(model, corpus.examples)
-    if not math.isfinite(final_loss):
-        raise BadConfig(f"final loss {final_loss:g} over the corpus is not finite")
     return TrainReport(
-        final_loss=final_loss,
+        final_loss=mean_corpus_loss(model, corpus.examples),
         loss_curve=curve,
         grad_norms=norms,
         wall_clock_s=time.perf_counter() - started,

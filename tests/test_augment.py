@@ -21,7 +21,6 @@ from tinytts.curation import CorpusEntry, Subset
 from tinytts.errors import (
     BadConfig,
     MalformedFile,
-    MissingInput,
     SourcesFailed,
 )
 from tinytts.noisegen import (
@@ -148,8 +147,9 @@ def test_verify_flags_edited_snr(tmp_path):
 def test_verify_missing_file(tmp_path):
     subset = make_speech_subset(tmp_path, 1)
     manifest = build_augmented_dataset(subset, default_noise_specs(), tmp_path / "out", 5)
-    Path(manifest[1].audio_path).unlink()
-    with pytest.raises(MissingInput, match=f"{manifest[1].id}: "):
+    missing = manifest[1]
+    Path(missing.audio_path).unlink()
+    with pytest.raises(SourcesFailed, match=re.escape(f"{missing.id}: {missing.audio_path}")):
         verify_augmented_dataset(manifest)
 
 
@@ -177,7 +177,7 @@ def test_verify_refuses_a_copy_unlike_its_clean_file(tmp_path, how, jobs):
     subset = make_speech_subset(tmp_path, 2)
     manifest = build_augmented_dataset(subset, default_noise_specs(), tmp_path / "out", 5)
     victim = mismatch_copy(manifest, how)
-    with pytest.raises(MalformedFile, match=f"{victim.id}: .* its clean file"):
+    with pytest.raises(SourcesFailed, match=f"{victim.id}: .* its clean file"):
         verify_augmented_dataset(manifest, jobs=jobs)
 
 

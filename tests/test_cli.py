@@ -322,12 +322,19 @@ def test_verify_aug_names_an_unreadable_copy(tmp_path, capsys):
     argv = ["augment", "--manifest", _curated_subset(tmp_path, capsys),
             "--out-dir", str(tmp_path / "aug")]
     assert run_cli(capsys, *argv)[0] == 0
-    victim = [m for m in read_aug_manifest(manifest) if m.snr_db is not None][-1]
-    Path(victim.audio_path).write_bytes(b"RIFF")
-    assert main(["verify-aug", "--manifest", str(manifest)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert f"{victim.audio_path}: file shorter than a RIFF header" in err
+    noisy = [m for m in read_aug_manifest(manifest) if m.snr_db is not None]
+    victims = [noisy[0], noisy[-1]]  # the first copy of u0, the last of u1
+    assert [v.source_id for v in victims] == ["u0", "u1"]
+    for victim in victims:
+        Path(victim.audio_path).write_bytes(b"RIFF")
+    # every source is attempted, so both are named, serial or on a pool
+    for jobs in ("1", "2"):
+        assert main(["verify-aug", "--manifest", str(manifest), "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 2 source failure(s): ")
+        for victim in victims:
+            assert f"{victim.source_id}: " in err
+            assert f"{victim.audio_path}: file shorter than a RIFF header" in err
 
 
 @pytest.mark.parametrize("bad_id", ["../esc", "sub/x"])
@@ -852,6 +859,57 @@ def test_toy_train_outside_the_finite_range_prints_one_error_line(tmp_path, caps
     assert code == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def _run_cli_process(*argv: str) -> subprocess.CompletedProcess:
+    """tinytts run as its own process, whose stderr holds every warning too."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-m", "tinytts.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
+@pytest.mark.parametrize("command", ["toy-gen", "toy-train"])
+def test_toy_commands_near_the_float_limit_print_one_error_line(tmp_path, command):
+    # toy-gen: copies at 1e308 +- 1e308 overflow; toy-train --steps 0: copies
+    # at 1e308 are finite, the initial loss over them is not
+    cfg = tmp_path / "toy.cfg"
+    profile = "1e308:1e308" if command == "toy-gen" else "1e308:1"
+    cfg.write_text(TOY_CFG.replace("0.1:0.05", profile))
+    corpus = tmp_path / "corpus.jsonl"
+    proc = _run_cli_process("--config", str(cfg), "toy-gen", "--out", str(corpus))
+    if command == "toy-train":
+        assert proc.returncode == 0, proc.stderr
+        proc = _run_cli_process("--config", str(cfg), "toy-train", "--corpus", str(corpus),
+                                "--out-dir", str(tmp_path / "run"), "--steps", "0")
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("how", ["token", "feat-dim"])
+def test_toy_train_names_the_corpus_index_of_a_refused_example(tmp_path, capsys, how):
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(TOY_CFG)  # 12 examples in batches of 4
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["--config", str(cfg), "toy-gen", "--out", str(corpus)]) == 0
+    rows = [json.loads(line) for line in corpus.read_text().splitlines()]
+    index = 9  # rows[0] is the header; the example is the second of its batch
+    example = rows[1 + index]
+    if how == "token":
+        example["tokens"][-1] = 99
+        message = f"error: example {index}: token outside [1, vocab_size]"
+    else:
+        example["frames"] = [frame[:2] for frame in example["frames"]]
+        message = f"error: example {index}: feat dim 2 != 3"
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    capsys.readouterr()
+    run_dir = tmp_path / "run"
+    code = main(["--config", str(cfg), "toy-train", "--corpus", str(corpus),
+                 "--out-dir", str(run_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not run_dir.exists()
 
 
 def test_toy_infer_refuses_a_checkpoint_with_a_non_finite_parameter(tmp_path, capsys):

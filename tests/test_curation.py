@@ -103,9 +103,12 @@ def test_measure_missing_file_names_id(tmp_path):
     rows = [("a1", "r", "n")]
     write_ljspeech_fixture(tmp_path, rows)
     entries = load_ljspeech_manifest(tmp_path)
-    entries.append(CorpusEntry("ghost", tmp_path / "wavs" / "ghost.wav", "n"))
-    with pytest.raises(SourcesFailed, match="unreadable: .*ghost: "):
+    entries.insert(0, CorpusEntry("ghost", tmp_path / "wavs" / "ghost.wav", "n"))
+    entries.append(CorpusEntry("phantom", tmp_path / "wavs" / "phantom.wav", "n"))
+    # every file is read, so both missing ones are named, and a1 is not
+    with pytest.raises(SourcesFailed, match="^2 source failure.*ghost: .*phantom: ") as caught:
         measure_durations(entries)
+    assert "a1: " not in str(caught.value)
 
 
 def test_informed_prefix_hand_case():
