@@ -4,8 +4,10 @@ Flag precedence: explicit flags > --config file > built-in defaults. `main`
 parses --config once, sets each given flag whose dest is a config key through
 that key's rule, refuses a non-empty --out-dir without --force, and echoes the
 resolved configuration into it once the command returns; commands create the
-directory when they first write there. Each command returns its result as one
-payload, which `main` prints once: as JSON under --json, else as sorted
+directory when they first write there. No flag has an argparse type=: each
+other typed flag is parsed by `_flag` in its command before any file is read,
+so every bad value prints one `error:` line. Each command returns its result
+as one payload, which `main` prints once: as JSON under --json, else as sorted
 `key: value` lines. A command whose output is a CSV document prints only that.
 Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 
@@ -27,6 +29,7 @@ from .config import (
     AUG_EMBEDDING,
     BATCHING,
     BUCKETED,
+    CURATE_BATCH_SIZE,
     DEFAULTS,
     INFORMED,
     RANDOM_SHUFFLE,
@@ -54,13 +57,25 @@ def _jobs(cfg: RunConfig) -> int:
     return jobs
 
 
-def _int_list(flag: str, text: str, rule=int) -> list[int]:
-    """Comma-separated integers of a flag, each parsed by rule (int or a
-    config rule such as seed_int); blank fields are skipped."""
+def _flag(flag: str, text: str, rule):
+    """rule(text) for a flag that mirrors no config key; the rule's ValueError
+    becomes one TinyTtsError naming the flag, its text and the reason."""
     try:
-        return [rule(t) for t in text.split(",") if t.strip()]
+        return rule(text)
     except ValueError as exc:
         raise TinyTtsError(f"{flag} {text!r}: {exc}") from exc
+
+
+def _ints(rule):
+    """The rule of a comma-separated list of rule's values; blank fields are skipped."""
+    return lambda text: [rule(t) for t in text.split(",") if t.strip()]
+
+
+def _label(text: str) -> str:
+    """A sharpness label, which starts its CSV row unquoted."""
+    if any(c in text for c in ',"\r\n'):
+        raise ValueError("a label holds no comma, double quote, CR or LF")
+    return text
 
 
 def build_augmented_dataset(*args, **kwargs):
@@ -101,13 +116,17 @@ def cmd_curate(args, cfg: RunConfig) -> Result:
         subset = curation.select_random_subset(entries, budget, cfg.get("seed"))
 
     selected = {e.id for e in subset.entries}
-    prefix_ok = True
-    if mode == INFORMED:
-        excluded = [e for e in entries if e.id not in selected]
-        if excluded:
-            prefix_ok = max(e.duration_s for e in subset.entries) <= min(
-                e.duration_s for e in excluded
-            )
+    longest = max(e.duration_s for e in subset.entries)
+    prefix_ok = mode != INFORMED or all(
+        e.duration_s >= longest for e in entries if e.id not in selected
+    )
+    padding = {
+        plan: curation.padding_stats(
+            curation.plan_batches(subset, CURATE_BATCH_SIZE, plan, cfg.get("seed")),
+            subset.entries,
+        ).mean_padding_ratio
+        for plan in (BUCKETED, RANDOM_SHUFFLE)
+    }
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     curation.write_subset_manifest(subset, out / "subset.jsonl")
@@ -118,6 +137,9 @@ def cmd_curate(args, cfg: RunConfig) -> Result:
         "budget_s": budget,
         "mode": mode,
         "prefix_property": prefix_ok,
+        "padding_ratio_bucketed": padding[BUCKETED],
+        "padding_ratio_shuffled": padding[RANDOM_SHUFFLE],
+        "symbol_coverage": curation.symbol_histogram(subset, entries)["coverage"],
     }
 
 
@@ -168,8 +190,10 @@ def cmd_mix(args, cfg: RunConfig) -> Result:
     from .audio import read_wav, write_wav
     from .noisegen import mix_at_snr
 
-    clip = read_wav(args.infile)
-    result = mix_at_snr(clip, parse_spectrum(args.noise), args.snr_db, args.noise_seed)
+    spectrum = _flag("--noise", args.noise, parse_spectrum)
+    snr_db = _flag("--snr-db", args.snr_db, finite_snr_db)
+    seed = _flag("--seed", args.noise_seed, seed_int)
+    result = mix_at_snr(read_wav(args.infile), spectrum, snr_db, seed)
     write_wav(result.clip, args.outfile)
     return EXIT_OK, {
         "noise_gain": result.noise_gain,
@@ -200,8 +224,9 @@ def cmd_sharpness(args, cfg: RunConfig) -> Result:
 
     if len(args.attn_dir) != len(args.label):
         raise TinyTtsError("need one --label per --attn-dir")
+    labels = [_flag("--label", text, _label) for text in args.label]
     by_label: dict[str, list] = {}  # label -> its AttentionMatrix dumps
-    for directory, label in zip(args.attn_dir, args.label):
+    for directory, label in zip(args.attn_dir, labels):
         files = sorted(Path(directory).glob("*.attn"))
         if not files:
             raise TinyTtsError(f"no .attn files under {directory}")
@@ -285,19 +310,18 @@ def cmd_toy_train(args, cfg: RunConfig) -> Result:
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.toym")
     norms = report.grad_norms
-    report_payload = {
+    summary = {
         "initial_loss": initial_loss,
         "final_loss": report.final_loss,
         "steps": len(report.loss_curve),
         "seed": toy_cfg.seed,
-        "wall_clock_s": report.wall_clock_s,
         "clipped_steps": sum(clipped(n, toy_cfg.grad_clip_norm) for n in norms),
-        "loss_curve": report.loss_curve,
-        "grad_norms": norms,
     }
-    report_text = json.dumps(report_payload, indent=2) + "\n"
+    curves = {"loss_curve": report.loss_curve, "grad_norms": norms}
+    report_text = json.dumps(summary | curves, indent=2) + "\n"
     (out / "train_report.json").write_text(report_text, encoding="utf-8")
-    return EXIT_OK, {k: v for k, v in report_payload.items() if not isinstance(v, list)}
+    # stdout alone has the wall clock, which differs between identical runs
+    return EXIT_OK, summary | {"wall_clock_s": report.wall_clock_s}
 
 
 def cmd_toy_infer(args, cfg: RunConfig) -> Result:
@@ -305,9 +329,10 @@ def cmd_toy_infer(args, cfg: RunConfig) -> Result:
     from .evalkit import AttentionMatrix, write_attention
     from .toytrain import infer, load_model
 
-    tokens = _int_list("--tokens", args.tokens)
+    tokens = _flag("--tokens", args.tokens, _ints(int))
+    aug_id = _flag("--aug-id", args.aug_id, int)
     model = load_model(args.model)
-    frames, gates, attn = infer(model, tokens, args.aug_id)
+    frames, gates, attn = infer(model, tokens, aug_id)
     if args.out_frames:
         write_melb(frames, args.out_frames)
     if args.out_attn:
@@ -319,24 +344,11 @@ def cmd_study(args, cfg: RunConfig) -> Result:
     from .toytrain import run_study
 
     jobs = _jobs(cfg)
-    seeds = _int_list("--seeds", args.seeds, seed_int)
+    seeds = _flag("--seeds", args.seeds, _ints(seed_int))
     return EXIT_OK, run_study(args.study, seeds, args.out_dir, jobs=jobs)
 
 
 # --- argument parser ---
-
-def _flag_type(rule):
-    """rule as an argparse type=, whose ValueError argparse prints with its
-    reason rather than as "invalid <rule name> value"."""
-
-    def parse(text: str):
-        try:
-            return rule(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-
-    return parse
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -348,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="print the result as one JSON object"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # a flag whose dest is a config.DEFAULTS key is parsed by that key's rule in
-    # main, so it carries no type= or choices= of its own
 
     p = sub.add_parser("curate", help="select a training subset from a corpus")
     p.add_argument("--corpus-root", dest="corpus_root")
@@ -382,9 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--noise", default="white", help="white|usasi|sensor|<table.csv>")
-    p.add_argument("--snr-db", type=_flag_type(finite_snr_db), required=True)
+    p.add_argument("--snr-db", required=True)
     # seeds the noise only; not the config's seed key
-    p.add_argument("--seed", dest="noise_seed", type=_flag_type(seed_int), default=0)
+    p.add_argument("--seed", dest="noise_seed", default="0")
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("mel", help="extract a MELB mel spectrogram")
@@ -431,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("toy-infer", help="run inference with a trained toy model")
     p.add_argument("--model", required=True)
     p.add_argument("--tokens", required=True, help="comma-separated token ids")
-    p.add_argument("--aug-id", type=_flag_type(int), default=0)
+    p.add_argument("--aug-id", default="0")
     p.add_argument("--out-frames", help="MELB output path")
     p.add_argument("--out-attn", help="ATTN1 output path")
     p.set_defaults(func=cmd_toy_infer)
@@ -448,9 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:

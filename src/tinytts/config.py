@@ -10,9 +10,9 @@ that ran.
 
 Every setting is declared here once, and the pipeline modules import it from
 here: MelConfig and ToyConfig with their caps, the selection, batch-plan and
-study names, MAX_ABS_DB, the default noise specs and aug profiles. This
-module imports only the standard library and tinytts.errors, so the CLI can
-parse its flags and its config without loading numpy or a pipeline;
+study names, MAX_ABS_DB, CURATE_BATCH_SIZE, the default noise specs and aug
+profiles. This module imports only the standard library and tinytts.errors,
+so the CLI can parse its flags and its config without loading numpy or a pipeline;
 parse_spectrum and parse_noise_specs load noisegen when they are called.
 The `mel.*` and `toy.*` keys are the fields of MelConfig and ToyConfig, with
 the dataclass defaults; no default is written twice.
@@ -45,6 +45,8 @@ MAX_ABS_DB = 300.0
 DEFAULT_NOISE_TRIPLES = (("white", 25.0, 1), ("usasi", 15.0, 2), ("sensor", 20.0, 3))
 # the `toy.aug_profiles` default and the augembedding study's, as (shift, std)
 DEFAULT_AUG_PROFILES = ((0.0, 0.1), (0.2, 0.05), (-0.15, 0.08))
+
+CURATE_BATCH_SIZE = 16  # of the plans whose padding curate reports; not a key
 
 # bound the filterbank, n_mels x (n_fft // 2 + 1) doubles, at 67 MB
 MAX_N_FFT = 2**15
@@ -200,10 +202,8 @@ _VOLATILE_KEYS = {"jobs"}
 
 
 class RunConfig:
-    def __init__(self, values: dict[str, object] | None = None):
+    def __init__(self):
         self.values = {k: v for k, (v, _) in DEFAULTS.items()}
-        if values:
-            self.values.update(values)
 
     def get(self, key: str):
         if key not in DEFAULTS:
@@ -226,16 +226,11 @@ class RunConfig:
     def build(self, prefix: str):
         """The MelConfig ("mel") or ToyConfig ("toy") of the `prefix.*` values."""
         cls = SECTIONS[prefix]
-        names = [f.name for f in fields(cls)]
-        return cls(**{name: self.values[f"{prefix}.{name}"] for name in names})
+        return cls(**{f.name: self.values[f"{prefix}.{f.name}"] for f in fields(cls)})
 
     def snapshot(self) -> str:
-        lines = [
-            f"{k} = {self.values[k]}"
-            for k in sorted(DEFAULTS)
-            if k not in _VOLATILE_KEYS
-        ]
-        return "\n".join(lines) + "\n"
+        keys = sorted(DEFAULTS.keys() - _VOLATILE_KEYS)
+        return "".join(f"{k} = {self.values[k]}\n" for k in keys)
 
 
 def load_config_file(path: str | Path) -> RunConfig:

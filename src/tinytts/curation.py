@@ -11,6 +11,7 @@ zero padding small.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -163,27 +164,19 @@ def padding_stats(
     return PaddingReport(per_batch, mean)
 
 
-def symbol_histogram(
-    subset: Subset, full_entries: list[CorpusEntry] | None = None
-) -> dict:
-    """Case-folded character counts plus coverage of the full-corpus inventory."""
+def symbol_histogram(subset: Subset, full_entries: list[CorpusEntry]) -> dict:
+    """Case-folded character counts of the subset, and the share of the
+    full corpus's symbol inventory that it covers."""
     if not subset.entries:
         raise BadConfig("no entries to count")
 
-    def symbols_of(text: str):
-        return [ch for ch in text.casefold() if not ch.isspace()]
+    def symbols_of(entries: list[CorpusEntry]):
+        return (ch for e in entries for ch in e.text.casefold() if not ch.isspace())
 
-    counts: dict[str, int] = {}
-    for entry in subset.entries:
-        for sym in symbols_of(entry.text):
-            counts[sym] = counts.get(sym, 0) + 1
+    counts = Counter(symbols_of(subset.entries))
     total = sum(counts.values())
     histogram = {s: (c, c / total) for s, c in sorted(counts.items())}
-
-    reference = full_entries if full_entries is not None else subset.entries
-    inventory = set()
-    for entry in reference:
-        inventory.update(symbols_of(entry.text))
+    inventory = set(symbols_of(full_entries))
     coverage = len(set(counts) & inventory) / len(inventory) if inventory else 1.0
     return {"symbols": histogram, "coverage": coverage}
 

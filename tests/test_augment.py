@@ -153,6 +153,16 @@ def test_verify_missing_file(tmp_path):
         verify_augmented_dataset(manifest)
 
 
+def test_verify_missing_clean_file(tmp_path):
+    subset = make_speech_subset(tmp_path, 2)
+    manifest = build_augmented_dataset(subset, default_noise_specs(), tmp_path / "out", 5)
+    clean = next(m for m in manifest if m.aug_id == 0)
+    Path(clean.audio_path).unlink()
+    with pytest.raises(SourcesFailed, match="^1 source failure") as exc:
+        verify_augmented_dataset(manifest)
+    assert f"clean source for {clean.source_id}" in str(exc.value)
+
+
 def mismatch_copy(manifest: list[AugManifestEntry], how: str) -> AugManifestEntry:
     """Edit the files of the first source so that its first noisy copy cannot
     come from its clean file: the copy made 100 samples longer ("longer"), or

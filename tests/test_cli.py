@@ -46,8 +46,35 @@ def test_curate_informed(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["n_selected"] == 3
     assert payload["prefix_property"] is True
+    # one batch of 1, 2 and 3 s under either plan; symbols t, e, x, 0, 1, 2 of
+    # the corpus's t, e, x, 0-5
+    assert payload["padding_ratio_bucketed"] == pytest.approx(1 / 3)
+    assert payload["padding_ratio_shuffled"] == pytest.approx(1 / 3)
+    assert payload["symbol_coverage"] == pytest.approx(6 / 9)
     assert (tmp_path / "out" / "subset.jsonl").exists()
     assert (tmp_path / "out" / "resolved_config.txt").exists()
+
+
+def test_curate_random_stays_in_budget_and_repeats_by_seed(tmp_path, capsys):
+    durations = [3, 1, 2, 5, 4, 6, 2, 3, 1, 4] * 4
+    rows = [(f"u{i}", "r", f"text {i}") for i in range(len(durations))]
+    write_ljspeech_fixture(tmp_path / "corpus", rows, durations_s=durations)
+    subsets, payloads = [], []
+    for name in ("a", "b"):
+        code, out = run_cli(
+            capsys, "--json", "curate", "--corpus-root", str(tmp_path / "corpus"),
+            "--mode", "random", "--seed", "7", "--budget-s", "40",
+            "--out-dir", str(tmp_path / name),
+        )
+        assert code == 0
+        payloads.append(json.loads(out))
+        subsets.append((tmp_path / name / "subset.jsonl").read_bytes())
+    assert subsets[0] == subsets[1] and payloads[0] == payloads[1]
+    payload = payloads[0]
+    assert payload["mode"] == "random" and 0 < payload["total_s"] <= 40
+    assert 0 < payload["n_selected"] < len(durations)
+    # bucketing never pads more than shuffling the same subset
+    assert payload["padding_ratio_bucketed"] <= payload["padding_ratio_shuffled"]
 
 
 def test_curate_rejects_nonempty_out_dir(tmp_path, capsys):
@@ -595,19 +622,35 @@ def test_toy_infer_names_a_file_that_is_not_a_checkpoint(tmp_path, capsys):
     assert f"error: {path}: bad magic" in capsys.readouterr().err
 
 
+MIX = ["mix", "--in", "a.wav", "--out", "b.wav"]
+INFER = ["toy-infer", "--model", "missing.toym"]
+NOT_INT = "invalid literal for int() with base 10: 'x'"
+
+
 @pytest.mark.parametrize(
-    "argv, reason",
+    "argv, error",
     [
-        (["mix", "--snr-db", "4000"], "argument --snr-db: |snr_db| 4000 is above 300"),
-        (["mix", "--seed", "-1"], "argument --seed: seed -1 is outside [0, 2**64)"),
-        (["toy-infer", "--tokens", "1", "--aug-id", "x"], "argument --aug-id: invalid literal"),
+        ([*MIX, "--snr-db", "4000"], "--snr-db '4000': |snr_db| 4000 is above 300"),
+        ([*MIX, "--snr-db", "10", "--seed", "-1"],
+         "--seed '-1': seed -1 is outside [0, 2**64)"),
+        ([*INFER, "--tokens", "1", "--aug-id", "x"], f"--aug-id 'x': {NOT_INT}"),
+        ([*INFER, "--tokens", "1,x"], f"--tokens '1,x': {NOT_INT}"),
+        (["study", "--study", "batching", "--seeds", "1,2,x", "--out-dir", "out"],
+         f"--seeds '1,2,x': {NOT_INT}"),
+        (["sharpness", "--attn-dir", "attn", "--label", "a,b"],
+         "--label 'a,b': a label holds no comma, double quote, CR or LF"),
+        (["sharpness", "--attn-dir", "attn", "--label", "a\nb"],
+         "--label 'a\\nb': a label holds no comma, double quote, CR or LF"),
     ],
-    ids=["snr-db", "seed", "aug-id"],
+    ids=["snr-db", "seed", "aug-id", "tokens", "seeds", "label-comma", "label-newline"],
 )
-def test_typed_flag_prints_its_rule_reason(tmp_path, capsys, argv, reason):
-    # argparse alone would print "invalid finite_snr_db value: '4000'"
+def test_typed_flag_prints_its_rule_reason(tmp_path, capsys, monkeypatch, argv, error):
+    # one line naming the flag, before any file is read or written: the model
+    # file does not exist, so loading it first would exit 2 instead
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
-    assert reason in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_toy_train_malformed_corpus_exits_cleanly(tmp_path, capsys):
@@ -956,6 +999,25 @@ def test_toy_train_report_has_gradient_norms_and_clip_count(tmp_path, capsys):
     summary = json.loads(out)
     assert summary["clipped_steps"] == report["clipped_steps"]
     assert "grad_norms" not in summary and "loss_curve" not in summary
+
+
+def test_toy_train_rebuilds_byte_for_byte(tmp_path, capsys):
+    # the wall clock goes to stdout only, so a rerun writes the same bytes
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text("toy.vocab_size = 4\ntoy.feat_dim = 3\ntoy.n_utts = 6\n")
+    corpus = tmp_path / "corpus.jsonl"
+    assert run_cli(capsys, "--config", str(cfg), "toy-gen", "--out", str(corpus))[0] == 0
+    runs = []
+    for name in ("a", "b"):
+        code, out = run_cli(
+            capsys, "--config", str(cfg), "--json", "toy-train", "--corpus", str(corpus),
+            "--out-dir", str(tmp_path / name), "--steps", "4",
+        )
+        assert code == 0 and "wall_clock_s" in json.loads(out)
+        runs.append([(tmp_path / name / f).read_bytes()
+                     for f in ("train_report.json", "model.toym")])
+    assert runs[0] == runs[1]
+    assert "wall_clock_s" not in json.loads(runs[0][0])
 
 
 IMPORTS = """

@@ -220,7 +220,7 @@ def test_bucketed_beats_shuffle_padding_property():
 
 def test_symbol_histogram_basic():
     subset = Subset([entry(0, 1, "ab"), entry(1, 1, "ba")])
-    result = symbol_histogram(subset)
+    result = symbol_histogram(subset, subset.entries)
     assert result["symbols"]["a"] == (2, 0.5)
     assert result["symbols"]["b"] == (2, 0.5)
     assert result["coverage"] == 1.0

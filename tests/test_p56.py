@@ -158,6 +158,21 @@ def test_active_counts_match_loop_on_speech_envelopes():
             )
 
 
+def test_margin_never_reached_takes_the_highest_crossed_rung():
+    # one 0.5 sample in 1 s of silence: the envelope crosses rungs up to 2**-12
+    # (ladder index 18) but never comes within the margin, so the ladder walk
+    # stops at the first empty rung and falls back to the highest crossed one
+    x = np.zeros(22050)
+    x[0] = 0.5
+    r = active_speech_level_p56(AudioClip(x, 22050))
+    counts = _loop_active_counts(_envelope(x, 22050), LADDER, _hang(22050))
+    top = int(np.flatnonzero(counts)[-1])
+    assert top == 18 and counts[top + 1] == 0
+    assert r.active_level_db == 10 * np.log10(0.25 / counts[top])
+    assert r.active_level_db == pytest.approx(-43.09, abs=0.005)
+    assert r.activity_factor == pytest.approx(0.231, abs=0.0005)
+
+
 def _lfilter_envelope(x, fs):
     """Oracle: |x| through the two smoothers as two sample-by-sample recursions."""
     g = np.exp(-1.0 / (fs * SMOOTHING_TIME_S))
