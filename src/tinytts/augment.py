@@ -71,7 +71,10 @@ def _check_source(entry: CorpusEntry, specs: list[NoiseSpec]) -> None:
             )
     _, rate = read_wav_info(entry.audio_path)
     for spec in specs:
-        spec.spectrum.check_rate(rate)
+        try:
+            spec.spectrum.check_rate(rate)
+        except BadConfig as exc:
+            raise BadConfig(f"noise spec {spec.name!r}: {exc}") from exc
 
 
 def _write_copy(

@@ -37,8 +37,6 @@ from .config import (
     finite_snr_db,
     load_config_file,
     parse_aug_profiles,
-    parse_noise_specs,
-    parse_spectrum,
     seed_int,
 )
 from .errors import TinyTtsError, read_fields, read_utf8
@@ -145,6 +143,7 @@ def cmd_curate(args, cfg: RunConfig) -> Result:
 
 def cmd_augment(args, cfg: RunConfig) -> Result:
     from .curation import read_subset_manifest
+    from .noisegen import parse_noise_specs
 
     specs = parse_noise_specs(cfg.get("noise_specs"))
     jobs = _jobs(cfg)
@@ -188,7 +187,7 @@ def cmd_p56(args, cfg: RunConfig) -> Result:
 
 def cmd_mix(args, cfg: RunConfig) -> Result:
     from .audio import read_wav, write_wav
-    from .noisegen import mix_at_snr
+    from .noisegen import mix_at_snr, parse_spectrum
 
     spectrum = _flag("--noise", args.noise, parse_spectrum)
     snr_db = _flag("--snr-db", args.snr_db, finite_snr_db)

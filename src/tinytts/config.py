@@ -10,10 +10,10 @@ that ran.
 
 Every setting is declared here once, and the pipeline modules import it from
 here: MelConfig and ToyConfig with their caps, the selection, batch-plan and
-study names, MAX_ABS_DB, CURATE_BATCH_SIZE, the default noise specs and aug
-profiles. This module imports only the standard library and tinytts.errors,
-so the CLI can parse its flags and its config without loading numpy or a pipeline;
-parse_spectrum and parse_noise_specs load noisegen when they are called.
+study names, MAX_ABS_DB, CURATE_BATCH_SIZE, the default noise specs (as the
+`noise_specs` text) and aug profiles. This module imports only the standard
+library and tinytts.errors, so the CLI can parse its flags and its config
+without loading numpy or a pipeline.
 The `mel.*` and `toy.*` keys are the fields of MelConfig and ToyConfig, with
 the dataclass defaults; no default is written twice.
 """
@@ -41,8 +41,6 @@ AUG_EMBEDDING = "augembedding"
 # 10 ** (db / 10) neither overflows nor underflows
 MAX_ABS_DB = 300.0
 
-# the `noise_specs` default as (spectrum name, snr_db, aug_id) triples
-DEFAULT_NOISE_TRIPLES = (("white", 25.0, 1), ("usasi", 15.0, 2), ("sensor", 20.0, 3))
 # the `toy.aug_profiles` default and the augembedding study's, as (shift, std)
 DEFAULT_AUG_PROFILES = ((0.0, 0.1), (0.2, 0.05), (-0.15, 0.08))
 
@@ -178,10 +176,7 @@ DEFAULTS: dict[str, tuple[object, type]] = {
     "seed": (0, seed_int),
     "master_seed": (0, seed_int),
     "jobs": (1, int),
-    "noise_specs": (
-        ",".join(f"{name}:{snr:g}:{aug_id}" for name, snr, aug_id in DEFAULT_NOISE_TRIPLES),
-        str,
-    ),
+    "noise_specs": ("white:25:1,usasi:15:2,sensor:20:3", str),
     **{
         f"{prefix}.{f.name}": (
             f.default, seed_int if f.name == "seed" else type(f.default)
@@ -266,20 +261,9 @@ def finite_snr_db(text: str) -> float:
     return value
 
 
-def parse_spectrum(name: str):
-    """white/usasi/sensor, or a path to a freq_hz,power_db CSV table."""
-    from . import noisegen
-
-    if name in noisegen.SPECTRA:
-        return noisegen.SPECTRA[name]
-    if name.endswith(".csv"):
-        return noisegen.read_psd_table_csv(name)
-    raise ConfigFileError(f"unknown spectrum {name!r}")
-
-
-def _parse_items(raw: str, what: str, usage: str, parse) -> list:
+def parse_items(raw: str, what: str, usage: str, parse) -> list:
     """parse(*fields) per comma-separated item, its colon fields split from the
-    right (CSV paths may hold colons); ConfigFileError on a bad item."""
+    right (CSV paths may hold colons); ConfigFileError naming a bad item."""
     n_colons = usage.count(":")
     out = []
     for item in raw.split(",") if raw.strip() else []:
@@ -288,23 +272,9 @@ def _parse_items(raw: str, what: str, usage: str, parse) -> list:
             if len(parts) != n_colons + 1:
                 raise ValueError(f"expected {usage}")
             out.append(parse(*parts))
-        except ValueError as exc:
+        except (ValueError, BadConfig) as exc:
             raise ConfigFileError(f"{what} {item!r}: {exc}") from exc
     return out
-
-
-def _noise_spec(name: str, snr_raw: str, aug_raw: str):
-    from .noisegen import NoiseSpec
-
-    snr, aug_id = finite_snr_db(snr_raw), int(aug_raw)
-    stem = Path(name).stem if name.endswith(".csv") else name
-    return NoiseSpec(stem, parse_spectrum(name), snr, aug_id)
-
-
-def parse_noise_specs(raw: str) -> list:
-    """Decode `name:snr:aug_id` triples into noisegen.NoiseSpecs; name is
-    white/usasi/sensor or a CSV path."""
-    return _parse_items(raw, "noise spec", "name:snr_db:aug_id", _noise_spec)
 
 
 def parse_aug_profiles(raw: str) -> list[tuple[float, float]]:
@@ -313,4 +283,4 @@ def parse_aug_profiles(raw: str) -> list[tuple[float, float]]:
     def profile(shift: str, std: str) -> tuple[float, float]:
         return finite_float(shift), finite_float(std)
 
-    return _parse_items(raw, "aug profile", "shift:std", profile)
+    return parse_items(raw, "aug profile", "shift:std", profile)

@@ -28,20 +28,21 @@ class AttentionMatrix:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.ndim != 2 or self.weights.size == 0:
             raise BadConfig("weights must be a non-empty T x N matrix")
-        _check_rows(self.weights)
-
-
-def _check_rows(weights: np.ndarray) -> None:
-    # each test is written to hold for valid values, so NaN fails it
-    outside = ~((weights >= -1e-12) & (weights <= 1.0 + 1e-12))
-    if outside.any():
-        bad = int(np.argwhere(outside)[0][0])
-        raise BadConfig(f"row {bad}: weight outside [0, 1]")
-    sums = weights.sum(axis=1)
-    off = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)
-    if off.any():
-        bad = int(np.argmax(off))
-        raise BadConfig(f"row {bad} sums to {sums[bad]:.6f}")
+        # each test is written to hold for valid values, so NaN fails it; the
+        # BadConfig's `row` lets a file's reader name that row's line
+        outside = ~((self.weights >= -1e-12) & (self.weights <= 1.0 + 1e-12))
+        if outside.any():
+            bad = int(np.argwhere(outside)[0][0])
+            exc = BadConfig(f"row {bad}: weight outside [0, 1]")
+        else:
+            sums = self.weights.sum(axis=1)
+            off = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)
+            if not off.any():
+                return
+            bad = int(np.argmax(off))
+            exc = BadConfig(f"row {bad} sums to {sums[bad]:.6f}")
+        exc.row = bad
+        raise exc
 
 
 def sharpness_score(a: AttentionMatrix) -> float:
@@ -114,4 +115,8 @@ def read_attention(path: str | Path) -> AttentionMatrix:
             rows.append([float(v) for v in vals])
         except ValueError as exc:
             raise MalformedFile(f"{path}:{line_no}: {exc}") from exc
-    return AttentionMatrix(np.array(rows))
+    try:
+        return AttentionMatrix(np.array(rows))
+    except BadConfig as exc:  # a row's fault names its line, any other the header's
+        line_no = body[exc.row][0] if hasattr(exc, "row") else lines[0][0]
+        raise MalformedFile(f"{path}:{line_no}: {exc}") from exc

@@ -14,11 +14,12 @@ utterance, per utterance: (active speech power) / (noise mean power)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .audio import ActiveLevelResult, AudioClip, active_speech_level_p56
-from .config import DEFAULT_NOISE_TRIPLES, MAX_ABS_DB
+from .config import DEFAULTS, MAX_ABS_DB, finite_snr_db, parse_items
 from .errors import BadConfig, MalformedFile, UnusableSignal, read_fields
 
 USASI_HIGHPASS_HZ = 100.0
@@ -74,11 +75,12 @@ class SpectrumSpec:
 
     def check_rate(self, sample_rate_hz: int) -> None:
         """A PSD table may not run above the Nyquist frequency of the audio."""
-        if self.kind == PSD_TABLE and self.psd_points[-1][0] > sample_rate_hz / 2.0:
-            raise BadConfig("PSD table frequency above Nyquist")
+        nyquist = sample_rate_hz / 2.0
+        if self.kind == PSD_TABLE and (top := self.psd_points[-1][0]) > nyquist:
+            raise BadConfig(f"PSD table frequency above Nyquist: {top:g} > {nyquist:g} Hz")
 
 
-# the named spectra of noise specs (config.parse_spectrum)
+# the named spectra of noise specs (parse_spectrum)
 SPECTRA = {
     "white": SpectrumSpec(WHITE),
     "usasi": SpectrumSpec(USASI),
@@ -101,16 +103,30 @@ class NoiseSpec:
             raise BadConfig(f"aug_id {self.aug_id} is outside [1, 2**32)")
 
 
-# the `noise_specs` config default
-DEFAULT_NOISE_SPECS = tuple(
-    NoiseSpec(name, SPECTRA[name], snr_db, aug_id)
-    for name, snr_db, aug_id in DEFAULT_NOISE_TRIPLES
-)
+def parse_spectrum(name: str) -> SpectrumSpec:
+    """white/usasi/sensor, or a path to a freq_hz,power_db CSV table; ValueError
+    on any other name."""
+    if name in SPECTRA:
+        return SPECTRA[name]
+    if name.endswith(".csv"):
+        return read_psd_table_csv(name)
+    raise ValueError(f"unknown spectrum {name!r}")
+
+
+def _noise_spec(name: str, snr_raw: str, aug_raw: str) -> NoiseSpec:
+    snr, aug_id = finite_snr_db(snr_raw), int(aug_raw)  # so a bad one reads no CSV
+    stem = Path(name).stem if name.endswith(".csv") else name
+    return NoiseSpec(stem, parse_spectrum(name), snr, aug_id)
+
+
+def parse_noise_specs(raw: str) -> list[NoiseSpec]:
+    """`name:snr_db:aug_id` items as NoiseSpecs; ConfigFileError names a bad item."""
+    return parse_items(raw, "noise spec", "name:snr_db:aug_id", _noise_spec)
 
 
 def default_noise_specs() -> list[NoiseSpec]:
     """The specs of the `noise_specs` config default (white, USASI, sensor)."""
-    return list(DEFAULT_NOISE_SPECS)
+    return parse_noise_specs(DEFAULTS["noise_specs"][0])
 
 
 def white_gaussian(n: int, seed: int) -> np.ndarray:
@@ -222,4 +238,7 @@ def read_psd_table_csv(path) -> SpectrumSpec:
             pts.append((float(freq), float(power)))
         except ValueError as exc:
             raise MalformedFile(f"{path}:{line_no}: {exc}") from exc
-    return SpectrumSpec(PSD_TABLE, tuple(pts))
+    try:
+        return SpectrumSpec(PSD_TABLE, tuple(pts))
+    except BadConfig as exc:
+        raise MalformedFile(f"{path}: {exc}") from exc

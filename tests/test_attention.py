@@ -117,5 +117,8 @@ def test_attn_dimension_mismatch(tmp_path):
 def test_attn_non_stochastic_row_reported(tmp_path):
     path = tmp_path / "bad.attn"
     path.write_text("ATTN1 2 2\n0.5 0.5\n0.4 0.4\n")
-    with pytest.raises(BadConfig, match="row 1 sums to"):
+    with pytest.raises(MalformedFile, match=re.escape(f"{path}:3: row 1 sums to 0.8")):
+        read_attention(path)
+    path.write_text("ATTN1 0 5\n")  # no row at fault: the header's line is named
+    with pytest.raises(MalformedFile, match=re.escape(f"{path}:1: weights must be")):
         read_attention(path)

@@ -282,17 +282,20 @@ ABOVE_8KHZ = NoiseSpec(
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize(
-    "bad_clip, extra_specs, n_written",
+    "bad_clip, extra_specs, n_written, why",
     [
         # silent: P.56 fails when the source renders; the good sources write
-        (AudioClip(np.zeros(22050), 22050), [], 2 * 4),
+        (AudioClip(np.zeros(22050), 22050), [], 2 * 4, "all-zero signal"),
         # table above Nyquist: the rate check fails before any WAV is written
-        (speech_like(7, duration_s=1.2, fs=16000), [ABOVE_8KHZ], 0),
+        (
+            speech_like(7, duration_s=1.2, fs=16000), [ABOVE_8KHZ], 0,
+            "noise spec 'hiss': PSD table frequency above Nyquist: 11000 > 8000 Hz",
+        ),
     ],
     ids=["silent", "16khz"],
 )
 def test_failed_source_writes_no_manifest_and_no_copies(
-    tmp_path, jobs, bad_clip, extra_specs, n_written
+    tmp_path, jobs, bad_clip, extra_specs, n_written, why
 ):
     subset = make_speech_subset(tmp_path, 2)
     bad = tmp_path / "clean" / "bad.wav"
@@ -300,7 +303,7 @@ def test_failed_source_writes_no_manifest_and_no_copies(
     subset.entries.insert(1, CorpusEntry("bad", bad, "quiet", bad_clip.duration_s))
     out = tmp_path / "out"
     specs = default_noise_specs() + extra_specs
-    with pytest.raises(SourcesFailed, match="source failure.*bad: "):
+    with pytest.raises(SourcesFailed, match=f"source failure.*bad: {re.escape(why)}"):
         build_augmented_dataset(subset, specs, out, 1, jobs=jobs)
     assert not (out / "manifest.jsonl").exists()
     assert list((out / "wavs").glob("bad__*")) == []

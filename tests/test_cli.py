@@ -223,15 +223,21 @@ def test_wer_tsv_input(tmp_path, capsys):
     [([], "--ref"), (["--ref", "{good}"], "--ref"),
      (["--ref", "{bad}", "--hyp", "{good}"], "{bad}:2: not UTF-8"),
      (["--ref", "{good}", "--hyp", "{bad}"], "{bad}:2: not UTF-8"),
-     (["--tsv", "{bad}"], "{bad}:2: not UTF-8")],
-    ids=["no-input", "ref-only", "bad-utf8-ref", "bad-utf8-hyp", "bad-utf8-tsv"],
+     (["--tsv", "{bad}"], "{bad}:2: not UTF-8"),
+     (["--tsv", "{empty}"], "no sentence pairs"),
+     (["--ref", "{good}", "--hyp", "{empty}"],
+      "line count mismatch: 1 references vs 0 hypotheses")],
+    ids=["no-input", "ref-only", "bad-utf8-ref", "bad-utf8-hyp", "bad-utf8-tsv",
+         "empty-tsv", "line-count"],
 )
 def test_wer_bad_input_exits_cleanly(tmp_path, capsys, command, inputs, message):
     good = tmp_path / "good.txt"
     good.write_text("a b\n")
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"a\tb\r\na\tb\xff\n")
-    argv = [a.format(good=good, bad=bad) for a in inputs]
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    argv = [a.format(good=good, bad=bad, empty=empty) for a in inputs]
     assert main([command, *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message.format(bad=bad) in err
@@ -624,6 +630,7 @@ def test_toy_infer_names_a_file_that_is_not_a_checkpoint(tmp_path, capsys):
 
 MIX = ["mix", "--in", "a.wav", "--out", "b.wav"]
 INFER = ["toy-infer", "--model", "missing.toym"]
+AUGMENT = ["augment", "--manifest", "missing.jsonl", "--out-dir", "out"]
 NOT_INT = "invalid literal for int() with base 10: 'x'"
 
 
@@ -641,8 +648,15 @@ NOT_INT = "invalid literal for int() with base 10: 'x'"
          "--label 'a,b': a label holds no comma, double quote, CR or LF"),
         (["sharpness", "--attn-dir", "attn", "--label", "a\nb"],
          "--label 'a\\nb': a label holds no comma, double quote, CR or LF"),
+        ([*MIX, "--noise", "pink", "--snr-db", "10"],
+         "--noise 'pink': unknown spectrum 'pink'"),
+        ([*AUGMENT, "--noise-specs", "white:10:1,pink:10:2"],
+         "noise spec 'pink:10:2': unknown spectrum 'pink'"),
+        ([*AUGMENT, "--noise-specs", "white:10:0"],
+         "noise spec 'white:10:0': aug_id 0 is outside [1, 2**32)"),
     ],
-    ids=["snr-db", "seed", "aug-id", "tokens", "seeds", "label-comma", "label-newline"],
+    ids=["snr-db", "seed", "aug-id", "tokens", "seeds", "label-comma", "label-newline",
+         "noise", "noise-specs-spectrum", "noise-specs-aug-id"],
 )
 def test_typed_flag_prints_its_rule_reason(tmp_path, capsys, monkeypatch, argv, error):
     # one line naming the flag, before any file is read or written: the model
@@ -651,6 +665,42 @@ def test_typed_flag_prints_its_rule_reason(tmp_path, capsys, monkeypatch, argv, 
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {error}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+DOWN_CSV = {"down.csv": "freq_hz,power_db\n1000,0\n100,6\n"}
+NOT_INCREASING = "down.csv: PSD table frequencies must strictly increase"
+SHARPNESS = ["sharpness", "--attn-dir", "attn", "--label", "x"]
+
+
+@pytest.mark.parametrize(
+    "files, argv, error",
+    [
+        (DOWN_CSV, [*MIX, "--noise", "down.csv", "--snr-db", "10"], NOT_INCREASING),
+        (DOWN_CSV, [*AUGMENT, "--noise-specs", "down.csv:10:1"], NOT_INCREASING),
+        ({"attn/u.attn": "ATTN1 1 2\n0.2 0.3\n"}, SHARPNESS,
+         "attn/u.attn:2: row 0 sums to 0.500000"),
+        ({"attn/u.attn": "ATTN1 0 5\n"}, SHARPNESS,
+         "attn/u.attn:1: weights must be a non-empty T x N matrix"),
+        ({"attn/u.txt": ""}, SHARPNESS, "no .attn files under attn"),
+        ({}, ["sharpness", "--attn-dir", "a", "--attn-dir", "b", "--label", "x"],
+         "need one --label per --attn-dir"),
+        ({}, ["curate", "--out-dir", "out"], "no corpus root given (--corpus-root or config)"),
+    ],
+    ids=["mix-psd-csv", "augment-psd-csv", "attn1-row-sum", "attn1-no-rows",
+         "no-attn-files", "label-count", "no-corpus-root"],
+)
+def test_refused_input_prints_one_line_naming_it(
+    tmp_path, capsys, monkeypatch, files, argv, error
+):
+    # one error line, naming the file at fault where there is one; no output
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_toy_train_malformed_corpus_exits_cleanly(tmp_path, capsys):

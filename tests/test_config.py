@@ -10,13 +10,19 @@ from tinytts.config import (
     finite_snr_db,
     load_config_file,
     parse_aug_profiles,
-    parse_noise_specs,
-    parse_spectrum,
     seed_int,
     selection_mode,
 )
 from tinytts.errors import ConfigFileError
-from tinytts.noisegen import MAX_ABS_DB, PSD_TABLE, USASI, WHITE
+from tinytts.noisegen import (
+    MAX_ABS_DB,
+    PSD_TABLE,
+    USASI,
+    WHITE,
+    default_noise_specs,
+    parse_noise_specs,
+    parse_spectrum,
+)
 from tinytts.toytrain import ToyConfig
 
 # SHA-256 of RunConfig().snapshot() when the mel/toy defaults stopped being
@@ -151,9 +157,9 @@ def test_pipeline_modules_reexport_the_settings():
         config.BUCKETED, config.RANDOM_SHUFFLE
     )
     assert noisegen.MAX_ABS_DB == config.MAX_ABS_DB
-    assert [(s.name, s.snr_db, s.aug_id) for s in noisegen.DEFAULT_NOISE_SPECS] == list(
-        config.DEFAULT_NOISE_TRIPLES
-    )
+    assert [(s.name, s.snr_db, s.aug_id) for s in default_noise_specs()] == [
+        ("white", 25.0, 1), ("usasi", 15.0, 2), ("sensor", 20.0, 3)
+    ]
     assert study.DEFAULT_AUG_PROFILES == config.DEFAULT_AUG_PROFILES
     # the order of the CLI's --study choices
     assert list(study.STUDIES) == [config.BATCHING, config.AUG_EMBEDDING]
@@ -228,7 +234,7 @@ def test_parse_noise_specs_errors():
         parse_noise_specs("white:25")
     with pytest.raises(ConfigFileError):
         parse_noise_specs("pink:25:1")
-    with pytest.raises(ConfigFileError):
+    with pytest.raises(ValueError, match="unknown spectrum 'brown'"):
         parse_spectrum("brown")
 
 

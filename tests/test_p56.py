@@ -53,6 +53,13 @@ def test_all_zero_raises_silent():
         active_speech_level_p56(AudioClip(np.zeros(22050), 22050))
 
 
+def test_no_activity_above_the_lowest_threshold_raises():
+    # a level under the lowest rung (2**-30), and one within the 15.9 dB margin of it
+    for level in (1e-12, 2.0**-28):
+        with pytest.raises(UnusableSignal, match="no activity above the lowest threshold"):
+            active_speech_level_p56(AudioClip(np.full(22050, level), 22050))
+
+
 def test_too_short_raises():
     with pytest.raises(UnusableSignal, match="need at least .* s, got"):
         active_speech_level_p56(AudioClip(np.ones(1000), 22050))

@@ -220,9 +220,10 @@ def test_mistyped_corpus_field_names_the_line(tmp_path, line, key, mistyped):
         (0, "emission_counts", lambda v: v[:-1]),
         (1, "aug_id", lambda v: -3),
         (2, "aug_id", lambda v: 2),  # tiny_corpus has one profile
+        (1, "frames", lambda v: []),
     ],
     ids=["seed-negative", "seed-too-big", "profile-triple", "profile-single",
-         "counts-short", "aug-id-negative", "aug-id-no-profile"],
+         "counts-short", "aug-id-negative", "aug-id-no-profile", "frames-empty"],
 )
 def test_out_of_range_corpus_value_names_the_line(tmp_path, line, key, bad):
     path = tmp_path / "corpus.jsonl"

@@ -166,9 +166,13 @@ def test_header_errors_name_the_file(tmp_path):
 def test_wav_info_applies_the_full_header_check(tmp_path):
     path = tmp_path / "odd.wav"
     path.write_bytes(_pcm16_wav(b"\x00" * 5) + b"\x00")  # with the pad byte
+    rate_0 = tmp_path / "rate0.wav"
+    rate_0.write_bytes(_pcm16_wav(b"\x00" * 4, rate=0))
     for reader in (read_wav, read_wav_info):
         with pytest.raises(MalformedFile, match="odd byte count"):
             reader(path)
+        with pytest.raises(MalformedFile, match=f"{rate_0}: non-positive sample rate"):
+            reader(rate_0)
 
 
 def _outcome(reader, path):
