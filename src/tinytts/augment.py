@@ -144,9 +144,10 @@ def build_augmented_dataset(
     a time. Every source is attempted, and the manifest is written only if
     every source succeeded; otherwise SourcesFailed names each failed id.
     """
-    aug_ids = [s.aug_id for s in specs]  # NoiseSpec itself refuses 0, the clean copy's
-    if len(set(aug_ids)) != len(aug_ids):
-        raise BadConfig(f"duplicate aug_ids in {aug_ids}")
+    first_of = {}  # aug_id -> its first spec; NoiseSpec itself refuses 0, the clean copy's
+    for s in specs:
+        if (first := first_of.setdefault(s.aug_id, s)) is not s:
+            raise BadConfig(f"noise specs {first.name!r} and {s.name!r} share aug_id {s.aug_id}")
     ids = [entry.id for entry in subset.entries]
     map_sources(partial(_check_source, specs=specs), subset.entries, ids)
     out = Path(out_dir)

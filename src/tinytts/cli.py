@@ -39,7 +39,7 @@ from .config import (
     parse_aug_profiles,
     seed_int,
 )
-from .errors import TinyTtsError, read_fields, read_utf8
+from .errors import BadConfig, TinyTtsError, read_fields, read_utf8
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -57,10 +57,10 @@ def _jobs(cfg: RunConfig) -> int:
 
 def _flag(flag: str, text: str, rule):
     """rule(text) for a flag that mirrors no config key; the rule's ValueError
-    becomes one TinyTtsError naming the flag, its text and the reason."""
+    or BadConfig becomes one TinyTtsError naming the flag, its text and the reason."""
     try:
         return rule(text)
-    except ValueError as exc:
+    except (ValueError, BadConfig) as exc:
         raise TinyTtsError(f"{flag} {text!r}: {exc}") from exc
 
 
@@ -192,7 +192,9 @@ def cmd_mix(args, cfg: RunConfig) -> Result:
     spectrum = _flag("--noise", args.noise, parse_spectrum)
     snr_db = _flag("--snr-db", args.snr_db, finite_snr_db)
     seed = _flag("--seed", args.noise_seed, seed_int)
-    result = mix_at_snr(read_wav(args.infile), spectrum, snr_db, seed)
+    clip = read_wav(args.infile)
+    _flag("--noise", args.noise, lambda _: spectrum.check_rate(clip.sample_rate_hz))
+    result = mix_at_snr(clip, spectrum, snr_db, seed)
     write_wav(result.clip, args.outfile)
     return EXIT_OK, {
         "noise_gain": result.noise_gain,

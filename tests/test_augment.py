@@ -81,7 +81,7 @@ def test_duplicate_aug_id_rejected_before_writing(tmp_path):
         NoiseSpec("a", SpectrumSpec(WHITE), 20.0, 1),
         NoiseSpec("b", SpectrumSpec(WHITE), 10.0, 1),
     ]
-    with pytest.raises(BadConfig, match="duplicate aug_ids"):
+    with pytest.raises(BadConfig, match="noise specs 'a' and 'b' share aug_id 1"):
         build_augmented_dataset(subset, specs, tmp_path / "out", 0)
     assert not (tmp_path / "out" / "wavs").exists()
 

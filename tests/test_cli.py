@@ -677,6 +677,10 @@ SHARPNESS = ["sharpness", "--attn-dir", "attn", "--label", "x"]
     [
         (DOWN_CSV, [*MIX, "--noise", "down.csv", "--snr-db", "10"], NOT_INCREASING),
         (DOWN_CSV, [*AUGMENT, "--noise-specs", "down.csv:10:1"], NOT_INCREASING),
+        ({"a.wav": speech_like(7, duration_s=1.2, fs=16000),
+          "hi.csv": "freq_hz,power_db\n100,0\n11000,0\n"},
+         [*MIX, "--noise", "hi.csv", "--snr-db", "10"],
+         "--noise 'hi.csv': PSD table frequency above Nyquist: 11000 > 8000 Hz"),
         ({"attn/u.attn": "ATTN1 1 2\n0.2 0.3\n"}, SHARPNESS,
          "attn/u.attn:2: row 0 sums to 0.500000"),
         ({"attn/u.attn": "ATTN1 0 5\n"}, SHARPNESS,
@@ -686,17 +690,20 @@ SHARPNESS = ["sharpness", "--attn-dir", "attn", "--label", "x"]
          "need one --label per --attn-dir"),
         ({}, ["curate", "--out-dir", "out"], "no corpus root given (--corpus-root or config)"),
     ],
-    ids=["mix-psd-csv", "augment-psd-csv", "attn1-row-sum", "attn1-no-rows",
-         "no-attn-files", "label-count", "no-corpus-root"],
+    ids=["mix-psd-csv", "augment-psd-csv", "mix-above-nyquist", "attn1-row-sum",
+         "attn1-no-rows", "no-attn-files", "label-count", "no-corpus-root"],
 )
 def test_refused_input_prints_one_line_naming_it(
     tmp_path, capsys, monkeypatch, files, argv, error
 ):
     # one error line, naming the file at fault where there is one; no output
     monkeypatch.chdir(tmp_path)
-    for name, text in files.items():
+    for name, data in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
-        (tmp_path / name).write_text(text)
+        if isinstance(data, str):
+            (tmp_path / name).write_text(data)
+        else:
+            write_wav(data, tmp_path / name)
     before = sorted(tmp_path.rglob("*"))
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {error}\n"
