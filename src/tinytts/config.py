@@ -21,6 +21,7 @@ the dataclass defaults; no default is written twice.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -162,24 +163,43 @@ def seed_int(text: str) -> int:
     return value
 
 
+def finite_float(text: str) -> float:
+    """float(text), refusing nan and infinities with ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def job_count(text: str) -> int:
+    """int(text) for the jobs key: at most one worker process per core."""
+    jobs, cores = int(text), os.cpu_count() or 1
+    if not 1 <= jobs <= cores:
+        raise ValueError(f"{jobs} is outside [1, {cores}] (the CPU count)")
+    return jobs
+
+
 def selection_mode(text: str) -> str:
     if text not in (INFORMED, RANDOM):
         raise ValueError(f"expected {INFORMED} or {RANDOM}")
     return text
 
 
-# every known key with its default and parser
+# every known key with its default and parser, the key's whole rule
 DEFAULTS: dict[str, tuple[object, type]] = {
     "corpus_root": ("", str),
-    "budget_s": (7200.0, float),
+    "budget_s": (7200.0, finite_float),
     "selection_mode": (INFORMED, selection_mode),
     "seed": (0, seed_int),
     "master_seed": (0, seed_int),
-    "jobs": (1, int),
+    "jobs": (1, job_count),
     "noise_specs": ("white:25:1,usasi:15:2,sensor:20:3", str),
     **{
         f"{prefix}.{f.name}": (
-            f.default, seed_int if f.name == "seed" else type(f.default)
+            f.default,
+            seed_int if f.name == "seed"
+            else finite_float if type(f.default) is float
+            else int,
         )
         for prefix, cls in SECTIONS.items()
         for f in fields(cls)
@@ -205,18 +225,15 @@ class RunConfig:
             raise ConfigFileError(f"unknown config key {key!r}")
         return self.values[key]
 
-    def set(self, key: str, raw: str | object) -> None:
+    def set(self, key: str, text: str) -> None:
+        """Store the key's parser(text), the text of a flag or a config line."""
         if key not in DEFAULTS:
             raise ConfigFileError(f"unknown config key {key!r}")
         _, parser = DEFAULTS[key]
-        if isinstance(raw, str) and parser is not str:
-            try:
-                raw = parser(raw)
-            except ValueError as exc:
-                raise ConfigFileError(f"{key}: cannot parse {raw!r}: {exc}") from exc
-        if isinstance(raw, float) and not math.isfinite(raw):
-            raise ConfigFileError(f"{key}: {raw!r} is not a finite number")
-        self.values[key] = raw
+        try:
+            self.values[key] = parser(text)
+        except ValueError as exc:
+            raise ConfigFileError(f"{key}: cannot parse {text!r}: {exc}") from exc
 
     def build(self, prefix: str):
         """The MelConfig ("mel") or ToyConfig ("toy") of the `prefix.*` values."""
@@ -243,14 +260,6 @@ def load_config_file(path: str | Path) -> RunConfig:
         except ConfigFileError as exc:
             raise ConfigFileError(f"{path}:{line_no}: {exc}") from exc
     return cfg
-
-
-def finite_float(text: str) -> float:
-    """float(text), refusing nan and infinities with ValueError."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite number")
-    return value
 
 
 def finite_snr_db(text: str) -> float:

@@ -61,7 +61,8 @@ def _plain_file_name(utt_id: str) -> str:
 def load_ljspeech_manifest(root_dir: str | Path) -> list[CorpusEntry]:
     """Parse LJSpeech metadata.csv; the normalized-text column is authoritative.
     A row without 3 `|`-separated fields, whose id an earlier row has, or
-    whose id is not a plain file name raises MalformedFile naming path:line."""
+    whose id is not a plain file name raises MalformedFile naming path:line,
+    and a file with no rows MalformedFile naming the path."""
     root = Path(root_dir)
     meta = root / "metadata.csv"
     if not meta.exists():
@@ -77,6 +78,8 @@ def load_ljspeech_manifest(root_dir: str | Path) -> list[CorpusEntry]:
         if first != line_no:
             raise MalformedFile(f"{meta}:{line_no}: id {utt_id!r} repeats line {first}")
         entries.append(CorpusEntry(utt_id, root / "wavs" / f"{utt_id}.wav", normalized))
+    if not entries:
+        raise MalformedFile(f"{meta}: no rows")
     return entries
 
 
@@ -124,26 +127,24 @@ def plan_batches(
     subset: Subset, batch_size: int, mode: str, seed: int
 ) -> list[list[str]]:
     """Chunk the subset's ids into batches, bucketed by duration or fully shuffled."""
+    if mode not in (BUCKETED, RANDOM_SHUFFLE):
+        raise ValueError(f"unknown batch mode {mode!r}")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     gen = np.random.Generator(np.random.Philox(key=seed))
+    entries = subset.entries
     if mode == BUCKETED:
-        ordered = _sorted_by_duration(subset.entries)
-        batches = [
-            [e.id for e in ordered[i : i + batch_size]]
-            for i in range(0, len(ordered), batch_size)
-        ]
+        ordered = _sorted_by_duration(entries)
+    else:
+        ordered = [entries[int(i)] for i in gen.permutation(len(entries))]
+    batches = [
+        [e.id for e in ordered[i : i + batch_size]]
+        for i in range(0, len(ordered), batch_size)
+    ]
+    if mode == BUCKETED:
         batches = [batches[int(i)] for i in gen.permutation(len(batches))]
         # keep the one ragged batch (if any) at the end
         batches.sort(key=lambda b: len(b) < batch_size)
-    elif mode == RANDOM_SHUFFLE:
-        order = gen.permutation(len(subset.entries))
-        shuffled = [subset.entries[int(i)].id for i in order]
-        batches = [
-            shuffled[i : i + batch_size] for i in range(0, len(shuffled), batch_size)
-        ]
-    else:
-        raise ValueError(f"unknown batch mode {mode!r}")
     return batches
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..config import seed_int
 from ..curation import NUMBER, check_fields, read_json_rows, write_json_rows
 from ..errors import BadConfig, MalformedFile
 
@@ -115,8 +116,6 @@ EXAMPLE_TYPES = {
 
 def _header_from(row: dict) -> SyntheticCorpus:
     """The corpus a header row describes, still without examples."""
-    from ..config import seed_int  # config imports this package
-
     row = check_fields(row, HEADER_TYPES)
     if any(len(p) != 2 for p in row["aug_profiles"]):
         raise ValueError("each aug profile must be a (shift, std) pair")

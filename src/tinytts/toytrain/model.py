@@ -68,8 +68,6 @@ class ForwardResult:
     gate_logits: np.ndarray  # (B, T)
     attention: np.ndarray  # (B, T, N) rows stochastic over valid tokens
     loss: float
-    mse: float
-    bce: float
     # The tape backward() reads is predicted, gate_logits, attention, memory,
     # head_in and scores, one read-only copy each. Nothing in it is kept twice:
     # the encoder states are memory[..., :d_enc], the token embeddings
@@ -248,8 +246,7 @@ def forward(model: ToyModel, batch: Batch) -> ForwardResult:
     bce = (per * batch.frame_mask).sum() / n_valid
     loss = mse + bce * cfg.gate_loss_weight
     return ForwardResult(
-        predicted, gate_logits, attention, float(loss), float(mse), float(bce),
-        batch, memory, head_in, scores,
+        predicted, gate_logits, attention, float(loss), batch, memory, head_in, scores
     )
 
 

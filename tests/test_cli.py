@@ -689,9 +689,13 @@ SHARPNESS = ["sharpness", "--attn-dir", "attn", "--label", "x"]
         ({}, ["sharpness", "--attn-dir", "a", "--attn-dir", "b", "--label", "x"],
          "need one --label per --attn-dir"),
         ({}, ["curate", "--out-dir", "out"], "no corpus root given (--corpus-root or config)"),
+        ({"corpus/metadata.csv": ""},
+         ["curate", "--corpus-root", "corpus", "--out-dir", "out"],
+         "corpus/metadata.csv: no rows"),
     ],
     ids=["mix-psd-csv", "augment-psd-csv", "mix-above-nyquist", "attn1-row-sum",
-         "attn1-no-rows", "no-attn-files", "label-count", "no-corpus-root"],
+         "attn1-no-rows", "no-attn-files", "label-count", "no-corpus-root",
+         "empty-metadata"],
 )
 def test_refused_input_prints_one_line_naming_it(
     tmp_path, capsys, monkeypatch, files, argv, error
@@ -873,7 +877,10 @@ def test_jobs_outside_core_count_rejected_before_any_pool(
             argv = ["--config", str(cfg)] + _jobs_argv(command, tmp_path)
         # the manifest does not exist: a check after reading it would exit 2
         assert main(argv) == 1
-        assert "jobs" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "jobs" in err
+        if source == "config":  # the key's rule runs as the line is read
+            assert f"error: {cfg}:1: jobs: cannot parse '{jobs}': " in err
         assert not (tmp_path / "out").exists()
 
 

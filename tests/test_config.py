@@ -7,7 +7,9 @@ from tinytts.audio import MelConfig
 from tinytts.config import (
     DEFAULTS,
     RunConfig,
+    finite_float,
     finite_snr_db,
+    job_count,
     load_config_file,
     parse_aug_profiles,
     seed_int,
@@ -65,7 +67,8 @@ def test_unparseable_value(tmp_path):
         load_config_file(path)
 
 
-def test_snapshot_is_stable_and_excludes_jobs():
+def test_snapshot_is_stable_and_excludes_jobs(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)  # so 4 is a valid job count
     cfg = RunConfig()
     cfg.set("jobs", "4")
     snap = cfg.snapshot()
@@ -114,14 +117,14 @@ DEFAULT_SNAPSHOT_LINES = [
 
 # the parser of every key, jobs included
 DEFAULT_PARSERS = {
-    "budget_s": float,
+    "budget_s": finite_float,
     "corpus_root": str,
-    "jobs": int,
+    "jobs": job_count,
     "master_seed": seed_int,
     "noise_specs": str,
     "seed": seed_int,
     "selection_mode": selection_mode,
-    **{f"mel.{name}": float for name in ("fmax_hz", "fmin_hz", "log_floor")},
+    **{f"mel.{name}": finite_float for name in ("fmax_hz", "fmin_hz", "log_floor")},
     **{f"mel.{name}": int for name in ("hop_length", "n_fft", "n_mels", "win_length")},
     **{
         f"toy.{name}": int
@@ -132,7 +135,7 @@ DEFAULT_PARSERS = {
         )
     },
     **{
-        f"toy.{name}": float
+        f"toy.{name}": finite_float
         for name in ("gate_loss_weight", "grad_clip_norm", "learning_rate")
     },
     "toy.aug_profiles": str,
@@ -191,11 +194,20 @@ def test_non_finite_float_rejected(tmp_path, raw):
     with pytest.raises(ConfigFileError, match=re.escape(f"{path}:1: toy.learning_rate")):
         load_config_file(path)
     with pytest.raises(ConfigFileError, match="finite"):
-        RunConfig().set("budget_s", float(raw))
+        RunConfig().set("budget_s", raw)
     with pytest.raises(ConfigFileError):
         parse_noise_specs(f"white:{raw}:1")
     with pytest.raises(ConfigFileError):
         parse_aug_profiles(f"0:{raw}")
+
+
+@pytest.mark.parametrize(
+    "key", [key for key, (default, _) in DEFAULTS.items() if type(default) is float]
+)
+def test_every_float_key_refuses_non_finite_text(key):
+    for raw in ("nan", "inf"):
+        with pytest.raises(ConfigFileError, match=re.escape(f"{key}: cannot parse {raw!r}")):
+            RunConfig().set(key, raw)
 
 
 def test_snr_db_bounded():

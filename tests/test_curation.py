@@ -184,6 +184,21 @@ def test_plan_partition_property():
         assert plan_batches(subset, 4, mode, seed=3) == batches
 
 
+def test_plan_batches_are_pinned_in_both_modes():
+    # seed 0 permutes the 3 bucketed chunks as [1, 2, 0]: the ragged one,
+    # drawn second, still goes last; u1 and u3 tie on duration and sort by id
+    durations = [0.9, 0.3, 1.5, 0.3, 1.1, 0.6, 2.0]
+    subset = Subset([CorpusEntry(f"u{i}", "", "", d) for i, d in enumerate(durations)])
+    assert plan_batches(subset, 3, BUCKETED, seed=0) == [
+        ["u0", "u4", "u2"], ["u1", "u3", "u5"], ["u6"]
+    ]
+    assert plan_batches(subset, 3, RANDOM_SHUFFLE, seed=0) == [
+        ["u0", "u5", "u1"], ["u6", "u2", "u4"], ["u3"]
+    ]
+    with pytest.raises(ValueError, match="unknown batch mode 'sorted'"):
+        plan_batches(subset, 3, "sorted", seed=0)
+
+
 def test_padding_formula():
     corpus = [entry(0, 2.0), entry(1, 2.0), entry(2, 2.0), entry(3, 1.0), entry(4, 3.0)]
     report = padding_stats([["utt000", "utt001", "utt002"], ["utt003", "utt004"]], corpus)

@@ -281,7 +281,8 @@ def test_padding_invariance_of_loss():
 
 def test_zero_output_projection_closed_form():
     corpus = tiny_corpus(profiles=())
-    model = ToyModel(TINY)
+    # with no gate term the loss is the masked frame MSE alone
+    model = ToyModel(replace(TINY, gate_loss_weight=0.0))
     model.params["out_w"][:] = 0.0
     bias = np.array([0.3, -0.2, 0.1])
     model.params["out_b"][:] = bias
@@ -290,7 +291,7 @@ def test_zero_output_projection_closed_form():
     assert np.allclose(res.predicted, bias, atol=1e-12)
     diff = (batch.targets - bias) * batch.frame_mask[:, :, None]
     expected_mse = (diff**2).sum() / (batch.frame_mask.sum() * 3)
-    assert res.mse == pytest.approx(expected_mse, rel=1e-12)
+    assert res.loss == pytest.approx(expected_mse, rel=1e-12)
 
 
 def test_aug_embedding_gradient_isolation():
